@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import weylgroup as wg
 from .weylgroup import CapExceeded, DEFAULT_CAP
@@ -47,17 +46,10 @@ from .unipotent import (
     unipotent_leq,
 )
 
-FAMILY_CHOICES = ("A", "BC", "D", "2A", "O2n", "GL", "GLd")
+FAMILY_ALIAS = {"O2n": "D", "GL": "A", "GLd": "2A"}
+FAMILY_CHOICES = wg.FAMILIES + tuple(FAMILY_ALIAS)
 GROUP_FLAG = {"GL": "GL", "GLd": "GLd", "Sp": "Sp", "SOodd": "O_odd", "SOeven": "O_even"}
-FAMILY_DEFAULT_GROUP = {
-    "A": "GL",
-    "GL": "GL",
-    "BC": "Sp",
-    "D": "O_even",
-    "O2n": "O_even",
-    "2A": "GLd",
-    "GLd": "GLd",
-}
+FAMILY_DEFAULT_GROUP = {"A": "GL", "BC": "Sp", "D": "O_even", "2A": "GLd"}
 
 
 class UsageError(ValueError):
@@ -68,14 +60,14 @@ def _resolve_group(args) -> str:
     if getattr(args, "group", None):
         return GROUP_FLAG[args.group]
     if getattr(args, "family", None):
-        return FAMILY_DEFAULT_GROUP[args.family]
+        return FAMILY_DEFAULT_GROUP[FAMILY_ALIAS.get(args.family, args.family)]
     raise UsageError("pass --family or --group")
 
 
 def _resolve_family(args) -> str:
     fam = getattr(args, "family", None)
     if fam:
-        return {"O2n": "D", "GL": "A", "GLd": "2A"}.get(fam, fam)
+        return FAMILY_ALIAS.get(fam, fam)
     if getattr(args, "group", None):
         return GROUP_FAMILY[GROUP_FLAG[args.group]]
     raise UsageError("pass --family or --group")
@@ -218,16 +210,6 @@ def run_map(group: str, n: int, component: str = wg.IDENTITY_COMPONENT, fmt: str
 # hasse
 
 
-def _build_diagrams(group: str, n: int, char: str, component: str, cap: int):
-    spec = group_spec(group, n, char)
-    ctx = weyl_context(spec, component)
-    classes = elliptic_classes(ctx)
-    weyl = hasse(classes, lambda a, b: class_leq_W(a, b, cap))
-    images = [phi(spec, c) for c in classes]
-    unip = hasse(images, unipotent_leq)
-    return weyl, unip
-
-
 def run_hasse(
     group: str,
     n: int,
@@ -237,11 +219,17 @@ def run_hasse(
     cap: int,
     fmt: str,
 ) -> tuple[str, int]:
-    weyl, unip = _build_diagrams(group, n, char, component, cap)
-    opposite = {(j, i) for i, j in unip.covers} == set(weyl.covers)
-    code = 0
-    if side == "both" and not opposite:
-        code = 1
+    spec = group_spec(group, n, char)
+    classes = elliptic_classes(weyl_context(spec, component))
+    # phi refuses a (group, char) pair with no map, whichever side is shown
+    images = [phi(spec, c) for c in classes]
+    weyl = unip = None
+    if side in ("weyl", "both"):
+        weyl = hasse(classes, lambda a, b: class_leq_W(a, b, cap))
+    if side in ("unipotent", "both"):
+        unip = hasse(images, unipotent_leq)
+    opposite = side == "both" and {(j, i) for i, j in unip.covers} == set(weyl.covers)
+    code = 1 if side == "both" and not opposite else 0
     if fmt == "json":
         payload: dict = {}
         if side in ("weyl", "both"):
@@ -278,24 +266,17 @@ def run_hasse(
 # verify
 
 
-def _verify_task(task: tuple[str, int, str, str, int]) -> dict:
-    group, n, char, component, cap = task
-    return verify_theorem(group, n, char, component, cap)
-
-
 def run_verify(
     families: list[str],
     ranks: list[int],
     chars: list[str] | None,
     components: list[str] | None,
     cap: int,
-    jobs: int,
     fmt: str,
 ) -> tuple[str, int]:
     tasks = []
     for family in families:
-        fam = {"O2n": "D", "GL": "A", "GLd": "2A"}.get(family, family)
-        for group, char, component in verify_combinations(fam):
+        for group, char, component in verify_combinations(family):
             if chars and char not in chars:
                 continue
             if components and component not in components:
@@ -306,11 +287,7 @@ def run_verify(
                 tasks.append((group, n, char, component, cap))
     if not tasks:
         raise UsageError("nothing to verify for that family/char/component choice")
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_verify_task, tasks))
-    else:
-        reports = [_verify_task(t) for t in tasks]
+    reports = [verify_theorem(*t) for t in tasks]
     bad = sum(1 for r in reports if r["failures"])
     code = 1 if bad else 0
     if fmt == "json":
@@ -335,7 +312,7 @@ def run_verify(
 
 
 def run_bruhat(family: str, n: int, x_text: str, y_text: str, fmt: str) -> tuple[str, int]:
-    fam = {"O2n": "D", "GL": "A", "GLd": "2A"}.get(family, family)
+    fam = FAMILY_ALIAS.get(family, family)
     x = _parse_window(x_text.replace("*d", ""))
     y = _parse_window(y_text.replace("*d", ""))
     component = None
@@ -348,33 +325,29 @@ def run_bruhat(family: str, n: int, x_text: str, y_text: str, fmt: str) -> tuple
     ctx = wg.context(fam, n, component)
     lx, ly = wg.length(ctx, x), wg.length(ctx, y)
     generic = wg.bruhat_leq_generic(ctx, x, y)
-    counts = None
-    witness = None
-    note = None
+    counts = witness = note = None
     code = 0
-    if fam in ("A", "BC"):
-        counts = wg.bruhat_leq_counts(ctx, x, y)
-        if counts != generic:
+    if fam != "2A":
+        cx, cy = wg.count_matrix(ctx, x), wg.count_matrix(ctx, y)
+        idx = cx.indices()
+        witness = next(
+            (
+                (i, j)
+                for i, rx, ry in zip(idx, cx.rows, cy.rows)
+                for j, a, b in zip(idx, rx, ry)
+                if a > b
+            ),
+            None,
+        )
+        counts = witness is None
+        if fam == "D":
+            note = "for even-signed groups the count criterion is necessary, not sufficient"
+            if generic and not counts:
+                note = "count criterion violated the necessity direction; this is a bug"
+                code = 1
+        elif counts != generic:
             note = "count criterion disagrees with the recursive order; this is a bug"
             code = 1
-    elif fam == "D":
-        cx, cy = wg.count_matrix(ctx, x), wg.count_matrix(ctx, y)
-        counts = all(
-            cx.entry(i, j) <= cy.entry(i, j) for i in cx.indices() for j in cx.indices()
-        )
-        note = "for even-signed groups the count criterion is necessary, not sufficient"
-        if generic and not counts:
-            note = "count criterion violated the necessity direction; this is a bug"
-            code = 1
-    if counts is False:
-        mat_x, mat_y = wg.count_matrix(ctx, x), wg.count_matrix(ctx, y)
-        for i in mat_x.indices():
-            for j in mat_x.indices():
-                if mat_x.entry(i, j) > mat_y.entry(i, j):
-                    witness = (i, j)
-                    break
-            if witness:
-                break
     if fmt == "json":
         payload = {
             "family": fam,
@@ -441,7 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the order-reversal theorem exhaustively")
     common(p, char=True, component=True)
-    p.add_argument("--jobs", type=int, default=1)
     # verify runs every valid (char, component) combination unless the
     # flags narrow it down, so its component flag must not default to id
     p.set_defaults(component=None)
@@ -501,7 +473,6 @@ def _dispatch(args) -> tuple[str, int]:
             chars,
             components,
             args.cap,
-            args.jobs,
             args.format,
         )
     if args.verb == "bruhat":
@@ -518,11 +489,15 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError, CapExceeded, PosetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (OSError, UnicodeEncodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

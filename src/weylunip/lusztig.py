@@ -17,7 +17,6 @@ from .partitions import (
     add_psi,
     append_one,
     dominance_leq,
-    psi,
     scale,
 )
 from . import weylgroup as wg
@@ -61,11 +60,9 @@ def group_spec(group: str, n: int, char: str) -> GroupSpec:
 def weyl_context(spec: GroupSpec, component: str = wg.IDENTITY_COMPONENT) -> GroupContext:
     """The Weyl-group context whose elliptic classes spec's map consumes."""
     fam = GROUP_FAMILY[spec.group]
-    if fam in ("A", "BC"):
-        return wg.context(fam, spec.n)
-    if fam == "2A":
-        return wg.context(fam, spec.n)
-    return wg.context(fam, spec.n, component)
+    if fam == "D":
+        return wg.context(fam, spec.n, component)
+    return wg.context(fam, spec.n)
 
 
 def phi(spec: GroupSpec, c: EllipticClassLabel) -> UnipotentLabel:
@@ -102,9 +99,7 @@ def phi(spec: GroupSpec, c: EllipticClassLabel) -> UnipotentLabel:
     if g == "O_odd":
         doubled = scale(alpha, 2)
         if spec.char == GOOD:
-            # psi of the doubled partition; positionally equal to psi of
-            # alpha since doubling preserves the strict comparisons
-            assert psi(doubled) == psi(alpha)
+            # psi(2*alpha) == psi(alpha): doubling keeps the strict comparisons
             gamma = add_psi(doubled)
             if len(alpha) % 2 == 0:
                 gamma = append_one(gamma)
@@ -118,7 +113,6 @@ def phi(spec: GroupSpec, c: EllipticClassLabel) -> UnipotentLabel:
                 "the twisted component of O(2n) has no unipotent elements "
                 "in good characteristic"
             )
-        assert psi(doubled) == psi(alpha)
         return good_label("O_even", n, add_psi(doubled))
     out = bad_label("O_even", n, doubled)
     inside = out.so_component == "SO"

@@ -89,8 +89,8 @@ def partitions(n: int) -> Iterator[Partition]:
     return gen(n, n)
 
 
-def _kappa_member(a: Partition, kappa: int) -> bool:
-    # m_a(i) must be even whenever (-1)^i == kappa.
+def kappa_member(a: Partition, kappa: int) -> bool:
+    """Whether m_a(i) is even for every row i with (-1)^i == kappa."""
     want_odd_rows = kappa == -1
     for p in set(a):
         if (p % 2 == 1) == want_odd_rows and multiplicity(a, p) % 2 == 1:
@@ -114,7 +114,7 @@ def family_members(
     if tag == "kappa":
         if kappa not in (1, -1):
             raise ValueError("kappa family needs kappa=+1 or kappa=-1")
-        return [a for a in partitions(n) if _kappa_member(a, kappa)]
+        return [a for a in partitions(n) if kappa_member(a, kappa)]
     if kappa is not None:
         raise ValueError(f"kappa argument is only meaningful for the kappa family, not {tag!r}")
     if tag == "all":

@@ -29,6 +29,7 @@ from .partitions import (
     dominance_leq,
     family_members,
     format_partition,
+    kappa_member,
     multiplicity,
     transpose,
 )
@@ -199,32 +200,24 @@ def _check_good_partition(group: str, n: int, alpha: Partition) -> None:
     if group in ("GL", "GLd"):
         return
     kappa = -1 if group == "Sp" else 1
-    odd_rows = kappa == -1
-    for p in set(alpha):
-        if (p % 2 == 1) == odd_rows and multiplicity(alpha, p) % 2 == 1:
-            raise ValueError(
-                f"{alpha} is not a valid {group} partition: row {p} has odd multiplicity"
-            )
+    if not kappa_member(alpha, kappa):
+        rows = "odd" if kappa == -1 else "even"
+        raise ValueError(
+            f"{alpha} is not a valid {group} partition: an {rows} row has odd multiplicity"
+        )
 
 
 def _check_bad_partition(group: str, n: int, alpha: Partition) -> None:
     if sum(alpha) != _dim(group, n):
         raise ValueError(f"{alpha} is not a partition of {_dim(group, n)}")
-    if group == "GLd":
-        for p in set(alpha):
-            if p % 2 == 0 and multiplicity(alpha, p) % 2 == 1:
-                raise ValueError(f"{alpha}: even row {p} has odd multiplicity")
-        return
-    if group == "O_odd":
-        if multiplicity(alpha, 1) % 2 != 1:
-            raise ValueError(f"{alpha}: odd orthogonal labels have an odd number of 1s")
-        for p in set(alpha):
-            if p % 2 == 1 and p != 1 and multiplicity(alpha, p) % 2 == 1:
-                raise ValueError(f"{alpha}: odd row {p} has odd multiplicity")
-        return
-    for p in set(alpha):
-        if p % 2 == 1 and multiplicity(alpha, p) % 2 == 1:
-            raise ValueError(f"{alpha}: odd row {p} has odd multiplicity")
+    if group == "O_odd" and alpha[-1:] != (1,):
+        raise ValueError(f"{alpha}: odd orthogonal labels have an odd number of 1s")
+    # an O_odd label is a symplectic one with a 1 appended (the isogeny)
+    rest = alpha[:-1] if group == "O_odd" else alpha
+    kappa = 1 if group == "GLd" else -1
+    if not kappa_member(rest, kappa):
+        rows = "even" if kappa == 1 else "odd"
+        raise ValueError(f"{alpha}: an {rows} row has odd multiplicity")
 
 
 def good_label(group: str, n: int, partition, split: str | None = None) -> UnipotentLabel:

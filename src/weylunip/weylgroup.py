@@ -132,31 +132,23 @@ def delta(ctx: GroupContext) -> SignedPermutation:
 # simple reflections and length
 
 
+def _coxeter(ctx: GroupContext) -> tuple[str, int]:
+    """The family whose step rules ctx uses (twisted A steps like A, on
+    the stored permutation part) and its number of simple reflections."""
+    if ctx.family in ("A", "2A"):
+        return "A", ctx.n - 1
+    return ctx.family, ctx.n
+
+
 def simple_reflection(ctx: GroupContext, i: int) -> SignedPermutation:
-    n = ctx.n
-    top = n - 1 if ctx.family in ("A", "2A") else n
+    fam, top = _coxeter(ctx)
     if not 1 <= i <= top:
-        raise ValueError(f"simple reflection index {i} out of range for {ctx.family}({n})")
-    w = list(range(1, n + 1))
-    if ctx.family == "BC":
-        if i == 1:
-            w[0] = -1
-        else:
-            w[i - 2], w[i - 1] = w[i - 1], w[i - 2]
-    elif ctx.family == "D":
-        if i == 1:
-            w[0], w[1] = 2, 1
-        elif i == 2:
-            w[0], w[1] = -2, -1
-        else:
-            w[i - 2], w[i - 1] = w[i - 1], w[i - 2]
-    else:
-        w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
+        raise ValueError(f"simple reflection index {i} out of range for {ctx.family}({ctx.n})")
+    return _apply_right(fam, identity(ctx.n), i)
 
 
 def simples(ctx: GroupContext) -> tuple[SignedPermutation, ...]:
-    top = ctx.n - 1 if ctx.family in ("A", "2A") else ctx.n
+    _, top = _coxeter(ctx)
     return tuple(simple_reflection(ctx, i) for i in range(1, top + 1))
 
 
@@ -233,17 +225,18 @@ def count_entry(w: SignedPermutation, i: int, j: int) -> int:
 
 
 def count_matrix(ctx: GroupContext, w: SignedPermutation) -> CountMatrix:
+    """Prefix sums down the index set: row i is row i-1 plus the
+    indicator [w(i) >= j] for each column j."""
     _check_element(ctx, w)
-    n = ctx.n
-    if ctx.family in ("A", "2A"):
-        rows = tuple(
-            tuple(sum(1 for k in range(1, i + 1) if w[k - 1] >= j) for j in range(1, n + 1))
-            for i in range(1, n + 1)
-        )
-        return CountMatrix(n, False, rows)
-    idx = [k for k in range(-n, n + 1) if k != 0]
-    rows = tuple(tuple(count_entry(w, i, j) for j in idx) for i in idx)
-    return CountMatrix(n, True, rows)
+    signed = ctx.family not in ("A", "2A")
+    idx = CountMatrix(ctx.n, signed, ()).indices()
+    row = [0] * len(idx)
+    rows = []
+    for i in idx:
+        wi = apply(w, i)
+        row = [c + (wi >= j) for c, j in zip(row, idx)]
+        rows.append(tuple(row))
+    return CountMatrix(ctx.n, signed, tuple(rows))
 
 
 def bruhat_leq_counts(ctx: GroupContext, x: SignedPermutation, y: SignedPermutation) -> bool:
@@ -260,33 +253,9 @@ def bruhat_leq_counts(ctx: GroupContext, x: SignedPermutation, y: SignedPermutat
     return all(a <= b for ra, rb in zip(mx, my) for a, b in zip(ra, rb))
 
 
-def _first_descent(fam: str, w: SignedPermutation, top: int) -> int:
-    """Index of a right descent of w, or 0 if there is none.  Constant
-    work per candidate index: right multiplication by s_i shortens w iff
-    the stated window condition holds."""
-    if fam == "BC":
-        if w[0] < 0:
-            return 1
-        for i in range(2, top + 1):
-            if w[i - 2] > w[i - 1]:
-                return i
-        return 0
-    if fam == "D":
-        if w[0] > w[1]:
-            return 1
-        if w[0] + w[1] < 0:
-            return 2
-        for i in range(3, top + 1):
-            if w[i - 2] > w[i - 1]:
-                return i
-        return 0
-    for i in range(1, top + 1):
-        if w[i - 1] > w[i]:
-            return i
-    return 0
-
-
 def _is_descent(fam: str, w: SignedPermutation, i: int) -> bool:
+    """Whether w·s_i < w.  With _apply_right (w·s_i) these are the only
+    per-family step rules; fam is the stepping family from _coxeter."""
     if fam == "BC":
         return w[0] < 0 if i == 1 else w[i - 2] > w[i - 1]
     if fam == "D":
@@ -323,22 +292,8 @@ def bruhat_leq_generic(ctx: GroupContext, x: SignedPermutation, y: SignedPermuta
     including both components of D (delta is the unique length-zero
     coset element) and twisted A via the stored permutation parts.
     """
-    fam = ctx.family
-    lx, ly = length(ctx, x), length(ctx, y)
-    top = ctx.n - 1 if fam in ("A", "2A") else ctx.n
-    step = "A" if fam == "2A" else fam
-    while ly > 0:
-        if lx > ly:
-            return False
-        if lx == ly:
-            return x == y
-        i = _first_descent(step, y, top)
-        y = _apply_right(step, y, i)
-        ly -= 1
-        if _is_descent(step, x, i):
-            x = _apply_right(step, x, i)
-            lx -= 1
-    return x == y
+    chain, path = descent_walk(ctx, y)
+    return bruhat_leq_walk(ctx, x, length(ctx, x), chain, path)
 
 
 def descent_walk(
@@ -348,17 +303,16 @@ def descent_walk(
     simple-reflection indices and the element after each strip (path[0]
     is y itself, path[-1] has length zero).  Precomputing this lets many
     x be compared against one y without rewalking y."""
-    fam = "A" if ctx.family == "2A" else ctx.family
-    top = ctx.n - 1 if fam == "A" else ctx.n
-    ly = length(ctx, y)
+    fam, top = _coxeter(ctx)
     chain: list[int] = []
     path = [y]
-    while ly > 0:
-        i = _first_descent(fam, y, top)
+    for _ in range(length(ctx, y)):
+        for i in range(1, top + 1):
+            if _is_descent(fam, y, i):
+                break
         chain.append(i)
         y = _apply_right(fam, y, i)
         path.append(y)
-        ly -= 1
     return chain, path
 
 
@@ -369,9 +323,9 @@ def bruhat_leq_walk(
     chain: list[int],
     path: list[SignedPermutation],
 ) -> bool:
-    """bruhat_leq_generic(ctx, x, y) where (chain, path) came from
-    descent_walk(ctx, y).  lx must equal length(x)."""
-    fam = "A" if ctx.family == "2A" else ctx.family
+    """Bruhat x <= y, where (chain, path) came from descent_walk(ctx, y).
+    lx must equal length(x)."""
+    fam, _ = _coxeter(ctx)
     ly = len(chain)
     for t, i in enumerate(chain):
         if lx > ly:

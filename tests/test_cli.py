@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -193,7 +195,7 @@ def test_main_verify_flags_counterexamples(capsys, monkeypatch):
         "pairs": 4,
         "failures": [{"alpha": [2], "beta": [1, 1]}],
     }
-    monkeypatch.setattr(cli, "_verify_task", lambda task: dict(fake))
+    monkeypatch.setattr(cli, "verify_theorem", lambda *task: dict(fake))
     code = cli.main(["verify", "--family", "BC", "--rank", "2", "--char", "good"])
     out = capsys.readouterr().out
     assert code == 1
@@ -209,12 +211,31 @@ def test_main_out_file(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == cli.run_map("Sp", 2)
 
 
+def test_main_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "map.tsv"
+    code = cli.main(["map", "--family", "BC", "--rank", "2", "--out", str(target)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not target.exists()
+
+
+def test_main_unencodable_stdout_is_usage_error(capsys, monkeypatch):
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii"))
+    # the characteristic-2 map prints epsilon, which ASCII cannot encode
+    code = cli.main(["map", "--family", "BC", "--rank", "2"])
+    sys.stdout.flush()
+    assert code == 2
+    assert raw.getvalue() == b""
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_byte_determinism():
     assert cli.run_map("O_even", 5, "twisted") == cli.run_map("O_even", 5, "twisted")
     a = cli.run_hasse("O_even", 4, "2", "both", "id", 10**6, "dot")
     b = cli.run_hasse("O_even", 4, "2", "both", "id", 10**6, "dot")
     assert a == b
-    args = (["BC"], [2, 3], None, None, 10**6, 1, "json")
+    args = (["BC"], [2, 3], None, None, 10**6, "json")
     assert cli.run_verify(*args) == cli.run_verify(*args)
 
 

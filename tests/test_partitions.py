@@ -192,6 +192,7 @@ def test_add_psi_totals():
             ev = scale(a, 2)
             out = add_psi(ev)
             assert total(out) == 2 * n + len(a) % 2
+            assert psi(ev) == psi(a)
 
 
 def test_parse_and_format():

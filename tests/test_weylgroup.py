@@ -173,6 +173,19 @@ def test_count_entry_literal():
                 assert wg.count_entry(w, i, j) == brute(w, i, j), (w, i, j)
 
 
+def test_count_matrix_rows_are_literal_counts():
+    for ctx in all_contexts([("A", [4]), ("BC", [3]), ("D", [3])]):
+        for w in wg.enumerate_group(ctx):
+            m = wg.count_matrix(ctx, w)
+            idx = m.indices()
+            for i, row in zip(idx, m.rows):
+                if ctx.family == "A":
+                    want = [sum(1 for k in range(1, i + 1) if w[k - 1] >= j) for j in idx]
+                else:
+                    want = [wg.count_entry(w, i, j) for j in idx]
+                assert list(row) == want, (ctx, w, i)
+
+
 def test_bruhat_counts_matches_generic_A_and_BC():
     for fam, n in [("A", 3), ("BC", 2)]:
         ctx = wg.context(fam, n)
@@ -223,16 +236,36 @@ def test_bruhat_monotone_in_length():
                         assert x == y
 
 
-def test_bruhat_walk_agrees_with_generic():
-    for ctx in all_contexts([("BC", [3]), ("D", [4]), ("2A", [4])]):
-        els = list(wg.enumerate_group(ctx))
-        for y in els[:: max(1, len(els) // 24)]:
-            chain, path = wg.descent_walk(ctx, y)
-            for x in els:
-                lx = wg.length(ctx, x)
-                assert wg.bruhat_leq_walk(ctx, x, lx, chain, path) == (
-                    wg.bruhat_leq_generic(ctx, x, y)
-                )
+def reflection_closure(ctx):
+    """Bruhat order by its definition: the transitive closure of
+    w < w·t for reflections t (conjugates of simple reflections of the
+    untwisted group) with length(w·t) > length(w).  Returns the up-set
+    of every element."""
+    base = wg.context("A" if ctx.family == "2A" else ctx.family, ctx.n)
+    refl = {
+        wg.multiply(wg.multiply(u, s), wg.inverse(u))
+        for u in wg.enumerate_group(base)
+        for s in wg.simples(base)
+    }
+    els = sorted(wg.enumerate_group(ctx), key=lambda w: -wg.length(ctx, w))
+    up = {}
+    for w in els:
+        lw = wg.length(ctx, w)
+        above = {w}
+        for t in refl:
+            wt = wg.multiply(w, t)
+            if wg.length(ctx, wt) > lw:
+                above |= up[wt]
+        up[w] = above
+    return up
+
+
+def test_bruhat_matches_reflection_closure():
+    for ctx in all_contexts([("A", [4]), ("BC", [3]), ("D", [4]), ("2A", [4])]):
+        up = reflection_closure(ctx)
+        for x in up:
+            for y in up:
+                assert wg.bruhat_leq_generic(ctx, x, y) == (y in up[x]), (ctx, x, y)
 
 
 def test_signed_cycle_type():
