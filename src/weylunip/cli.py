@@ -106,7 +106,7 @@ def _parse_window(text: str) -> tuple[int, ...]:
 # classes
 
 
-def run_classes(family: str, n: int, component: str, cap: int, fmt: str) -> str:
+def run_classes(family: str, n: int, component: str, fmt: str) -> str:
     ctx = wg.context(family, n, component if family in ("D", "O2n") else None)
     rows = []
     for c in elliptic_classes(ctx):
@@ -116,7 +116,7 @@ def run_classes(family: str, n: int, component: str, cap: int, fmt: str) -> str:
                 "class": str(c),
                 "rep": list(rep),
                 "length": wg.length(ctx, rep),
-                "size": len(wg.enumerate_class(ctx, c.partition, cap)),
+                "size": wg.class_size(ctx, c.partition),
             }
         )
     if fmt == "json":
@@ -442,7 +442,7 @@ def _dispatch(args) -> tuple[str, int]:
     if args.verb == "classes":
         family = _resolve_family(args)
         return (
-            run_classes(family, _single_rank(args), args.component, args.cap, args.format),
+            run_classes(family, _single_rank(args), args.component, args.format),
             0,
         )
     if args.verb == "unipotent":

@@ -15,12 +15,13 @@ Composition is (xy)(i) = x(y(i)).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .partitions import Partition, as_partition
+from .partitions import Partition, as_partition, family_members
 
 SignedPermutation = tuple[int, ...]
 
@@ -33,7 +34,8 @@ TWISTED_COMPONENT = "twisted"
 
 
 class CapExceeded(RuntimeError):
-    """Raised when a brute-force enumeration would exceed its cap."""
+    """Raised when a brute-force enumeration, or the minimal-length sets
+    of one context, would hold more elements than the cap allows."""
 
 
 @dataclass(frozen=True)
@@ -176,6 +178,12 @@ def length(ctx: GroupContext, w: SignedPermutation) -> int:
     W0 part: twisted A elements store that part directly, and for D the
     uniform formula already assigns length 0 to delta."""
     _check_element(ctx, w)
+    return _length(ctx, w)
+
+
+def _length(ctx: GroupContext, w: SignedPermutation) -> int:
+    """length without the membership check, for elements the library
+    built itself."""
     if ctx.family in ("A", "2A"):
         return _inv_count(w)
     if ctx.family == "BC":
@@ -513,7 +521,121 @@ def class_rep(ctx: GroupContext, alpha: Partition) -> SignedPermutation:
 
 
 # ---------------------------------------------------------------------------
-# brute-force enumeration
+# minimal-length class sets by cyclic shifts, class sizes in closed form
+
+
+def elliptic_partitions(ctx: GroupContext) -> list[Partition]:
+    """The partitions naming ctx's elliptic classes, reverse-lexicographically:
+    the Coxeter class (n) for A, all partitions for BC, those with an even
+    (identity) or odd (twisted) number of parts for D, and those with all
+    parts odd for 2A."""
+    n = ctx.n
+    if ctx.family == "A":
+        return [(n,)]
+    if ctx.family == "BC":
+        return family_members("all", n)
+    if ctx.family == "D":
+        tag = "even_length" if ctx.component == IDENTITY_COMPONENT else "odd_length"
+        return family_members(tag, n)
+    return family_members("odd_parts", n)
+
+
+def class_size(ctx: GroupContext, alpha: Partition) -> int:
+    """The number of elements with class_label alpha, as |W|/z_alpha.
+
+    A and 2A: n!/prod a^m_a m_a!, the size of the S_n class of cycle type
+    alpha (a twisted class is the S_n class of w·delta).  BC: the
+    centraliser of a class with negative cycles alpha has order
+    prod (2a)^m_a m_a!.  D: the same count, because a class of negative
+    cycles does not split in the even-signed group."""
+    alpha = as_partition(alpha)
+    if alpha not in elliptic_partitions(ctx):
+        raise ValueError(f"{alpha} is not an elliptic class of {ctx}")
+    signed = ctx.family in ("BC", "D")
+    z = 1
+    for a, m in Counter(alpha).items():
+        z *= (2 * a if signed else a) ** m * factorial(m)
+    return factorial(ctx.n) * (2**ctx.n if signed else 1) // z
+
+
+class MinLengthSet(NamedTuple):
+    """One elliptic class's minimal-length elements (sorted windows),
+    their common length, and descent_walk of its class_rep."""
+
+    elements: tuple[SignedPermutation, ...]
+    length: int
+    walk: tuple[list[int], list[SignedPermutation]]
+
+
+def _min_length_set(
+    ctx: GroupContext, rep: SignedPermutation, held: int, cap: int
+) -> tuple[SignedPermutation, ...]:
+    """The closure of rep under length-preserving cyclic shifts.  For an
+    elliptic class with minimal-length rep this is the whole set of
+    minimal-length elements (Geck-Pfeiffer 2000, ch. 3; Geck-Kim-Pfeiffer
+    2000 for twisted classes; He-Nie 2012).  held elements of other
+    classes count against cap.
+
+    The shifts are w -> s_i·w·s_j with j = i.  Conjugating w·delta by s_i
+    in the twisted A coset steps the stored part u to s_i·u·s_{n-i}, as
+    delta s_i delta = s_{n-i}, so j = n - i there.  s_i·w is w's window
+    mapped through a lookup holding s_i(v) at index v (negative v index
+    from the end).  Each factor moves the length by one, so the shift
+    keeps the length exactly when one factor is a descent: s_i of w on
+    the left (a right descent of w's inverse), s_j of s_i·w on the right."""
+    fam, top = _coxeter(ctx)
+    shifts = []
+    for i in range(1, top + 1):
+        s = _apply_right(fam, identity(ctx.n), i)
+        lookup = (0,) + s + tuple(-v for v in reversed(s))
+        shifts.append((i, lookup.__getitem__, top + 1 - i if ctx.family == "2A" else i))
+    seen = {rep}
+    todo = [rep]
+    while todo:
+        if held + len(seen) > cap:
+            raise CapExceeded(
+                f"the minimal-length sets of {ctx.family}({ctx.n}) "
+                f"hold more than cap {cap} elements"
+            )
+        w = todo.pop()
+        winv = inverse(w)
+        for i, lookup, j in shifts:
+            sw = tuple(map(lookup, w))
+            down = _is_descent(fam, winv, i)
+            if down == _is_descent(fam, sw, j):
+                if down:
+                    raise RuntimeError(
+                        f"class_rep {rep} of {ctx} is not of minimal length: "
+                        f"its cyclic shift {_apply_right(fam, sw, j)} is shorter"
+                    )
+                continue
+            v = _apply_right(fam, sw, j)
+            if v in seen:
+                continue
+            seen.add(v)
+            todo.append(v)
+    return tuple(sorted(seen))
+
+
+@lru_cache(maxsize=32)
+def _min_length_table(
+    ctx: GroupContext, cap: int = DEFAULT_CAP
+) -> dict[Partition, MinLengthSet]:
+    """Every elliptic class of ctx: alpha -> MinLengthSet.  cap bounds the
+    number of elements all the sets hold together; CapExceeded is raised
+    as soon as a closure passes it."""
+    table = {}
+    held = 0
+    for alpha in elliptic_partitions(ctx):
+        rep = class_rep(ctx, alpha)
+        els = _min_length_set(ctx, rep, held, cap)
+        held += len(els)
+        table[alpha] = MinLengthSet(els, _length(ctx, rep), descent_walk(ctx, rep))
+    return table
+
+
+# ---------------------------------------------------------------------------
+# brute-force enumeration: the test oracle for the sets and sizes above
 
 
 def group_order(ctx: GroupContext) -> int:
@@ -552,7 +674,8 @@ def _class_table(
 ) -> dict[Partition, tuple[tuple[SignedPermutation, ...], tuple[int, ...]]]:
     """All elliptic classes of ctx at once: label -> (elements, lengths),
     both sorted by (length, element).  One group sweep, reused by every
-    class-level query."""
+    brute-force class query below; no library path calls these, the
+    tests compare _min_length_table and class_size against them."""
     buckets: dict[Partition, list[tuple[int, SignedPermutation]]] = {}
     for w in enumerate_group(ctx, cap):
         lab = class_label(ctx, w)

@@ -2,6 +2,7 @@ import pytest
 
 from weylunip import weylgroup as wg
 from weylunip.classposet import (
+    EllipticClassLabel,
     PosetError,
     class_leq_W,
     class_leq_W_all_variants,
@@ -72,6 +73,15 @@ def test_class_leq_requires_same_context():
     b = elliptic_label(wg.context("BC", 4), (4,))
     with pytest.raises(ValueError):
         class_leq_W(a, b)
+
+
+def test_class_leq_rejects_a_label_built_without_validation():
+    ctx = wg.context("D", 4, "id")
+    odd = EllipticClassLabel(ctx, (2, 1, 1))  # twisted-side class
+    with pytest.raises(ValueError, match="not an elliptic class"):
+        class_leq_W(odd, elliptic_label(ctx, (3, 1)))
+    with pytest.raises(ValueError, match="not an elliptic class"):
+        class_leq_W(elliptic_label(ctx, (3, 1)), odd)
 
 
 def brute_class_leq(a, b):

@@ -186,6 +186,42 @@ def test_main_verify_component_filter(capsys):
     ]
 
 
+def test_main_verify_reaches_rank_eight(capsys):
+    # the minimal-length sets of D(8) hold far fewer than the default cap
+    assert cli.main(["verify", "--family", "D", "--rank", "8"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "all checks passed"
+
+
+@pytest.mark.parametrize("family, contexts", [("BC", 5), ("D", 10)])
+def test_main_verify_range_builds_each_table_once(capsys, family, contexts):
+    # run_verify loops over (group, char, component) outside the ranks, so
+    # the table cache must hold every context of the range at once
+    from weylunip import weylgroup as wg
+
+    wg._min_length_table.cache_clear()
+    assert cli.main(["verify", "--family", family, "--rank", "2..6"]) == 0
+    capsys.readouterr()
+    assert wg._min_length_table.cache_info().misses == contexts
+
+
+def test_main_verify_cap_is_a_usage_error(capsys):
+    code = cli.main(["verify", "--family", "BC", "--rank", "8", "--cap", "1000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "cap 1000" in lines[0]
+
+
+def test_classes_sizes_need_no_enumeration(capsys):
+    assert cli.main(["classes", "--family", "BC", "--rank", "8"]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    size = {row[0]: row[3] for row in rows}
+    assert size["[8]"] == "645120"
+    assert size["[1,1,1,1,1,1,1,1]"] == "1"
+
+
 def test_main_verify_flags_counterexamples(capsys, monkeypatch):
     fake = {
         "family": "BC",
@@ -240,13 +276,13 @@ def test_byte_determinism():
 
 
 def test_classes_listing():
-    text = cli.run_classes("BC", 2, "id", 10**6, "text")
+    text = cli.run_classes("BC", 2, "id", "text")
     assert text == (
         "class\trep\tlength\tsize\n"
         "[2]\t[2,-1]\t2\t2\n"
         "[1,1]\t[-1,-2]\t4\t1\n"
     )
-    text = cli.run_classes("2A", 2, "id", 10**6, "text")
+    text = cli.run_classes("2A", 2, "id", "text")
     assert text == "class\trep\tlength\tsize\n[1,1]*d\t[2,1]*d\t1\t1\n"
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylunip import weylgroup as wg
 from weylunip.partitions import family_members
@@ -328,6 +329,92 @@ def test_class_partition_of_group():
             lab = wg.class_label(ctx, w)
             if lab is not None:
                 assert w in seen
+
+
+DIFFERENTIAL_CASES = (
+    [("A", n) for n in range(2, 7)]
+    + [("BC", n) for n in range(1, 7)]
+    + [("D", n) for n in range(2, 7)]
+    + [("2A", n) for n in range(2, 9)]
+)
+
+
+@pytest.mark.parametrize("fam,n", DIFFERENTIAL_CASES)
+def test_min_length_table_matches_brute_force(fam, n):
+    for ctx in all_contexts([(fam, [n])]):
+        table = wg._min_length_table(ctx)
+        assert list(table) == wg.elliptic_partitions(ctx)
+        for a, entry in table.items():
+            assert entry.elements == wg.min_length_elements(ctx, a), (ctx, a)
+            assert entry.length == wg.class_lengths(ctx, a)[0]
+            assert wg.class_size(ctx, a) == len(wg.enumerate_class(ctx, a))
+
+
+def test_class_size_rejects_non_elliptic_labels():
+    with pytest.raises(ValueError):
+        wg.class_size(wg.context("D", 4, "id"), (2, 1, 1))
+    with pytest.raises(ValueError):
+        wg.class_size(wg.context("2A", 4), (2, 2))
+    with pytest.raises(ValueError):
+        wg.class_size(wg.context("A", 4), (3, 1))
+
+
+def cyclic_shifts(ctx, w):
+    """Every s·w·s' for simple s, by group multiplication: s' = s, or
+    s_{n-i} for s = s_i on the stored part of a twisted A element."""
+    ss = wg.simples(ctx)
+    for i, s in enumerate(ss):
+        t = ss[len(ss) - 1 - i] if ctx.family == "2A" else s
+        yield wg.multiply(wg.multiply(s, w), t)
+
+
+@st.composite
+def elliptic_class(draw):
+    fam = draw(st.sampled_from(wg.FAMILIES))
+    n = draw(st.integers(1 if fam in ("A", "BC") else 2, 7))
+    comp = draw(st.sampled_from(["id", "twisted"])) if fam == "D" else None
+    ctx = wg.context(fam, n, comp)
+    return ctx, draw(st.sampled_from(wg.elliptic_partitions(ctx)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(elliptic_class())
+def test_min_length_set_is_a_shift_closed_class_of_minimal_length(case):
+    ctx, a = case
+    entry = wg._min_length_table(ctx)[a]
+    lmin = wg.length(ctx, wg.class_rep(ctx, a))
+    members = set(entry.elements)
+    assert entry.length == lmin
+    assert len(members) <= wg.class_size(ctx, a)
+    for w in entry.elements:
+        assert wg.class_label(ctx, w) == a
+        assert wg.length(ctx, w) == lmin
+        for v in cyclic_shifts(ctx, w):
+            if wg.length(ctx, v) == lmin:
+                assert v in members, (ctx, a, w, v)
+
+
+def test_min_length_table_cap_counts_every_class():
+    ctx = wg.context("BC", 5)
+    held = sum(len(e.elements) for e in wg._min_length_table(ctx).values())
+    assert wg._min_length_table(ctx, held) == wg._min_length_table(ctx)
+    with pytest.raises(wg.CapExceeded, match=f"cap {held - 1} "):
+        wg._min_length_table(ctx, held - 1)
+
+
+def test_min_length_table_refuses_a_non_minimal_representative(monkeypatch):
+    ctx = wg.context("BC", 3)
+    longest = wg.enumerate_class(ctx, (3,))[-1]
+    real = wg.class_rep
+    monkeypatch.setattr(
+        wg, "class_rep", lambda c, a: longest if a == (3,) else real(c, a)
+    )
+    wg._min_length_table.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="not of minimal length"):
+            wg._min_length_table(ctx)
+    finally:
+        wg._min_length_table.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(1, 7))
