@@ -174,30 +174,32 @@ def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagra
     """Covering relation of a finite partial order given by a predicate.
 
     Raises PosetError when two distinct nodes compare both ways; a cover
-    (i, j) means nodes[i] < nodes[j] with nothing strictly between.
+    (i, j) means nodes[i] < nodes[j] with nothing strictly between, and
+    covers come sorted.
     """
     nodes = list(nodes)
     m = len(nodes)
-    less = [[False] * m for _ in range(m)]
+    # up[i] and down[i] are bitmasks of the nodes strictly above and below i
+    up = [0] * m
+    down = [0] * m
     for i in range(m):
         for j in range(m):
             if i == j:
                 continue
             if leq(nodes[i], nodes[j]):
-                if less[j][i]:
+                if up[j] >> i & 1:
                     raise PosetError(
                         f"antisymmetry violated between {nodes[i]!r} and {nodes[j]!r}"
                     )
-                less[i][j] = True
-    covers = []
-    for i in range(m):
-        for j in range(m):
-            if not less[i][j]:
-                continue
-            if any(less[i][k] and less[k][j] for k in range(m)):
-                continue
-            covers.append((i, j))
-    return HasseDiagram(tuple(nodes), tuple(sorted(covers)))
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    covers = tuple(
+        (i, j)
+        for i in range(m)
+        for j in range(m)
+        if up[i] >> j & 1 and not up[i] & down[j]
+    )
+    return HasseDiagram(tuple(nodes), covers)
 
 
 def hasse_to_json(diagram: HasseDiagram, label: Callable[[object], str] = str) -> dict:

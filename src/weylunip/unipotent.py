@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from operator import le
 
 from .partitions import (
     Partition,
     add_psi,
     as_partition,
-    dominance_leq,
     family_members,
     format_partition,
     kappa_member,
@@ -99,7 +100,7 @@ class EpsilonFunction:
         for idx, val in self.assignments:
             if idx == i:
                 return val
-        raise AssertionError(f"no value stored for free index {i}")
+        raise ValueError(f"no value stored for free index {i}")
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.assignments)
@@ -172,6 +173,34 @@ class UnipotentLabel:
 
     def __str__(self) -> str:
         return format_unipotent(self)
+
+    @cached_property
+    def _dominance_key(self) -> tuple[int, ...]:
+        """Prefix sums of the partition over k = 1..dim, the matrix size;
+        past the last part they stay at the total."""
+        dim = _dim(self.group, self.n)
+        if sum(self.partition) != dim:
+            raise ValueError(f"{self.partition} is not a partition of {dim}")
+        padded = self.partition + (0,) * (dim - len(self.partition))
+        return tuple(itertools.accumulate(padded))
+
+    @cached_property
+    def _char2_key(self) -> tuple[tuple[int, ...], ...]:
+        """What bad_leq reads of a characteristic-2 label, k = 1..dim at
+        index k - 1: S_k - max(eps(k), 0), the prefix sums S_k of the
+        transpose, the parity of transpose entry k + 1, and the indices
+        where eps(k) = 0."""
+        dim = len(self._dominance_key)  # also checks the total
+        cols = transpose(self.partition)
+        cols += (0,) * (dim + 1 - len(cols))
+        sums = tuple(itertools.accumulate(cols[:dim]))
+        eps = [self.epsilon.value(k) for k in range(1, dim + 1)]
+        return (
+            tuple(s - max(e, 0) for s, e in zip(sums, eps)),
+            sums,
+            tuple(c % 2 for c in cols[1:]),
+            tuple(k for k, e in enumerate(eps) if e == 0),
+        )
 
 
 def _dim(group: str, n: int) -> int:
@@ -265,7 +294,7 @@ def good_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
         raise ValueError("good_leq compares good-characteristic labels")
     if (a.group, a.n) != (b.group, b.n):
         raise ValueError(f"labels from different groups: {a} vs {b}")
-    return dominance_leq(a.partition, b.partition)
+    return all(map(le, a._dominance_key, b._dominance_key))
 
 
 def bad_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
@@ -276,6 +305,12 @@ def bad_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
     S_k(beta) - max(dlt(k), 0) <= S_k(alpha) - max(eps(k), 0); and
     whenever S_k(alpha) = S_k(beta) with alpha*_{k+1} - beta*_{k+1} odd,
     dlt(k) is omega or 1.
+
+    Each label's terms of these tests are computed once, for k = 1 up to
+    the matrix size dim, and kept on the label, so every label of a group
+    has keys of one length; the padding is exact, since past a label's
+    largest part eps is forced to omega and S_k is the total, so those k
+    pass every test.
 
     Even orthogonal labels compare only within the same component of the
     group.
@@ -289,24 +324,13 @@ def bad_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
             f"labels in different components of O(2n): {a} vs {b}; "
             "the closure order does not mix them"
         )
-    if not dominance_leq(a.partition, b.partition):
+    if not all(map(le, a._dominance_key, b._dominance_key)):
         return False
-    ta, tb = transpose(a.partition), transpose(b.partition)
-    kmax = max(len(ta), len(tb), a.partition[0] if a.partition else 0)
-    sa = sb = 0
-    for k in range(1, kmax + 1):
-        sa += ta[k - 1] if k <= len(ta) else 0
-        sb += tb[k - 1] if k <= len(tb) else 0
-        ea = a.epsilon.value(k)
-        eb = b.epsilon.value(k)
-        if sb - max(eb, 0) > sa - max(ea, 0):
-            return False
-        if sa == sb:
-            nxt_a = ta[k] if k < len(ta) else 0
-            nxt_b = tb[k] if k < len(tb) else 0
-            if (nxt_a - nxt_b) % 2 == 1 and eb == 0:
-                return False
-    return True
+    a_room, a_sums, a_parity, _ = a._char2_key
+    b_room, b_sums, b_parity, b_zeros = b._char2_key
+    if not all(map(le, b_room, a_room)):
+        return False
+    return not any(a_sums[k] == b_sums[k] and a_parity[k] != b_parity[k] for k in b_zeros)
 
 
 def unipotent_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:

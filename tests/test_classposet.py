@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from weylunip import weylgroup as wg
@@ -165,9 +167,58 @@ def test_hasse_of_dominance():
     assert set(diagram.covers) == {(idx[a], idx[b]) for a, b in expected}
 
 
+def cubic_covers(nodes, leq):
+    """Covers by their definition: i < j with no k strictly between."""
+    m = len(nodes)
+    less = [[i != j and leq(nodes[i], nodes[j]) for j in range(m)] for i in range(m)]
+    return [
+        (i, j)
+        for i in range(m)
+        for j in range(m)
+        if less[i][j] and not any(less[i][k] and less[k][j] for k in range(m))
+    ]
+
+
+def random_order(rng, m, density):
+    """The transitive closure of a random DAG on 0..m-1, as a leq
+    predicate, and its elements in shuffled order (so that index order
+    is not a linear extension)."""
+    above = [set() for _ in range(m)]
+    for i in reversed(range(m)):
+        for j in range(i + 1, m):
+            if rng.random() < density and j not in above[i]:
+                above[i] |= {j} | above[j]
+    return rng.sample(range(m), m), lambda x, y: x == y or y in above[x]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hasse_matches_cubic_definition_on_random_orders(seed):
+    rng = random.Random(seed)
+    for m in (0, 1, 2, 3, 8, 20, 40):
+        for density in (0.05, 0.2, 0.6):
+            nodes, leq = random_order(rng, m, density)
+            diagram = hasse(nodes, leq)
+            assert list(diagram.covers) == cubic_covers(nodes, leq)
+            assert diagram.nodes == tuple(nodes)
+
+
+def test_hasse_matches_cubic_definition_on_dominance():
+    ps = list(partitions(8))
+    assert list(hasse(ps, dominance_leq).covers) == cubic_covers(ps, dominance_leq)
+
+
+def test_hasse_of_one_node_has_no_covers():
+    assert hasse(["x"], lambda x, y: True).covers == ()
+
+
 def test_hasse_rejects_non_antisymmetric():
     with pytest.raises(PosetError):
         hasse(["a", "b"], lambda x, y: True)
+    # one pair related both ways inside an otherwise valid order
+    nodes, leq = random_order(random.Random(0), 12, 0.3)
+    lo, hi = next((x, y) for x in nodes for y in nodes if x != y and leq(x, y))
+    with pytest.raises(PosetError, match="antisymmetry violated"):
+        hasse(nodes, lambda x, y: leq(x, y) or (x, y) == (hi, lo))
 
 
 def test_hasse_covers_exclude_transitive_edges():

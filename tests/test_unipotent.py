@@ -2,9 +2,20 @@ from collections import defaultdict
 
 import pytest
 
-from weylunip.partitions import family_members, partitions, scale, add_psi, dominance_leq
+from weylunip.partitions import (
+    add_psi,
+    dominance_leq,
+    family_members,
+    partitions,
+    scale,
+    transpose,
+)
 from weylunip.unipotent import (
+    CHAR2,
+    GOOD,
     OMEGA,
+    EpsilonFunction,
+    UnipotentLabel,
     all_epsilon_functions,
     bad_label,
     bad_leq,
@@ -123,7 +134,13 @@ def test_bad_leq_epsilon_strictness():
 
 def test_bad_leq_parity_condition():
     # equal partition sums with odd column difference force the upper
-    # epsilon away from zero
+    # epsilon away from zero: at k = 2 both transposes, (4,2,2) and
+    # (3,3,1,1), sum to 6, and their third entries differ by 1; every
+    # other test passes, so only eps(2) of the upper label decides
+    lo = bad_label("Sp", 4, (3, 3, 1, 1))
+    assert not bad_leq(lo, bad_label("Sp", 4, (4, 2, 2), epsilon={2: 0}))
+    assert bad_leq(lo, bad_label("Sp", 4, (4, 2, 2), epsilon={2: 1}))
+    # here the S_k test alone refuses eps(4) = 0 on the upper label
     a = bad_label("Sp", 4, (4, 2, 2), epsilon={2: 1})
     b = bad_label("Sp", 4, (4, 4), epsilon={4: 0})
     assert dominance_leq(a.partition, b.partition)
@@ -167,6 +184,74 @@ def test_bad_leq_is_partial_order_with_unique_max():
             ]
             assert len(maxima) == 1
             assert maxima[0].epsilon == epsilon_max(alpha, fam)
+
+
+def literal_bad_leq(a, b):
+    """The characteristic-2 closure order read off bad_leq's docstring,
+    one k at a time with every epsilon value looked up afresh."""
+    if not dominance_leq(a.partition, b.partition):
+        return False
+    ta, tb = transpose(a.partition), transpose(b.partition)
+    kmax = max(len(ta), len(tb), a.partition[0] if a.partition else 0)
+    sa = sb = 0
+    for k in range(1, kmax + 1):
+        sa += ta[k - 1] if k <= len(ta) else 0
+        sb += tb[k - 1] if k <= len(tb) else 0
+        ea = a.epsilon.value(k)
+        eb = b.epsilon.value(k)
+        if sb - max(eb, 0) > sa - max(ea, 0):
+            return False
+        if sa == sb:
+            nxt_a = ta[k] if k < len(ta) else 0
+            nxt_b = tb[k] if k < len(tb) else 0
+            if (nxt_a - nxt_b) % 2 == 1 and eb == 0:
+                return False
+    return True
+
+
+CLOSURE_CASES = [
+    (group, char) for group in ("Sp", "O_odd", "O_even") for char in (GOOD, CHAR2)
+] + [("GLd", CHAR2)]
+
+
+@pytest.mark.parametrize("group,char", CLOSURE_CASES)
+def test_closure_orders_match_the_literal_definitions(group, char):
+    leq = good_leq if char == GOOD else bad_leq
+    refused = 0
+    for n in range(2, 13) if group == "GLd" else range(1, 7):
+        labels = enumerate_unipotent(group, n, char)
+        for a in labels:
+            for b in labels:
+                if char == CHAR2 and a.so_component != b.so_component:
+                    for f in (leq, unipotent_leq):
+                        with pytest.raises(ValueError, match="components of O"):
+                            f(a, b)
+                    refused += 1
+                    continue
+                if char == GOOD:
+                    want = dominance_leq(a.partition, b.partition)
+                else:
+                    want = literal_bad_leq(a, b)
+                assert leq(a, b) == want, (a, b)
+                assert unipotent_leq(a, b) == want, (a, b)
+    assert (refused > 0) == (group == "O_even" and char == CHAR2)
+
+
+def test_missing_free_epsilon_value_is_a_value_error():
+    fam = epsilon_family("Sp", 4)
+    hollow = UnipotentLabel("Sp", 4, CHAR2, (4, 4), EpsilonFunction(fam, (4, 4), ()))
+    with pytest.raises(ValueError, match="no value stored for free index 4"):
+        hollow.epsilon.value(4)
+    with pytest.raises(ValueError, match="no value stored for free index 4"):
+        bad_leq(hollow, bad_label("Sp", 4, (8,)))
+
+
+def test_closure_orders_reject_a_partition_of_the_wrong_size():
+    short = UnipotentLabel("GL", 4, GOOD, (3,))
+    with pytest.raises(ValueError, match="not a partition of 4"):
+        good_leq(short, good_label("GL", 4, (4,)))
+    with pytest.raises(ValueError, match="not a partition of 4"):
+        good_leq(short, short)
 
 
 def test_split_markers_compare_as_base():

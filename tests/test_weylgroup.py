@@ -269,6 +269,30 @@ def test_bruhat_matches_reflection_closure():
                 assert wg.bruhat_leq_generic(ctx, x, y) == (y in up[x]), (ctx, x, y)
 
 
+def test_bruhat_is_a_graded_partial_order():
+    for ctx in all_contexts([("A", [4]), ("BC", [3]), ("D", [4])]):
+        els = list(wg.enumerate_group(ctx))
+        # above[i], below[i]: bitmasks of the elements strictly above and below els[i]
+        above = [0] * len(els)
+        below = [0] * len(els)
+        for i, x in enumerate(els):
+            assert wg.bruhat_leq_generic(ctx, x, x)
+            for j, y in enumerate(els):
+                if j != i and wg.bruhat_leq_generic(ctx, x, y):
+                    above[i] |= 1 << j
+                    below[j] |= 1 << i
+        covers = 0
+        for i, x in enumerate(els):
+            assert not above[i] & below[i], (ctx, x)  # antisymmetric
+            for j, y in enumerate(els):
+                if above[i] >> j & 1:
+                    assert above[j] & ~above[i] == 0, (ctx, x, y)  # transitive
+                    if not above[i] & below[j]:
+                        assert wg.length(ctx, y) == wg.length(ctx, x) + 1, (ctx, x, y)
+                        covers += 1
+        assert covers >= len(els) - 1
+
+
 def test_signed_cycle_type():
     # returns (negative cycles, positive cycles)
     assert wg.signed_cycle_type((2, -1)) == ((2,), ())
