@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .partitions import (
@@ -100,6 +101,21 @@ def class_leq_W(
     return any(
         wg.bruhat_leq_walk(ctx, x, lower.length, chain, path) for x in lower.elements
     )
+
+
+# 32 for the reason weylgroup._min_length_table gives: verify loops over
+# its (group, char, component) combinations outside the ranks, so a rank
+# range cycles through all of its contexts once per combination.
+@lru_cache(maxsize=32)
+def weyl_relation(
+    ctx: GroupContext, cap: int = DEFAULT_CAP
+) -> tuple[tuple[bool, ...], ...]:
+    """The order on ctx's elliptic classes as a matrix, computed once per
+    (ctx, cap): rel[i][j] == class_leq_W(labels[i], labels[j], cap) with
+    labels = elliptic_classes(ctx).  Rows are tuples, so callers share the
+    cached value without being able to change it."""
+    labels = elliptic_classes(ctx)
+    return tuple(tuple(class_leq_W(a, b, cap) for b in labels) for a in labels)
 
 
 class ConditionRecord(NamedTuple):

@@ -23,9 +23,9 @@ from . import weylgroup as wg
 from .weylgroup import DEFAULT_CAP, GroupContext
 from .classposet import (
     EllipticClassLabel,
-    class_leq_W,
     elliptic_classes,
     elliptic_label,
+    weyl_relation,
 )
 from .unipotent import (
     CHAR2,
@@ -150,19 +150,25 @@ def verify_theorem(
     and report {"family", "group", "n", "char", "pairs", "failures"}
     (plus "component" for O_even).  A nonempty failures list would
     falsify the theorem or the implementation.
+
+    Only the third order depends on the Weyl context alone, not on the
+    group or the characteristic: it is read from weyl_relation, which
+    computes it once per context and shares it among every combination
+    verify runs on that context.
     """
     spec = group_spec(group, n, char)
     ctx = weyl_context(spec, component)
     labels = elliptic_classes(ctx)
     images = {c.partition: phi(spec, c) for c in labels}
+    rel = weyl_relation(ctx, cap)
     failures = []
     pairs = 0
-    for ca in labels:
-        for cb in labels:
+    for i, ca in enumerate(labels):
+        for j, cb in enumerate(labels):
             pairs += 1
             dom = dominance_leq(ca.partition, cb.partition)
             u_leq = unipotent_leq(images[ca.partition], images[cb.partition])
-            w_leq = class_leq_W(cb, ca, cap)
+            w_leq = rel[j][i]
             if not (dom == u_leq == w_leq):
                 failures.append(
                     {

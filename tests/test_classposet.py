@@ -14,6 +14,7 @@ from weylunip.classposet import (
     hasse_to_dot,
     hasse_to_json,
     predicted_leq_W,
+    weyl_relation,
 )
 from weylunip.partitions import dominance_leq, partitions
 
@@ -129,6 +130,28 @@ def test_class_leq_reverses_dominance(fam, n, comp):
             want = dominance_leq(b.partition, a.partition)
             assert class_leq_W(a, b) == want
             assert predicted_leq_W(a, b) == want
+
+
+RELATION_CONTEXTS = (
+    [("A", n, None) for n in range(2, 7)]
+    + [("BC", n, None) for n in range(1, 7)]
+    + [("D", n, comp) for n in range(2, 7) for comp in ("id", "twisted")]
+    + [("2A", n, None) for n in range(2, 9)]
+)
+
+
+@pytest.mark.parametrize("fam,n,comp", RELATION_CONTEXTS)
+def test_weyl_relation_matches_the_pairwise_order(fam, n, comp):
+    ctx = wg.context(fam, n, comp)
+    cls = elliptic_classes(ctx)
+    rel = weyl_relation(ctx)
+    # tuples all the way down: the cached value cannot be changed by a caller
+    assert type(rel) is tuple and all(type(row) is tuple for row in rel)
+    assert len(rel) == len(cls) and all(len(row) == len(cls) for row in rel)
+    for i, a in enumerate(cls):
+        for j, b in enumerate(cls):
+            assert rel[i][j] is class_leq_W(a, b)
+            assert rel[i][j] is predicted_leq_W(a, b)
 
 
 def test_condition_variants_agree():

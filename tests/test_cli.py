@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -195,13 +197,18 @@ def test_main_verify_reaches_rank_eight(capsys):
 @pytest.mark.parametrize("family, contexts", [("BC", 5), ("D", 10)])
 def test_main_verify_range_builds_each_table_once(capsys, family, contexts):
     # run_verify loops over (group, char, component) outside the ranks, so
-    # the table cache must hold every context of the range at once
+    # the minimal-length table cache and the relation cache must each hold
+    # every context of the range at once; a cached relation skips the table,
+    # so both start empty
     from weylunip import weylgroup as wg
+    from weylunip.classposet import weyl_relation
 
     wg._min_length_table.cache_clear()
+    weyl_relation.cache_clear()
     assert cli.main(["verify", "--family", family, "--rank", "2..6"]) == 0
     capsys.readouterr()
     assert wg._min_length_table.cache_info().misses == contexts
+    assert weyl_relation.cache_info().misses == contexts
 
 
 def test_main_verify_cap_is_a_usage_error(capsys):
@@ -237,6 +244,59 @@ def test_main_verify_flags_counterexamples(capsys, monkeypatch):
     assert code == 1
     assert "FAIL group=Sp" in out
     assert "counterexamples found in 2 run(s)" in out  # Sp and O_odd rows
+
+
+def test_main_verify_checks_the_weyl_relation(capsys, monkeypatch):
+    # a relation with one wrong entry must surface as a counterexample in
+    # every combination that reads it, not be taken on trust
+    from weylunip import lusztig, weylgroup as wg
+    from weylunip.classposet import elliptic_classes, weyl_relation
+
+    ctx = wg.context("BC", 4)
+    labels = elliptic_classes(ctx)
+    true_rel = weyl_relation(ctx)
+    # rel[i][j] is verify's Weyl answer for alpha = labels[j], beta = labels[i]
+    i, j = 1, 0
+    flipped = not true_rel[i][j]
+
+    def corrupted(c, cap):
+        rel = [list(row) for row in weyl_relation(c, cap)]
+        rel[i][j] = flipped
+        return tuple(map(tuple, rel))
+
+    monkeypatch.setattr(lusztig, "weyl_relation", corrupted)
+    assert cli.main(["verify", "--family", "BC", "--rank", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == ["FAIL"] * 4
+    assert lines[-1] == "counterexamples found in 4 run(s)"
+
+    assert cli.main(["verify", "--family", "BC", "--rank", "4", "--format", "json"]) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert len(reports) == 4
+    for report in reports:
+        [failure] = report["failures"]
+        assert failure["alpha"] == list(labels[j].partition)
+        assert failure["beta"] == list(labels[i].partition)
+        assert failure["class_leq_W"] is flipped
+
+
+@pytest.mark.parametrize("family", ["BC", "D"])
+def test_verify_is_unchanged_under_optimize(capsys, family):
+    # python -O strips assert statements; no check verify relies on may be one
+    argv = ["verify", "--family", family, "--rank", "2..5"]
+    code = cli.main(argv)
+    expected = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "weylunip", *argv],
+        env=env,
+        capture_output=True,
+        encoding="utf-8",
+        timeout=120,
+    )
+    assert proc.returncode == code == 0
+    assert proc.stdout == expected
 
 
 def test_main_out_file(tmp_path, capsys):

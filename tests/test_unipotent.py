@@ -159,31 +159,38 @@ def test_bad_leq_component_mismatch_raises():
 
 
 def test_bad_leq_is_partial_order_with_unique_max():
-    for group, n in [("Sp", 4), ("O_odd", 3), ("GLd", 7), ("O_even", 4)]:
+    cases = (
+        [("Sp", n) for n in range(1, 7)]
+        + [("O_odd", n) for n in range(1, 7)]
+        + [("O_even", n) for n in range(2, 7)]
+        + [("GLd", n) for n in range(2, 13)]
+    )
+    for group, n in cases:
         labs = [u for u in enumerate_unipotent(group, n, "2") if u.split is None]
-        if group == "O_even":
-            labs = [u for u in labs if u.so_component == "SO"]
-        order = {
-            (a, b): bad_leq(a, b) for a in labs for b in labs
-        }
-        for a in labs:
-            assert order[(a, a)]
-            for b in labs:
-                if order[(a, b)] and order[(b, a)]:
-                    assert a == b
-                for c in labs:
-                    if order[(a, b)] and order[(b, c)]:
-                        assert order[(a, c)]
-        by_partition = defaultdict(list)
+        # bad_leq refuses to compare across the two components of O(2n)
+        blocks = defaultdict(list)
         for u in labs:
-            by_partition[u.partition].append(u)
+            blocks[u.so_component].append(u)
         fam = epsilon_family(group, n)
-        for alpha, group_labs in by_partition.items():
-            maxima = [
-                u for u in group_labs if all(bad_leq(v, u) for v in group_labs)
+        for block in blocks.values():
+            # up[i]: bitmask of the labels j with block[i] <= block[j]
+            up = [
+                sum(1 << j for j, b in enumerate(block) if bad_leq(a, b))
+                for a in block
             ]
-            assert len(maxima) == 1
-            assert maxima[0].epsilon == epsilon_max(alpha, fam)
+            for i in range(len(block)):
+                assert up[i] >> i & 1, (group, n, block[i])
+                for j in range(len(block)):
+                    if up[i] >> j & 1:
+                        assert i == j or not up[j] >> i & 1, (group, n, block[i], block[j])
+                        assert up[j] & ~up[i] == 0, (group, n, block[i], block[j])
+            by_partition = defaultdict(list)
+            for i, u in enumerate(block):
+                by_partition[u.partition].append(i)
+            for alpha, members in by_partition.items():
+                maxima = [i for i in members if all(up[j] >> i & 1 for j in members)]
+                assert len(maxima) == 1, (group, n, alpha)
+                assert block[maxima[0]].epsilon == epsilon_max(alpha, fam)
 
 
 def literal_bad_leq(a, b):
