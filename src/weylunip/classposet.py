@@ -6,7 +6,8 @@ element of C dominates an element of C' in the Bruhat order.  Four
 a-priori different quantifications of that sentence agree (checked
 exhaustively by the test suite); the fast path used here fixes the
 closed-form representative of C and scans the minimal-length elements
-of C', which weylgroup builds by cyclic shifts.
+of C', which weylgroup builds by cyclic shifts under one fixed bound per
+context (CapExceeded past it).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .partitions import (
     format_partition,
 )
 from . import weylgroup as wg
-from .weylgroup import DEFAULT_CAP, GroupContext
+from .weylgroup import GroupContext
 
 
 class PosetError(ValueError):
@@ -77,20 +78,18 @@ def _require_same_ctx(a: EllipticClassLabel, b: EllipticClassLabel) -> GroupCont
     return a.ctx
 
 
-def class_leq_W(
-    a: EllipticClassLabel, b: EllipticClassLabel, cap: int = DEFAULT_CAP
-) -> bool:
+def class_leq_W(a: EllipticClassLabel, b: EllipticClassLabel) -> bool:
     """Whether a <= b in the order on elliptic classes.
 
     Takes the closed-form minimal-length representative w of b and
     searches the minimal-length elements of a for one below w, reading
     both from the context's minimal-length table (built once per context;
-    cap bounds the elements it holds).  Checking a's minimal-length set
-    rather than its whole class gives the same answer (acceptance
-    criterion 8).
+    weylgroup raises CapExceeded when it would be too large).  Checking
+    a's minimal-length set rather than its whole class gives the same
+    answer (acceptance criterion 8).
     """
     ctx = _require_same_ctx(a, b)
-    table = wg._min_length_table(ctx, cap)
+    table = wg._min_length_table(ctx)
     try:
         lower, upper = table[a.partition], table[b.partition]
     except KeyError as exc:
@@ -107,15 +106,13 @@ def class_leq_W(
 # its (group, char, component) combinations outside the ranks, so a rank
 # range cycles through all of its contexts once per combination.
 @lru_cache(maxsize=32)
-def weyl_relation(
-    ctx: GroupContext, cap: int = DEFAULT_CAP
-) -> tuple[tuple[bool, ...], ...]:
+def weyl_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
     """The order on ctx's elliptic classes as a matrix, computed once per
-    (ctx, cap): rel[i][j] == class_leq_W(labels[i], labels[j], cap) with
+    ctx: rel[i][j] == class_leq_W(labels[i], labels[j]) with
     labels = elliptic_classes(ctx).  Rows are tuples, so callers share the
     cached value without being able to change it."""
     labels = elliptic_classes(ctx)
-    return tuple(tuple(class_leq_W(a, b, cap) for b in labels) for a in labels)
+    return tuple(tuple(class_leq_W(a, b) for b in labels) for a in labels)
 
 
 class ConditionRecord(NamedTuple):
@@ -132,15 +129,13 @@ class ConditionRecord(NamedTuple):
         return len(set(self)) == 1
 
 
-def class_leq_W_all_variants(
-    a: EllipticClassLabel, b: EllipticClassLabel, cap: int = DEFAULT_CAP
-) -> ConditionRecord:
+def class_leq_W_all_variants(a: EllipticClassLabel, b: EllipticClassLabel) -> ConditionRecord:
     """Evaluate all four defining conditions of a <= b independently by
     brute force over minimal-length sets and full classes."""
     ctx = _require_same_ctx(a, b)
-    upper_min = wg.min_length_elements(ctx, b.partition, cap)
-    els = wg.enumerate_class(ctx, a.partition, cap)
-    lens = wg.class_lengths(ctx, a.partition, cap)
+    upper_min = wg.min_length_elements(ctx, b.partition)
+    els = wg.enumerate_class(ctx, a.partition)
+    lens = wg.class_lengths(ctx, a.partition)
     lmin = lens[0]
     min_cut = bisect_right(lens, lmin)
 

@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import weylgroup as wg
-from .weylgroup import CapExceeded, DEFAULT_CAP
+from .weylgroup import CapExceeded
 from .classposet import (
     PosetError,
     class_leq_W,
@@ -59,9 +59,7 @@ class UsageError(ValueError):
 def _resolve_group(args) -> str:
     if getattr(args, "group", None):
         return GROUP_FLAG[args.group]
-    if getattr(args, "family", None):
-        return FAMILY_DEFAULT_GROUP[FAMILY_ALIAS.get(args.family, args.family)]
-    raise UsageError("pass --family or --group")
+    return FAMILY_DEFAULT_GROUP[_resolve_family(args)]
 
 
 def _resolve_family(args) -> str:
@@ -107,7 +105,7 @@ def _parse_window(text: str) -> tuple[int, ...]:
 
 
 def run_classes(family: str, n: int, component: str, fmt: str) -> str:
-    ctx = wg.context(family, n, component if family in ("D", "O2n") else None)
+    ctx = wg.context(family, n, component if family == "D" else None)
     rows = []
     for c in elliptic_classes(ctx):
         rep = wg.class_rep(ctx, c.partition)
@@ -216,7 +214,6 @@ def run_hasse(
     char: str,
     side: str,
     component: str,
-    cap: int,
     fmt: str,
 ) -> tuple[str, int]:
     spec = group_spec(group, n, char)
@@ -225,7 +222,7 @@ def run_hasse(
     images = [phi(spec, c) for c in classes]
     weyl = unip = None
     if side in ("weyl", "both"):
-        weyl = hasse(classes, lambda a, b: class_leq_W(a, b, cap))
+        weyl = hasse(classes, class_leq_W)
     if side in ("unipotent", "both"):
         unip = hasse(images, unipotent_leq)
     opposite = side == "both" and {(j, i) for i, j in unip.covers} == set(weyl.covers)
@@ -271,7 +268,6 @@ def run_verify(
     ranks: list[int],
     chars: list[str] | None,
     components: list[str] | None,
-    cap: int,
     fmt: str,
 ) -> tuple[str, int]:
     tasks = []
@@ -284,7 +280,7 @@ def run_verify(
             for n in ranks:
                 if n < 2 and group in ("GLd", "O_even"):
                     continue
-                tasks.append((group, n, char, component, cap))
+                tasks.append((group, n, char, component))
     if not tasks:
         raise UsageError("nothing to verify for that family/char/component choice")
     reports = [verify_theorem(*t) for t in tasks]
@@ -312,22 +308,21 @@ def run_verify(
 
 
 def run_bruhat(family: str, n: int, x_text: str, y_text: str, fmt: str) -> tuple[str, int]:
-    fam = FAMILY_ALIAS.get(family, family)
     x = _parse_window(x_text.replace("*d", ""))
     y = _parse_window(y_text.replace("*d", ""))
     component = None
-    if fam == "D":
+    if family == "D":
         component = (
             wg.TWISTED_COMPONENT
             if sum(1 for v in x if v < 0) % 2
             else wg.IDENTITY_COMPONENT
         )
-    ctx = wg.context(fam, n, component)
+    ctx = wg.context(family, n, component)
     lx, ly = wg.length(ctx, x), wg.length(ctx, y)
     generic = wg.bruhat_leq_generic(ctx, x, y)
     counts = witness = note = None
     code = 0
-    if fam != "2A":
+    if family != "2A":
         cx, cy = wg.count_matrix(ctx, x), wg.count_matrix(ctx, y)
         idx = cx.indices()
         witness = next(
@@ -340,7 +335,7 @@ def run_bruhat(family: str, n: int, x_text: str, y_text: str, fmt: str) -> tuple
             None,
         )
         counts = witness is None
-        if fam == "D":
+        if family == "D":
             note = "for even-signed groups the count criterion is necessary, not sufficient"
             if generic and not counts:
                 note = "count criterion violated the necessity direction; this is a bug"
@@ -350,7 +345,7 @@ def run_bruhat(family: str, n: int, x_text: str, y_text: str, fmt: str) -> tuple
             code = 1
     if fmt == "json":
         payload = {
-            "family": fam,
+            "family": family,
             "n": n,
             "x": list(x),
             "y": list(y),
@@ -396,7 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=wg.IDENTITY_COMPONENT,
             )
         p.add_argument("--format", choices=fmt, default="text")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP)
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("classes", help="elliptic conjugacy classes")
@@ -459,7 +453,6 @@ def _dispatch(args) -> tuple[str, int]:
             _default_char(args, group),
             args.side,
             args.component,
-            args.cap,
             args.format,
         )
     if args.verb == "verify":
@@ -468,11 +461,10 @@ def _dispatch(args) -> tuple[str, int]:
         chars = [args.char] if args.char else None
         components = [args.component] if args.component else None
         return run_verify(
-            [args.family],
+            [_resolve_family(args)],
             _rank_range(args.rank),
             chars,
             components,
-            args.cap,
             args.format,
         )
     if args.verb == "bruhat":

@@ -20,7 +20,7 @@ from .partitions import (
     scale,
 )
 from . import weylgroup as wg
-from .weylgroup import DEFAULT_CAP, GroupContext
+from .weylgroup import GroupContext
 from .classposet import (
     EllipticClassLabel,
     elliptic_classes,
@@ -138,7 +138,6 @@ def verify_theorem(
     n: int,
     char: str,
     component: str = wg.IDENTITY_COMPONENT,
-    cap: int = DEFAULT_CAP,
 ) -> dict:
     """Exhaustively check, for every ordered pair of elliptic classes
     (C_alpha, C_beta) of the group's Weyl side, the three-way equivalence
@@ -160,7 +159,7 @@ def verify_theorem(
     ctx = weyl_context(spec, component)
     labels = elliptic_classes(ctx)
     images = {c.partition: phi(spec, c) for c in labels}
-    rel = weyl_relation(ctx, cap)
+    rel = weyl_relation(ctx)
     failures = []
     pairs = 0
     for i, ca in enumerate(labels):
@@ -196,7 +195,7 @@ def verify_combinations(family: str) -> list[tuple[str, str, str]]:
     """The (group, char, component) triples a Weyl family supports: the
     twisted GLd and O_even cosets carry unipotents only in
     characteristic 2, so good characteristic is skipped there."""
-    if family in ("A", "GL"):
+    if family == "A":
         return [("GL", GOOD, wg.IDENTITY_COMPONENT), ("GL", CHAR2, wg.IDENTITY_COMPONENT)]
     if family == "BC":
         return [
@@ -205,12 +204,12 @@ def verify_combinations(family: str) -> list[tuple[str, str, str]]:
             ("O_odd", GOOD, wg.IDENTITY_COMPONENT),
             ("O_odd", CHAR2, wg.IDENTITY_COMPONENT),
         ]
-    if family in ("D", "O2n"):
+    if family == "D":
         return [
             ("O_even", GOOD, wg.IDENTITY_COMPONENT),
             ("O_even", CHAR2, wg.IDENTITY_COMPONENT),
             ("O_even", CHAR2, wg.TWISTED_COMPONENT),
         ]
-    if family in ("2A", "GLd"):
+    if family == "2A":
         return [("GLd", CHAR2, wg.TWISTED_COMPONENT)]
     raise ValueError(f"unknown family {family!r}")

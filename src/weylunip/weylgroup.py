@@ -25,7 +25,11 @@ from .partitions import Partition, as_partition, family_members
 
 SignedPermutation = tuple[int, ...]
 
-DEFAULT_CAP = 10**6
+# The most elements the minimal-length sets of one context may hold
+# together, and the largest group the brute-force oracle enumerates.
+# Read at call time, so a test can lower it; the lru caches of tables
+# built under another value must then be cleared.
+MAX_HELD = 10**6
 
 FAMILIES = ("A", "BC", "D", "2A")
 
@@ -34,8 +38,8 @@ TWISTED_COMPONENT = "twisted"
 
 
 class CapExceeded(RuntimeError):
-    """Raised when a brute-force enumeration, or the minimal-length sets
-    of one context, would hold more elements than the cap allows."""
+    """Raised when the minimal-length sets of one context, or a
+    brute-force enumeration, would hold more than MAX_HELD elements."""
 
 
 @dataclass(frozen=True)
@@ -44,9 +48,8 @@ class GroupContext:
 
     family: "A" (S_n on n letters), "BC" (hyperoctahedral), "D"
     (even-signed; the O(2n) model when the twisted component is used),
-    or "2A" (S_n twisted by the longest element).  "O2n" is accepted as
-    an alias for "D".  rank n is the permutation degree for A/2A and
-    the signed rank otherwise.
+    or "2A" (S_n twisted by the longest element).  rank n is the
+    permutation degree for A/2A and the signed rank otherwise.
     """
 
     family: str
@@ -55,24 +58,23 @@ class GroupContext:
 
 
 def context(family: str, n: int, component: str | None = None) -> GroupContext:
-    fam = "D" if family == "O2n" else family
-    if fam not in FAMILIES:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if n < 1 or (fam in ("D", "2A") and n < 2):
+    if n < 1 or (family in ("D", "2A") and n < 2):
         raise ValueError(f"rank {n} out of range for family {family}")
-    if fam == "2A":
+    if family == "2A":
         if component not in (None, TWISTED_COMPONENT):
             raise ValueError("family 2A is a twisted coset; component must be 'twisted'")
         comp = TWISTED_COMPONENT
-    elif fam in ("A", "BC"):
+    elif family in ("A", "BC"):
         if component not in (None, IDENTITY_COMPONENT):
-            raise ValueError(f"family {fam} has no twisted component")
+            raise ValueError(f"family {family} has no twisted component")
         comp = IDENTITY_COMPONENT
     else:
         comp = component or IDENTITY_COMPONENT
         if comp not in (IDENTITY_COMPONENT, TWISTED_COMPONENT):
             raise ValueError(f"unknown component {component!r}")
-    return GroupContext(fam, n, comp)
+    return GroupContext(family, n, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +154,6 @@ def simple_reflection(ctx: GroupContext, i: int) -> SignedPermutation:
 def simples(ctx: GroupContext) -> tuple[SignedPermutation, ...]:
     _, top = _coxeter(ctx)
     return tuple(simple_reflection(ctx, i) for i in range(1, top + 1))
-
-
-def s_interval(ctx: GroupContext, a: int, b: int) -> SignedPermutation:
-    """The product s_a s_{a+1} ... s_b, or the identity when a > b."""
-    w = identity(ctx.n)
-    for i in range(a, b + 1):
-        w = multiply(w, simple_reflection(ctx, i))
-    return w
 
 
 def _inv_count(w: SignedPermutation) -> int:
@@ -414,37 +408,16 @@ def _perm_cycle_type(w: SignedPermutation) -> Partition:
     return tuple(sorted(out, reverse=True))
 
 
-def rep_BC(n: int, alpha: Partition) -> SignedPermutation:
-    """Minimal-length element of the elliptic class alpha in BC(n):
-    the product over parts a_j of s_[2, n+1-a_1-..-a_j]^{-1} s_[1, n-a_1-..-a_{j-1}].
+def rep_signed(n: int, alpha: Partition) -> SignedPermutation:
+    """Minimal-length element of the elliptic class alpha in BC(n) and in
+    the even orthogonal model: one negative a-cycle per part a, each
+    occupying the a highest positions still free, sending i to i+1 inside
+    the block and the top of the block to minus its bottom.  This is the
+    product over parts a_j of s_[2, n+1-a_1-..-a_j]^{-1} s_[1, n-a_1-..-a_{j-1}]
+    (s_[a, b] = s_a s_{a+1} ... s_b) in BC's simple reflections.
 
-    Concretely this makes one negative cycle per part, stacked from the
-    top of the window down.
-    """
-    alpha = as_partition(alpha)
-    if sum(alpha) != n:
-        raise ValueError(f"{alpha} is not a partition of {n}")
-    ctx = context("BC", n)
-    w = identity(n)
-    sig = 0
-    for a in alpha:
-        f = multiply(
-            inverse(s_interval(ctx, 2, n + 1 - sig - a)),
-            s_interval(ctx, 1, n - sig),
-        )
-        w = multiply(w, f)
-        sig += a
-    return w
-
-
-def rep_D(n: int, alpha: Partition) -> SignedPermutation:
-    """Minimal-length element of the elliptic class alpha in the even
-    orthogonal model: one negative a-cycle per part a, each occupying
-    the a highest positions still free, sending i to i+1 inside the
-    block and the top of the block to minus its bottom.
-
-    The element lies in the identity component iff alpha has an even
-    number of parts.
+    It has one sign change per part, so it lies in the identity
+    component of D iff alpha has an even number of parts.
     """
     alpha = as_partition(alpha)
     if sum(alpha) != n:
@@ -502,9 +475,9 @@ def rep_2A(n: int, alpha: Partition) -> SignedPermutation:
 def class_rep(ctx: GroupContext, alpha: Partition) -> SignedPermutation:
     """The closed-form minimal-length representative for ctx's family."""
     if ctx.family == "BC":
-        return rep_BC(ctx.n, alpha)
+        return rep_signed(ctx.n, alpha)
     if ctx.family == "D":
-        w = rep_D(ctx.n, alpha)
+        w = rep_signed(ctx.n, alpha)
         want = IDENTITY_COMPONENT if len(alpha) % 2 == 0 else TWISTED_COMPONENT
         if want != ctx.component:
             raise ValueError(
@@ -568,13 +541,13 @@ class MinLengthSet(NamedTuple):
 
 
 def _min_length_set(
-    ctx: GroupContext, rep: SignedPermutation, held: int, cap: int
+    ctx: GroupContext, rep: SignedPermutation, held: int
 ) -> tuple[SignedPermutation, ...]:
     """The closure of rep under length-preserving cyclic shifts.  For an
     elliptic class with minimal-length rep this is the whole set of
     minimal-length elements (Geck-Pfeiffer 2000, ch. 3; Geck-Kim-Pfeiffer
     2000 for twisted classes; He-Nie 2012).  held elements of other
-    classes count against cap.
+    classes count against MAX_HELD.
 
     The shifts are w -> s_i·w·s_j with j = i.  Conjugating w·delta by s_i
     in the twisted A coset steps the stored part u to s_i·u·s_{n-i}, as
@@ -592,10 +565,10 @@ def _min_length_set(
     seen = {rep}
     todo = [rep]
     while todo:
-        if held + len(seen) > cap:
+        if held + len(seen) > MAX_HELD:
             raise CapExceeded(
                 f"the minimal-length sets of {ctx.family}({ctx.n}) "
-                f"hold more than cap {cap} elements"
+                f"hold more than {MAX_HELD} elements"
             )
         w = todo.pop()
         winv = inverse(w)
@@ -618,17 +591,14 @@ def _min_length_set(
 
 
 @lru_cache(maxsize=32)
-def _min_length_table(
-    ctx: GroupContext, cap: int = DEFAULT_CAP
-) -> dict[Partition, MinLengthSet]:
-    """Every elliptic class of ctx: alpha -> MinLengthSet.  cap bounds the
-    number of elements all the sets hold together; CapExceeded is raised
-    as soon as a closure passes it."""
+def _min_length_table(ctx: GroupContext) -> dict[Partition, MinLengthSet]:
+    """Every elliptic class of ctx: alpha -> MinLengthSet.  CapExceeded is
+    raised as soon as the sets hold more than MAX_HELD elements together."""
     table = {}
     held = 0
     for alpha in elliptic_partitions(ctx):
         rep = class_rep(ctx, alpha)
-        els = _min_length_set(ctx, rep, held, cap)
+        els = _min_length_set(ctx, rep, held)
         held += len(els)
         table[alpha] = MinLengthSet(els, _length(ctx, rep), descent_walk(ctx, rep))
     return table
@@ -647,12 +617,12 @@ def group_order(ctx: GroupContext) -> int:
     return factorial(n) * 2 ** (n - 1)
 
 
-def enumerate_group(ctx: GroupContext, cap: int = DEFAULT_CAP) -> Iterator[SignedPermutation]:
+def enumerate_group(ctx: GroupContext) -> Iterator[SignedPermutation]:
     """Every element of ctx's component exactly once, in a fixed order.
     For twisted A this streams the stored permutation parts."""
-    if group_order(ctx) > cap:
+    if group_order(ctx) > MAX_HELD:
         raise CapExceeded(
-            f"|{ctx.family}({ctx.n}) component| = {group_order(ctx)} exceeds cap {cap}"
+            f"|{ctx.family}({ctx.n}) component| = {group_order(ctx)} exceeds {MAX_HELD}"
         )
     n = ctx.n
     if ctx.family in ("A", "2A"):
@@ -670,14 +640,14 @@ def enumerate_group(ctx: GroupContext, cap: int = DEFAULT_CAP) -> Iterator[Signe
 
 @lru_cache(maxsize=32)
 def _class_table(
-    ctx: GroupContext, cap: int
+    ctx: GroupContext,
 ) -> dict[Partition, tuple[tuple[SignedPermutation, ...], tuple[int, ...]]]:
     """All elliptic classes of ctx at once: label -> (elements, lengths),
     both sorted by (length, element).  One group sweep, reused by every
     brute-force class query below; no library path calls these, the
     tests compare _min_length_table and class_size against them."""
     buckets: dict[Partition, list[tuple[int, SignedPermutation]]] = {}
-    for w in enumerate_group(ctx, cap):
+    for w in enumerate_group(ctx):
         lab = class_label(ctx, w)
         if lab is None:
             continue
@@ -689,32 +659,26 @@ def _class_table(
     return out
 
 
-def enumerate_class(
-    ctx: GroupContext, alpha: Partition, cap: int = DEFAULT_CAP
-) -> tuple[SignedPermutation, ...]:
+def enumerate_class(ctx: GroupContext, alpha: Partition) -> tuple[SignedPermutation, ...]:
     """All elements with class_label alpha, sorted by (length, window)."""
-    table = _class_table(ctx, cap)
+    table = _class_table(ctx)
     alpha = as_partition(alpha)
     if alpha not in table:
         raise ValueError(f"{alpha} is not an elliptic class of {ctx}")
     return table[alpha][0]
 
 
-def class_lengths(
-    ctx: GroupContext, alpha: Partition, cap: int = DEFAULT_CAP
-) -> tuple[int, ...]:
+def class_lengths(ctx: GroupContext, alpha: Partition) -> tuple[int, ...]:
     """Lengths aligned with enumerate_class."""
-    table = _class_table(ctx, cap)
+    table = _class_table(ctx)
     alpha = as_partition(alpha)
     if alpha not in table:
         raise ValueError(f"{alpha} is not an elliptic class of {ctx}")
     return table[alpha][1]
 
 
-def min_length_elements(
-    ctx: GroupContext, alpha: Partition, cap: int = DEFAULT_CAP
-) -> tuple[SignedPermutation, ...]:
-    els = enumerate_class(ctx, alpha, cap)
-    lens = class_lengths(ctx, alpha, cap)
+def min_length_elements(ctx: GroupContext, alpha: Partition) -> tuple[SignedPermutation, ...]:
+    els = enumerate_class(ctx, alpha)
+    lens = class_lengths(ctx, alpha)
     lmin = lens[0]
     return tuple(w for w, l in zip(els, lens) if l == lmin)

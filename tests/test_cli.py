@@ -118,7 +118,7 @@ def test_bruhat_json():
 
 
 def test_hasse_text_and_opposite():
-    text, code = cli.run_hasse("Sp", 2, "good", "both", "id", 10**6, "text")
+    text, code = cli.run_hasse("Sp", 2, "good", "both", "id", "text")
     assert code == 0
     assert text == (
         "elliptic classes of Sp(2), covers lower < upper:\n"
@@ -130,17 +130,17 @@ def test_hasse_text_and_opposite():
 
 
 def test_hasse_singleton():
-    text, code = cli.run_hasse("GL", 3, "good", "both", "id", 10**6, "text")
+    text, code = cli.run_hasse("GL", 3, "good", "both", "id", "text")
     assert code == 0
     assert "diagrams mutually opposite: True" in text
-    payload = json.loads(cli.run_hasse("GL", 3, "good", "both", "id", 10**6, "json")[0])
+    payload = json.loads(cli.run_hasse("GL", 3, "good", "both", "id", "json")[0])
     assert len(payload["weyl"]["nodes"]) == 1
     assert payload["weyl"]["covers"] == []
     assert payload["opposite"] is True
 
 
 def test_hasse_dot_output():
-    text, code = cli.run_hasse("Sp", 2, "2", "unipotent", "id", 10**6, "dot")
+    text, code = cli.run_hasse("Sp", 2, "2", "unipotent", "id", "dot")
     assert code == 0
     assert text == (
         "digraph unipotent {\n"
@@ -189,7 +189,7 @@ def test_main_verify_component_filter(capsys):
 
 
 def test_main_verify_reaches_rank_eight(capsys):
-    # the minimal-length sets of D(8) hold far fewer than the default cap
+    # the minimal-length sets of D(8) hold far fewer than weylgroup.MAX_HELD
     assert cli.main(["verify", "--family", "D", "--rank", "8"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "all checks passed"
 
@@ -211,14 +211,40 @@ def test_main_verify_range_builds_each_table_once(capsys, family, contexts):
     assert weyl_relation.cache_info().misses == contexts
 
 
-def test_main_verify_cap_is_a_usage_error(capsys):
-    code = cli.main(["verify", "--family", "BC", "--rank", "8", "--cap", "1000"])
+def test_main_verify_cap_is_a_usage_error(capsys, monkeypatch):
+    # the bound is not part of the cache keys, so tables and relations built
+    # under the real bound must not answer for the lowered one, nor the
+    # other way round
+    from weylunip import weylgroup as wg
+    from weylunip.classposet import weyl_relation
+
+    monkeypatch.setattr(wg, "MAX_HELD", 1000)
+    wg._min_length_table.cache_clear()
+    weyl_relation.cache_clear()
+    try:
+        code = cli.main(["verify", "--family", "BC", "--rank", "8"])
+    finally:
+        wg._min_length_table.cache_clear()
+        weyl_relation.cache_clear()
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error:") and "cap 1000" in lines[0]
+    assert lines[0].startswith("error:") and "1000" in lines[0]
+
+
+@pytest.mark.parametrize("verb", ["classes", "unipotent", "map", "hasse", "verify", "bruhat"])
+def test_no_verb_takes_a_cap(capsys, verb):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([verb, "--help"])
+    assert exc.value.code == 0
+    assert "--cap" not in capsys.readouterr().out
+    windows = ["[1,2,3]", "[1,2,3]"] if verb == "bruhat" else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([verb, "--family", "BC", "--rank", "3", *windows, "--cap", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 10" in capsys.readouterr().err
 
 
 def test_classes_sizes_need_no_enumeration(capsys):
@@ -259,8 +285,8 @@ def test_main_verify_checks_the_weyl_relation(capsys, monkeypatch):
     i, j = 1, 0
     flipped = not true_rel[i][j]
 
-    def corrupted(c, cap):
-        rel = [list(row) for row in weyl_relation(c, cap)]
+    def corrupted(c):
+        rel = [list(row) for row in weyl_relation(c)]
         rel[i][j] = flipped
         return tuple(map(tuple, rel))
 
@@ -328,10 +354,10 @@ def test_main_unencodable_stdout_is_usage_error(capsys, monkeypatch):
 
 def test_byte_determinism():
     assert cli.run_map("O_even", 5, "twisted") == cli.run_map("O_even", 5, "twisted")
-    a = cli.run_hasse("O_even", 4, "2", "both", "id", 10**6, "dot")
-    b = cli.run_hasse("O_even", 4, "2", "both", "id", 10**6, "dot")
+    a = cli.run_hasse("O_even", 4, "2", "both", "id", "dot")
+    b = cli.run_hasse("O_even", 4, "2", "both", "id", "dot")
     assert a == b
-    args = (["BC"], [2, 3], None, None, 10**6, "json")
+    args = (["BC"], [2, 3], None, None, "json")
     assert cli.run_verify(*args) == cli.run_verify(*args)
 
 
@@ -361,3 +387,22 @@ def test_group_flag_spellings(capsys):
     assert capsys.readouterr().out == cli.run_map("O_odd", 2)
     assert cli.main(["map", "--group", "SOeven", "--rank", "3"]) == 0
     assert capsys.readouterr().out == cli.run_map("O_even", 3)
+
+
+@pytest.mark.parametrize("alias, family", sorted(cli.FAMILY_ALIAS.items()))
+def test_family_aliases_are_resolved_by_the_cli(capsys, alias, family):
+    # the library takes canonical family names only; the CLI maps each
+    # alias before any library call, so both spellings print the same bytes
+    from weylunip import lusztig, weylgroup as wg
+
+    with pytest.raises(ValueError):
+        wg.context(alias, 3)
+    with pytest.raises(ValueError):
+        lusztig.verify_combinations(alias)
+    for argv in (["classes", "--rank", "3"], ["verify", "--rank", "2..5"]):
+        outputs = []
+        for name in (alias, family):
+            assert cli.main([*argv, "--family", name]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out

@@ -36,7 +36,6 @@ def naive_length(ctx, w):
 
 
 def test_context_validation():
-    assert wg.context("O2n", 3).family == "D"
     assert wg.context("2A", 3).component == "twisted"
     with pytest.raises(ValueError):
         wg.context("BC", 2, "twisted")
@@ -66,9 +65,17 @@ def test_group_orders():
         assert len(list(wg.enumerate_group(ctx))) == wg.group_order(ctx)
 
 
-def test_enumerate_group_cap():
-    with pytest.raises(wg.CapExceeded):
-        list(wg.enumerate_group(wg.context("BC", 4), cap=100))
+def test_enumerate_group_cap(monkeypatch):
+    # |BC(4)| = 384; the bound is read when enumeration starts
+    monkeypatch.setattr(wg, "MAX_HELD", 100)
+    wg._class_table.cache_clear()
+    try:
+        with pytest.raises(wg.CapExceeded, match="exceeds 100$"):
+            list(wg.enumerate_group(wg.context("BC", 4)))
+        with pytest.raises(wg.CapExceeded):
+            wg.enumerate_class(wg.context("BC", 4), (4,))
+    finally:
+        wg._class_table.cache_clear()
 
 
 def test_delta():
@@ -418,12 +425,22 @@ def test_min_length_set_is_a_shift_closed_class_of_minimal_length(case):
                 assert v in members, (ctx, a, w, v)
 
 
-def test_min_length_table_cap_counts_every_class():
+def test_min_length_table_cap_counts_every_class(monkeypatch):
+    # the bound is not part of the cache key, so the cache is cleared
+    # around every build under a lowered bound
     ctx = wg.context("BC", 5)
-    held = sum(len(e.elements) for e in wg._min_length_table(ctx).values())
-    assert wg._min_length_table(ctx, held) == wg._min_length_table(ctx)
-    with pytest.raises(wg.CapExceeded, match=f"cap {held - 1} "):
-        wg._min_length_table(ctx, held - 1)
+    full = wg._min_length_table(ctx)
+    held = sum(len(e.elements) for e in full.values())
+    try:
+        monkeypatch.setattr(wg, "MAX_HELD", held)
+        wg._min_length_table.cache_clear()
+        assert wg._min_length_table(ctx) == full
+        monkeypatch.setattr(wg, "MAX_HELD", held - 1)
+        wg._min_length_table.cache_clear()
+        with pytest.raises(wg.CapExceeded, match=f"more than {held - 1} "):
+            wg._min_length_table(ctx)
+    finally:
+        wg._min_length_table.cache_clear()
 
 
 def test_min_length_table_refuses_a_non_minimal_representative(monkeypatch):
@@ -479,6 +496,33 @@ def test_rep_2A_all_ones_is_reversal():
         w = wg.class_rep(ctx, (1,) * n)
         assert w == tuple(range(n, 0, -1))
         assert wg.length(ctx, w) == n * (n - 1) // 2
+
+
+def s_interval(ctx, a, b):
+    """The product s_a s_{a+1} ... s_b, or the identity when a > b."""
+    w = wg.identity(ctx.n)
+    for i in range(a, b + 1):
+        w = wg.multiply(w, wg.simple_reflection(ctx, i))
+    return w
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rep_BC_is_the_product_formula(n):
+    # the representative as a word: the product over parts a_j of
+    # s_[2, n+1-a_1-..-a_j]^{-1} s_[1, n-a_1-..-a_{j-1}] in BC's simple
+    # reflections; D (n >= 2) uses the same window in its own component
+    ctx = wg.context("BC", n)
+    for alpha in family_members("all", n):
+        w = wg.identity(n)
+        sig = 0
+        for a in alpha:
+            lower = wg.inverse(s_interval(ctx, 2, n + 1 - sig - a))
+            w = wg.multiply(w, wg.multiply(lower, s_interval(ctx, 1, n - sig)))
+            sig += a
+        assert wg.class_rep(ctx, alpha) == w
+        if n >= 2:
+            comp = "id" if len(alpha) % 2 == 0 else "twisted"
+            assert wg.class_rep(wg.context("D", n, comp), alpha) == w
 
 
 def test_rep_D_wrong_component():
