@@ -4,9 +4,10 @@ comparison of minimal-length elements, plus Hasse-diagram construction.
 For classes C' and C the relation C' <= C holds when some minimal-length
 element of C dominates an element of C' in the Bruhat order.  Four
 a-priori different quantifications of that sentence agree (checked
-exhaustively by the test suite); the fast path used here fixes the
-closed-form representative of C and scans the minimal-length elements
-of C', which weylgroup builds by cyclic shifts under one fixed bound per
+exhaustively by the test suite).  weyl_relation is the one path that
+computes it: row by row, it fixes the closed-form representative of
+each C and scans the minimal-length elements of C', which weylgroup
+builds by cyclic shifts one class at a time, under one fixed bound per
 context (CapExceeded past it).
 """
 
@@ -79,40 +80,53 @@ def _require_same_ctx(a: EllipticClassLabel, b: EllipticClassLabel) -> GroupCont
 
 
 def class_leq_W(a: EllipticClassLabel, b: EllipticClassLabel) -> bool:
-    """Whether a <= b in the order on elliptic classes.
-
-    Takes the closed-form minimal-length representative w of b and
-    searches the minimal-length elements of a for one below w, reading
-    both from the context's minimal-length table (built once per context;
-    weylgroup raises CapExceeded when it would be too large).  Checking
-    a's minimal-length set rather than its whole class gives the same
-    answer (acceptance criterion 8).
-    """
+    """Whether a <= b in the order on elliptic classes: the entry of
+    weyl_relation(a.ctx) for the pair."""
     ctx = _require_same_ctx(a, b)
-    table = wg._min_length_table(ctx)
-    try:
-        lower, upper = table[a.partition], table[b.partition]
-    except KeyError as exc:
-        raise ValueError(f"{exc.args[0]} is not an elliptic class of {ctx}") from None
-    if lower.length > upper.length:
-        return False
-    chain, path = upper.walk
-    return any(
-        wg.bruhat_leq_walk(ctx, x, lower.length, chain, path) for x in lower.elements
-    )
+    rel = weyl_relation(ctx)
+    alphas = wg.elliptic_partitions(ctx)
+    for c in (a, b):
+        if c.partition not in alphas:
+            raise ValueError(f"{c.partition} is not an elliptic class of {ctx}")
+    return rel[alphas.index(a.partition)][alphas.index(b.partition)]
 
 
-# 32 for the reason weylgroup._min_length_table gives: verify loops over
-# its (group, char, component) combinations outside the ranks, so a rank
-# range cycles through all of its contexts once per combination.
+# 32 because verify loops over its (group, char, component) combinations
+# outside the ranks, so a rank range cycles through all of its contexts
+# once per combination.
 @lru_cache(maxsize=32)
 def weyl_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
     """The order on ctx's elliptic classes as a matrix, computed once per
-    ctx: rel[i][j] == class_leq_W(labels[i], labels[j]) with
+    ctx: rel[i][j] says whether labels[i] <= labels[j], with
     labels = elliptic_classes(ctx).  Rows are tuples, so callers share the
-    cached value without being able to change it."""
-    labels = elliptic_classes(ctx)
-    return tuple(tuple(class_leq_W(a, b) for b in labels) for a in labels)
+    cached value without being able to change it.
+
+    Row i takes the minimal-length elements of labels[i], built by
+    weylgroup from the closed-form representative, and scans them for one
+    below the representative w of labels[j], whose descent walk is taken
+    once per class; it is False at once when they are longer than w.
+    Checking that set rather than the whole class gives the same answer
+    (acceptance criterion 8).  Only one class's set is held at a time;
+    weylgroup raises CapExceeded once the sets of ctx together pass
+    MAX_HELD elements.
+    """
+    alphas = wg.elliptic_partitions(ctx)
+    reps = [wg.class_rep(ctx, a) for a in alphas]
+    lengths = [wg._length(ctx, w) for w in reps]
+    walks = [wg.descent_walk(ctx, w) for w in reps]
+    rows = []
+    held = 0
+    for rep, la in zip(reps, lengths):
+        lower = wg._min_length_set(ctx, rep, held)
+        held += len(lower)
+        rows.append(
+            tuple(
+                la <= lb
+                and any(wg.bruhat_leq_walk(ctx, x, la, chain, path) for x in lower)
+                for lb, (chain, path) in zip(lengths, walks)
+            )
+        )
+    return tuple(rows)
 
 
 class ConditionRecord(NamedTuple):

@@ -21,6 +21,7 @@ import sys
 
 from . import weylgroup as wg
 from .weylgroup import CapExceeded
+from .partitions import PARTITION_BOUND
 from .classposet import (
     PosetError,
     class_leq_W,
@@ -32,6 +33,7 @@ from .classposet import (
 from .lusztig import (
     GROUP_FAMILY,
     group_spec,
+    has_good_char_unipotents,
     phi,
     verify_combinations,
     verify_theorem,
@@ -82,11 +84,14 @@ def _single_rank(args) -> int:
 
 def _rank_range(text: str) -> list[int]:
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        ranks = list(range(int(lo), int(hi) + 1))
-        if not ranks:
+        lo, hi = (int(end) for end in text.split("..", 1))
+        # every rank above the bound is refused later anyway; refusing it
+        # here keeps the list of ranks small
+        if not 1 <= lo <= PARTITION_BOUND or not 1 <= hi <= PARTITION_BOUND:
+            raise UsageError(f"rank range {text!r} must lie within 1..{PARTITION_BOUND}")
+        if lo > hi:
             raise UsageError(f"empty rank range {text!r}")
-        return ranks
+        return list(range(lo, hi + 1))
     return [int(text)]
 
 
@@ -165,9 +170,7 @@ def run_map(group: str, n: int, component: str = wg.IDENTITY_COMPONENT, fmt: str
     unipotents get a single image column."""
     spec2 = group_spec(group, n, CHAR2)
     ctx = weyl_context(spec2, component)
-    good_ok = group != "GLd" and not (
-        group == "O_even" and component == wg.TWISTED_COMPONENT
-    )
+    good_ok = has_good_char_unipotents(group, component)
     spec0 = group_spec(group, n, GOOD) if good_ok else None
     rows = []
     for c in elliptic_classes(ctx):
@@ -424,12 +427,9 @@ def _default_char(args, group: str) -> str:
     char = getattr(args, "char", None)
     if char:
         return char
-    if group == "GLd" or (
-        group == "O_even"
-        and getattr(args, "component", None) == wg.TWISTED_COMPONENT
-    ):
-        return CHAR2
-    return GOOD
+    # the unipotent verb has no --component flag
+    component = getattr(args, "component", wg.IDENTITY_COMPONENT)
+    return GOOD if has_good_char_unipotents(group, component) else CHAR2
 
 
 def _dispatch(args) -> tuple[str, int]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import (
-    Partition,
     add_psi,
     append_one,
     dominance_leq,
@@ -83,13 +82,14 @@ def phi(spec: GroupSpec, c: EllipticClassLabel) -> UnipotentLabel:
         raise ValueError(f"class {c} does not belong to the Weyl side of {spec}")
     alpha = c.partition
     g, n = spec.group, spec.n
+    if spec.char == GOOD and not has_good_char_unipotents(g, c.ctx.component):
+        name = "O(2n)" if g == "O_even" else g
+        raise ValueError(
+            f"the twisted component of {name} has no unipotent elements in good characteristic"
+        )
     if g == "GL":
         return good_label("GL", n, (n,))
     if g == "GLd":
-        if spec.char != CHAR2:
-            raise ValueError(
-                "the twisted component of GLd has no unipotent elements in good characteristic"
-            )
         return bad_label("GLd", n, alpha)
     if g == "Sp":
         doubled = scale(alpha, 2)
@@ -108,11 +108,6 @@ def phi(spec: GroupSpec, c: EllipticClassLabel) -> UnipotentLabel:
     # O_even
     doubled = scale(alpha, 2)
     if spec.char == GOOD:
-        if c.ctx.component != wg.IDENTITY_COMPONENT:
-            raise ValueError(
-                "the twisted component of O(2n) has no unipotent elements "
-                "in good characteristic"
-            )
         return good_label("O_even", n, add_psi(doubled))
     out = bad_label("O_even", n, doubled)
     inside = out.so_component == "SO"
@@ -191,10 +186,16 @@ def verify_theorem(
     return report
 
 
+def has_good_char_unipotents(group: str, component: str) -> bool:
+    """Whether the group's component carries unipotent classes in good
+    characteristic: the twisted GLd and O_even cosets carry them only in
+    characteristic 2.  component matters for O_even only."""
+    return group != "GLd" and not (group == "O_even" and component == wg.TWISTED_COMPONENT)
+
+
 def verify_combinations(family: str) -> list[tuple[str, str, str]]:
-    """The (group, char, component) triples a Weyl family supports: the
-    twisted GLd and O_even cosets carry unipotents only in
-    characteristic 2, so good characteristic is skipped there."""
+    """The (group, char, component) triples a Weyl family supports; good
+    characteristic only where has_good_char_unipotents holds."""
     if family == "A":
         return [("GL", GOOD, wg.IDENTITY_COMPONENT), ("GL", CHAR2, wg.IDENTITY_COMPONENT)]
     if family == "BC":

@@ -98,6 +98,12 @@ def kappa_member(a: Partition, kappa: int) -> bool:
     return True
 
 
+def check_bound(n: int, bound: int = PARTITION_BOUND) -> None:
+    """Refuse a total above bound before anything of size n is built."""
+    if n > bound:
+        raise ValueError(f"partition enumeration bound exceeded: n={n} > {bound}")
+
+
 def family_members(
     tag: str, n: int, kappa: int | None = None, bound: int = PARTITION_BOUND
 ) -> list[Partition]:
@@ -109,8 +115,7 @@ def family_members(
     """
     if tag not in FAMILY_TAGS:
         raise ValueError(f"unknown partition family {tag!r}; expected one of {FAMILY_TAGS}")
-    if n > bound:
-        raise ValueError(f"partition enumeration bound exceeded: n={n} > {bound}")
+    check_bound(n, bound)
     if tag == "kappa":
         if kappa not in (1, -1):
             raise ValueError("kappa family needs kappa=+1 or kappa=-1")

@@ -19,16 +19,18 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
-from .partitions import Partition, as_partition, family_members
+from .partitions import Partition, as_partition, check_bound, family_members
 
 SignedPermutation = tuple[int, ...]
 
-# The most elements the minimal-length sets of one context may hold
-# together, and the largest group the brute-force oracle enumerates.
-# Read at call time, so a test can lower it; the lru caches of tables
-# built under another value must then be cleared.
+# The most elements the minimal-length sets of one context may have
+# together (classposet.weyl_relation builds them one class at a time and
+# counts every class), and the largest group the brute-force oracle
+# enumerates.  Read at call time, so a test can lower it; the lru caches
+# of weyl_relation and _class_table, filled under another value, must
+# then be cleared.
 MAX_HELD = 10**6
 
 FAMILIES = ("A", "BC", "D", "2A")
@@ -501,9 +503,11 @@ def elliptic_partitions(ctx: GroupContext) -> list[Partition]:
     """The partitions naming ctx's elliptic classes, reverse-lexicographically:
     the Coxeter class (n) for A, all partitions for BC, those with an even
     (identity) or odd (twisted) number of parts for D, and those with all
-    parts odd for 2A."""
+    parts odd for 2A.  Every family, A included, refuses n above the
+    partition bound before anything of size n is built."""
     n = ctx.n
     if ctx.family == "A":
+        check_bound(n)
         return [(n,)]
     if ctx.family == "BC":
         return family_members("all", n)
@@ -529,15 +533,6 @@ def class_size(ctx: GroupContext, alpha: Partition) -> int:
     for a, m in Counter(alpha).items():
         z *= (2 * a if signed else a) ** m * factorial(m)
     return factorial(ctx.n) * (2**ctx.n if signed else 1) // z
-
-
-class MinLengthSet(NamedTuple):
-    """One elliptic class's minimal-length elements (sorted windows),
-    their common length, and descent_walk of its class_rep."""
-
-    elements: tuple[SignedPermutation, ...]
-    length: int
-    walk: tuple[list[int], list[SignedPermutation]]
 
 
 def _min_length_set(
@@ -590,20 +585,6 @@ def _min_length_set(
     return tuple(sorted(seen))
 
 
-@lru_cache(maxsize=32)
-def _min_length_table(ctx: GroupContext) -> dict[Partition, MinLengthSet]:
-    """Every elliptic class of ctx: alpha -> MinLengthSet.  CapExceeded is
-    raised as soon as the sets hold more than MAX_HELD elements together."""
-    table = {}
-    held = 0
-    for alpha in elliptic_partitions(ctx):
-        rep = class_rep(ctx, alpha)
-        els = _min_length_set(ctx, rep, held)
-        held += len(els)
-        table[alpha] = MinLengthSet(els, _length(ctx, rep), descent_walk(ctx, rep))
-    return table
-
-
 # ---------------------------------------------------------------------------
 # brute-force enumeration: the test oracle for the sets and sizes above
 
@@ -645,7 +626,7 @@ def _class_table(
     """All elliptic classes of ctx at once: label -> (elements, lengths),
     both sorted by (length, element).  One group sweep, reused by every
     brute-force class query below; no library path calls these, the
-    tests compare _min_length_table and class_size against them."""
+    tests compare _min_length_set and class_size against them."""
     buckets: dict[Partition, list[tuple[int, SignedPermutation]]] = {}
     for w in enumerate_group(ctx):
         lab = class_label(ctx, w)

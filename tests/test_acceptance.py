@@ -11,7 +11,6 @@ import math
 from weylunip import cli
 from weylunip import weylgroup as wg
 from weylunip.classposet import class_leq_W_all_variants, elliptic_classes
-from weylunip.lusztig import group_spec, weyl_context
 from weylunip.partitions import add_psi, dominance_leq, partitions, psi, scale
 from weylunip.unipotent import (
     bad_label,

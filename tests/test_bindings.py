@@ -1,17 +1,21 @@
-"""Names that code outside the library looks up in weylunip must exist.
+"""Names that code outside the library looks up in weylunip must exist,
+and names a module imports must be read.
 
 perfbench/tracer.py wraps every function its LAYERS table names, looked
 up with getattr on the weylunip module, and fails when one is missing;
-the package root promises every name in __all__.
+the package root promises every name in __all__.  The repository has no
+linter, so the unused-import scan at the end is its lint gate.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import weylunip
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -36,3 +40,32 @@ def test_package_exports_resolve():
     missing = [name for name in weylunip.__all__ if not hasattr(weylunip, name)]
     assert missing == []
     assert len(set(weylunip.__all__)) == len(weylunip.__all__)
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names path binds by import and never reads.  __future__ imports
+    bind nothing; `import a.b` binds a."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in sorted(bound.items()) if name not in read]
+
+
+def test_every_imported_name_is_read():
+    # the package root imports names only to re-export them in __all__
+    paths = [p for p in sorted((ROOT / "src" / "weylunip").glob("*.py"))
+             if p.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    assert [hit for p in paths for hit in unused_imports(p)] == []

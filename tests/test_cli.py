@@ -163,6 +163,38 @@ def test_main_exit_codes(capsys):
     assert cli.main(["bruhat", "--family", "BC", "--rank", "2", "nonsense", "[1,2]"]) == 2
 
 
+def assert_one_line_refusal(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classes", "--family", "A"],
+        ["map", "--group", "GL"],
+        ["hasse", "--family", "A"],
+        ["verify", "--family", "A"],
+    ],
+)
+def test_family_a_refuses_a_rank_past_the_partition_bound(capsys, argv):
+    # rank 10**18 would build a 10**18-tuple representative
+    line = assert_one_line_refusal(capsys, [*argv, "--rank", str(10**18)])
+    assert "bound exceeded" in line
+
+
+@pytest.mark.parametrize("text", [f"2..{10**18}", f"-{10**18}..3", "0..3", "2..61"])
+def test_verify_refuses_a_rank_range_past_its_bounds(capsys, text):
+    # refused before one rank is listed, so memory does not grow with the range
+    # --rank=... keeps argparse from reading a negative end as an option
+    line = assert_one_line_refusal(capsys, ["verify", "--family", "D", f"--rank={text}"])
+    assert "1..60" in line
+
+
 def test_main_verify_ok(capsys):
     code = cli.main(["verify", "--family", "BC", "--rank", "2..3"])
     out = capsys.readouterr().out
@@ -195,36 +227,47 @@ def test_main_verify_reaches_rank_eight(capsys):
 
 
 @pytest.mark.parametrize("family, contexts", [("BC", 5), ("D", 10)])
-def test_main_verify_range_builds_each_table_once(capsys, family, contexts):
+def test_main_verify_range_builds_each_table_once(capsys, monkeypatch, family, contexts):
     # run_verify loops over (group, char, component) outside the ranks, so
-    # the minimal-length table cache and the relation cache must each hold
-    # every context of the range at once; a cached relation skips the table,
-    # so both start empty
+    # the relation cache must hold every context of the range at once, and
+    # each context's relation builds each class's minimal-length set once
+    from collections import Counter
+
     from weylunip import weylgroup as wg
     from weylunip.classposet import weyl_relation
 
-    wg._min_length_table.cache_clear()
+    built = Counter()
+    real = wg._min_length_set
+
+    def counted(ctx, rep, held):
+        built[ctx, rep] += 1
+        return real(ctx, rep, held)
+
+    monkeypatch.setattr(wg, "_min_length_set", counted)
     weyl_relation.cache_clear()
-    assert cli.main(["verify", "--family", family, "--rank", "2..6"]) == 0
-    capsys.readouterr()
-    assert wg._min_length_table.cache_info().misses == contexts
-    assert weyl_relation.cache_info().misses == contexts
+    try:
+        assert cli.main(["verify", "--family", family, "--rank", "2..6"]) == 0
+        capsys.readouterr()
+        assert weyl_relation.cache_info().misses == contexts
+    finally:
+        weyl_relation.cache_clear()
+    seen = {ctx for ctx, _ in built}
+    assert len(seen) == contexts
+    assert len(built) == sum(len(wg.elliptic_partitions(ctx)) for ctx in seen)
+    assert set(built.values()) == {1}
 
 
 def test_main_verify_cap_is_a_usage_error(capsys, monkeypatch):
-    # the bound is not part of the cache keys, so tables and relations built
-    # under the real bound must not answer for the lowered one, nor the
-    # other way round
+    # the bound is not part of the cache key, so relations built under the
+    # real bound must not answer for the lowered one, nor the other way round
     from weylunip import weylgroup as wg
     from weylunip.classposet import weyl_relation
 
     monkeypatch.setattr(wg, "MAX_HELD", 1000)
-    wg._min_length_table.cache_clear()
     weyl_relation.cache_clear()
     try:
         code = cli.main(["verify", "--family", "BC", "--rank", "8"])
     finally:
-        wg._min_length_table.cache_clear()
         weyl_relation.cache_clear()
     captured = capsys.readouterr()
     assert code == 2

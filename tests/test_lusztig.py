@@ -4,6 +4,7 @@ from weylunip.classposet import elliptic_classes, elliptic_label
 from weylunip.lusztig import (
     GROUP_FAMILY,
     group_spec,
+    has_good_char_unipotents,
     phi,
     phi_good_char_equals_theta2_of_phi_char2,
     verify_combinations,
@@ -207,6 +208,21 @@ def test_verify_combinations():
     for family in ("E8", "O2n"):
         with pytest.raises(ValueError):
             verify_combinations(family)
+
+
+@pytest.mark.parametrize("family", ["A", "BC", "D", "2A"])
+def test_good_characteristic_runs_where_the_component_has_unipotents(family):
+    # verify runs good characteristic exactly on the components that have
+    # good-characteristic unipotents, and phi refuses it on the others
+    triples = verify_combinations(family)
+    for group, component in {(g, comp) for g, _, comp in triples}:
+        good = (group, "good", component) in triples
+        assert has_good_char_unipotents(group, component) == good
+        ctx = weyl_context(group_spec(group, 3, "2"), component)
+        c = elliptic_classes(ctx)[0]
+        if not good:
+            with pytest.raises(ValueError, match="no unipotent elements in good"):
+                phi(group_spec(group, 3, "good"), c)
 
 
 def test_group_spec_validation():

@@ -5,7 +5,6 @@ import pytest
 from weylunip.partitions import (
     add_psi,
     dominance_leq,
-    family_members,
     partitions,
     scale,
     transpose,

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylunip import weylgroup as wg
+from weylunip.classposet import weyl_relation
 from weylunip.partitions import family_members
 
 
@@ -373,11 +374,11 @@ DIFFERENTIAL_CASES = (
 @pytest.mark.parametrize("fam,n", DIFFERENTIAL_CASES)
 def test_min_length_table_matches_brute_force(fam, n):
     for ctx in all_contexts([(fam, [n])]):
-        table = wg._min_length_table(ctx)
-        assert list(table) == wg.elliptic_partitions(ctx)
-        for a, entry in table.items():
-            assert entry.elements == wg.min_length_elements(ctx, a), (ctx, a)
-            assert entry.length == wg.class_lengths(ctx, a)[0]
+        assert sorted(wg._class_table(ctx)) == sorted(wg.elliptic_partitions(ctx))
+        for a in wg.elliptic_partitions(ctx):
+            rep = wg.class_rep(ctx, a)
+            assert wg._min_length_set(ctx, rep, 0) == wg.min_length_elements(ctx, a), (ctx, a)
+            assert wg._length(ctx, rep) == wg.class_lengths(ctx, a)[0]
             assert wg.class_size(ctx, a) == len(wg.enumerate_class(ctx, a))
 
 
@@ -412,12 +413,13 @@ def elliptic_class(draw):
 @given(elliptic_class())
 def test_min_length_set_is_a_shift_closed_class_of_minimal_length(case):
     ctx, a = case
-    entry = wg._min_length_table(ctx)[a]
-    lmin = wg.length(ctx, wg.class_rep(ctx, a))
-    members = set(entry.elements)
-    assert entry.length == lmin
+    rep = wg.class_rep(ctx, a)
+    elements = wg._min_length_set(ctx, rep, 0)
+    lmin = wg.length(ctx, rep)
+    members = set(elements)
+    assert rep in members
     assert len(members) <= wg.class_size(ctx, a)
-    for w in entry.elements:
+    for w in elements:
         assert wg.class_label(ctx, w) == a
         assert wg.length(ctx, w) == lmin
         for v in cyclic_shifts(ctx, w):
@@ -426,21 +428,24 @@ def test_min_length_set_is_a_shift_closed_class_of_minimal_length(case):
 
 
 def test_min_length_table_cap_counts_every_class(monkeypatch):
-    # the bound is not part of the cache key, so the cache is cleared
-    # around every build under a lowered bound
+    # the bound is not part of the cache key, so the relation cache is
+    # cleared around every build under a lowered bound
     ctx = wg.context("BC", 5)
-    full = wg._min_length_table(ctx)
-    held = sum(len(e.elements) for e in full.values())
+    full = weyl_relation(ctx)
+    held = sum(
+        len(wg._min_length_set(ctx, wg.class_rep(ctx, a), 0))
+        for a in wg.elliptic_partitions(ctx)
+    )
     try:
         monkeypatch.setattr(wg, "MAX_HELD", held)
-        wg._min_length_table.cache_clear()
-        assert wg._min_length_table(ctx) == full
+        weyl_relation.cache_clear()
+        assert weyl_relation(ctx) == full
         monkeypatch.setattr(wg, "MAX_HELD", held - 1)
-        wg._min_length_table.cache_clear()
+        weyl_relation.cache_clear()
         with pytest.raises(wg.CapExceeded, match=f"more than {held - 1} "):
-            wg._min_length_table(ctx)
+            weyl_relation(ctx)
     finally:
-        wg._min_length_table.cache_clear()
+        weyl_relation.cache_clear()
 
 
 def test_min_length_table_refuses_a_non_minimal_representative(monkeypatch):
@@ -450,12 +455,12 @@ def test_min_length_table_refuses_a_non_minimal_representative(monkeypatch):
     monkeypatch.setattr(
         wg, "class_rep", lambda c, a: longest if a == (3,) else real(c, a)
     )
-    wg._min_length_table.cache_clear()
+    weyl_relation.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="not of minimal length"):
-            wg._min_length_table(ctx)
+            weyl_relation(ctx)
     finally:
-        wg._min_length_table.cache_clear()
+        weyl_relation.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(1, 7))
