@@ -8,7 +8,7 @@ exhaustively by the test suite).  weyl_relation is the one path that
 computes it: row by row, it fixes the closed-form representative of
 each C and scans the minimal-length elements of C', which weylgroup
 builds by cyclic shifts one class at a time, under one fixed bound per
-context (CapExceeded past it).
+class (CapExceeded past it).
 """
 
 from __future__ import annotations
@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-from .partitions import (
-    Partition,
-    as_partition,
-    dominance_leq,
-    format_partition,
-)
+from .partitions import Partition, dominance_leq, format_partition
 from . import weylgroup as wg
 from .weylgroup import GroupContext
 
@@ -48,24 +43,7 @@ class EllipticClassLabel:
 
 def elliptic_label(ctx: GroupContext, partition) -> EllipticClassLabel:
     """Validate that ``partition`` names an elliptic class of ctx."""
-    alpha = as_partition(partition)
-    n = ctx.n
-    if sum(alpha) != n:
-        raise ValueError(f"{alpha} is not a partition of {n}")
-    if ctx.family == "A":
-        if alpha != (n,):
-            raise ValueError("type A has a single elliptic class, the Coxeter class (n)")
-    elif ctx.family == "D":
-        want_odd = ctx.component == wg.TWISTED_COMPONENT
-        if (len(alpha) % 2 == 1) != want_odd:
-            raise ValueError(
-                f"{alpha} has {len(alpha)} parts; wrong parity for the "
-                f"{ctx.component} component of D({n})"
-            )
-    elif ctx.family == "2A":
-        if any(p % 2 == 0 for p in alpha):
-            raise ValueError(f"twisted A classes have all parts odd, got {alpha}")
-    return EllipticClassLabel(ctx, alpha)
+    return EllipticClassLabel(ctx, wg.check_elliptic(ctx, partition))
 
 
 def elliptic_classes(ctx: GroupContext) -> list[EllipticClassLabel]:
@@ -106,19 +84,16 @@ def weyl_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
     below the representative w of labels[j], whose descent walk is taken
     once per class; it is False at once when they are longer than w.
     Checking that set rather than the whole class gives the same answer
-    (acceptance criterion 8).  Only one class's set is held at a time;
-    weylgroup raises CapExceeded once the sets of ctx together pass
-    MAX_HELD elements.
+    (acceptance criterion 8).  Only one class's set is in memory at a time;
+    weylgroup raises CapExceeded once one set passes MAX_HELD elements.
     """
     alphas = wg.elliptic_partitions(ctx)
     reps = [wg.class_rep(ctx, a) for a in alphas]
     lengths = [wg._length(ctx, w) for w in reps]
     walks = [wg.descent_walk(ctx, w) for w in reps]
     rows = []
-    held = 0
     for rep, la in zip(reps, lengths):
-        lower = wg._min_length_set(ctx, rep, held)
-        held += len(lower)
+        lower = wg._min_length_set(ctx, rep)
         rows.append(
             tuple(
                 la <= lb

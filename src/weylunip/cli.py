@@ -51,7 +51,6 @@ from .unipotent import (
 FAMILY_ALIAS = {"O2n": "D", "GL": "A", "GLd": "2A"}
 FAMILY_CHOICES = wg.FAMILIES + tuple(FAMILY_ALIAS)
 GROUP_FLAG = {"GL": "GL", "GLd": "GLd", "Sp": "Sp", "SOodd": "O_odd", "SOeven": "O_even"}
-FAMILY_DEFAULT_GROUP = {"A": "GL", "BC": "Sp", "D": "O_even", "2A": "GLd"}
 
 
 class UsageError(ValueError):
@@ -61,7 +60,7 @@ class UsageError(ValueError):
 def _resolve_group(args) -> str:
     if getattr(args, "group", None):
         return GROUP_FLAG[args.group]
-    return FAMILY_DEFAULT_GROUP[_resolve_family(args)]
+    return verify_combinations(_resolve_family(args))[0][0]
 
 
 def _resolve_family(args) -> str:
@@ -275,13 +274,17 @@ def run_verify(
 ) -> tuple[str, int]:
     tasks = []
     for family in families:
+        least = wg.FAMILY_RULES[family].min_rank
         for group, char, component in verify_combinations(family):
             if chars and char not in chars:
                 continue
             if components and component not in components:
                 continue
             for n in ranks:
-                if n < 2 and group in ("GLd", "O_even"):
+                # a range from 1 skips the ranks below a family's least
+                # rank; a family whose ranks start at 1 lets group_spec
+                # refuse a rank below it
+                if least > 1 and n < least:
                     continue
                 tasks.append((group, n, char, component))
     if not tasks:

@@ -51,7 +51,7 @@ def group_spec(group: str, n: int, char: str) -> GroupSpec:
         raise ValueError(f"unknown group {group!r}")
     if char not in (GOOD, CHAR2):
         raise ValueError(f"characteristic must be '{GOOD}' or '{CHAR2}'")
-    if n < 1 or (group in ("GLd", "O_even") and n < 2):
+    if n < wg.FAMILY_RULES[GROUP_FAMILY[group]].min_rank:
         raise ValueError(f"rank {n} out of range for {group}")
     return GroupSpec(group, n, char)
 
@@ -194,23 +194,17 @@ def has_good_char_unipotents(group: str, component: str) -> bool:
 
 
 def verify_combinations(family: str) -> list[tuple[str, str, str]]:
-    """The (group, char, component) triples a Weyl family supports; good
-    characteristic only where has_good_char_unipotents holds."""
-    if family == "A":
-        return [("GL", GOOD, wg.IDENTITY_COMPONENT), ("GL", CHAR2, wg.IDENTITY_COMPONENT)]
-    if family == "BC":
-        return [
-            ("Sp", GOOD, wg.IDENTITY_COMPONENT),
-            ("Sp", CHAR2, wg.IDENTITY_COMPONENT),
-            ("O_odd", GOOD, wg.IDENTITY_COMPONENT),
-            ("O_odd", CHAR2, wg.IDENTITY_COMPONENT),
-        ]
-    if family == "D":
-        return [
-            ("O_even", GOOD, wg.IDENTITY_COMPONENT),
-            ("O_even", CHAR2, wg.IDENTITY_COMPONENT),
-            ("O_even", CHAR2, wg.TWISTED_COMPONENT),
-        ]
-    if family == "2A":
-        return [("GLd", CHAR2, wg.TWISTED_COMPONENT)]
-    raise ValueError(f"unknown family {family!r}")
+    """The (group, char, component) triples a Weyl family supports: each
+    group of the family on each of the family's components, good
+    characteristic only where has_good_char_unipotents holds.  The first
+    group is the family's default."""
+    if family not in wg.FAMILY_RULES:
+        raise ValueError(f"unknown family {family!r}")
+    return [
+        (group, char, component)
+        for group, fam in GROUP_FAMILY.items()
+        if fam == family
+        for component in wg.FAMILY_RULES[family].components
+        for char in (GOOD, CHAR2)
+        if char == CHAR2 or has_good_char_unipotents(group, component)
+    ]

@@ -15,7 +15,7 @@ Partition = tuple[int, ...]
 # family_members refuses totals above this; p(60) is just under a million.
 PARTITION_BOUND = 60
 
-FAMILY_TAGS = ("all", "kappa", "even_length", "odd_length", "odd_parts")
+FAMILY_TAGS = ("all", "kappa")
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
@@ -109,9 +109,8 @@ def family_members(
 ) -> list[Partition]:
     """Enumerate a constrained partition family, reverse-lexicographically.
 
-    tag is one of "all", "kappa" (requires kappa=+1 or -1: multiplicities
-    of rows with (-1)^row == kappa must be even), "even_length",
-    "odd_length", or "odd_parts".
+    tag is "all" or "kappa" (requires kappa=+1 or -1: multiplicities of
+    rows with (-1)^row == kappa must be even).
     """
     if tag not in FAMILY_TAGS:
         raise ValueError(f"unknown partition family {tag!r}; expected one of {FAMILY_TAGS}")
@@ -122,13 +121,7 @@ def family_members(
         return [a for a in partitions(n) if kappa_member(a, kappa)]
     if kappa is not None:
         raise ValueError(f"kappa argument is only meaningful for the kappa family, not {tag!r}")
-    if tag == "all":
-        return list(partitions(n))
-    if tag == "even_length":
-        return [a for a in partitions(n) if len(a) % 2 == 0]
-    if tag == "odd_length":
-        return [a for a in partitions(n) if len(a) % 2 == 1]
-    return [a for a in partitions(n) if all(p % 2 == 1 for p in a)]
+    return list(partitions(n))
 
 
 def psi(a: Partition) -> tuple[int, ...]:

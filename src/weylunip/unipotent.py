@@ -102,9 +102,6 @@ class EpsilonFunction:
                 return val
         raise ValueError(f"no value stored for free index {i}")
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.assignments)
-
 
 def epsilon_function(
     fam: EpsilonFamily, alpha: Partition, assignments: dict[int, int]
@@ -223,35 +220,43 @@ def epsilon_family(group: str, n: int) -> EpsilonFamily:
     raise ValueError(f"group {group!r} has no characteristic-2 parameter set")
 
 
-def _check_good_partition(group: str, n: int, alpha: Partition) -> None:
-    if sum(alpha) != _dim(group, n):
-        raise ValueError(f"{alpha} is not a partition of {_dim(group, n)}")
-    if group in ("GL", "GLd"):
-        return
-    kappa = -1 if group == "Sp" else 1
-    if not kappa_member(alpha, kappa):
-        rows = "odd" if kappa == -1 else "even"
-        raise ValueError(
-            f"{alpha} is not a valid {group} partition: an {rows} row has odd multiplicity"
-        )
+def kappa(group: str, char: str) -> int | None:
+    """The row parity whose rows must have even multiplicity in the
+    group's label partitions in characteristic char: -1 (odd rows) for Sp
+    and, in characteristic 2, for the orthogonal groups (an O_odd label
+    without its appended 1); +1 (even rows) for the orthogonal groups in
+    good characteristic and for GLd; None where every partition is a
+    label (GL, and GLd's good-characteristic label kind)."""
+    if group == "GL" or (group == "GLd" and char == GOOD):
+        return None
+    if group == "GLd":
+        return 1
+    return -1 if group == "Sp" or char == CHAR2 else 1
 
 
-def _check_bad_partition(group: str, n: int, alpha: Partition) -> None:
-    if sum(alpha) != _dim(group, n):
-        raise ValueError(f"{alpha} is not a partition of {_dim(group, n)}")
-    if group == "O_odd" and alpha[-1:] != (1,):
-        raise ValueError(f"{alpha}: odd orthogonal labels have an odd number of 1s")
-    # an O_odd label is a symplectic one with a 1 appended (the isogeny)
-    rest = alpha[:-1] if group == "O_odd" else alpha
-    kappa = 1 if group == "GLd" else -1
-    if not kappa_member(rest, kappa):
-        rows = "even" if kappa == 1 else "odd"
-        raise ValueError(f"{alpha}: an {rows} row has odd multiplicity")
+def _check_partition(group: str, n: int, char: str, alpha: Partition) -> None:
+    dim = _dim(group, n)
+    if sum(alpha) != dim:
+        raise ValueError(f"{alpha} is not a partition of {dim}")
+    rows = alpha
+    if group == "O_odd" and char == CHAR2:
+        if alpha[-1:] != (1,):
+            raise ValueError(f"{alpha}: odd orthogonal labels have an odd number of 1s")
+        # an O_odd label is a symplectic one with a 1 appended (the isogeny)
+        rows = alpha[:-1]
+    k = kappa(group, char)
+    if k is not None and not kappa_member(rows, k):
+        parity = "odd" if k == -1 else "even"
+        if char == GOOD:
+            raise ValueError(
+                f"{alpha} is not a valid {group} partition: an {parity} row has odd multiplicity"
+            )
+        raise ValueError(f"{alpha}: an {parity} row has odd multiplicity")
 
 
 def good_label(group: str, n: int, partition, split: str | None = None) -> UnipotentLabel:
     alpha = as_partition(partition)
-    _check_good_partition(group, n, alpha)
+    _check_partition(group, n, GOOD, alpha)
     if split not in (None, "I", "II"):
         raise ValueError(f"bad split marker {split!r}")
     return UnipotentLabel(group, n, GOOD, alpha, None, split)
@@ -267,7 +272,7 @@ def bad_label(
     """A characteristic-2 label.  epsilon may be an EpsilonFunction, a
     dict of free assignments, or None for epsilon_max."""
     alpha = as_partition(partition)
-    _check_bad_partition(group, n, alpha)
+    _check_partition(group, n, CHAR2, alpha)
     fam = epsilon_family(group, n)
     if epsilon is None:
         eps = epsilon_max(alpha, fam)
@@ -420,36 +425,30 @@ def enumerate_unipotent(group: str, n: int, char: str) -> list[UnipotentLabel]:
         raise ValueError(f"unknown group {group!r}")
     if char not in (GOOD, CHAR2):
         raise ValueError(f"characteristic must be '{GOOD}' or '{CHAR2}'")
-    dim = _dim(group, n)
+    if group == "GLd" and char == GOOD:
+        raise ValueError(
+            "the twisted component of GLd carries unipotents only in characteristic 2"
+        )
+    k = kappa(group, char)
+    # O_odd's characteristic-2 labels are partitions of 2n with a 1 appended
+    isogeny = group == "O_odd" and char == CHAR2
+    total = 2 * n if isogeny else _dim(group, n)
+    members = family_members("all", total) if k is None else family_members("kappa", total, k)
+    if isogeny:
+        members = [a + (1,) for a in members]
+    if group == "GL":
+        return [good_label("GL", n, a) for a in members]
     out: list[UnipotentLabel] = []
-    if char == GOOD or group == "GL":
-        if group in ("GL", "GLd"):
-            if group == "GLd" and char == GOOD:
-                raise ValueError(
-                    "the twisted component of GLd carries unipotents only in characteristic 2"
-                )
-            return [good_label("GL", n, a) for a in family_members("all", dim)]
-        kappa = -1 if group == "Sp" else 1
-        for a in family_members("kappa", dim, kappa):
+    if char == GOOD:
+        for a in members:
             if group == "O_even" and a and all(p % 2 == 0 for p in a):
                 out.append(good_label(group, n, a, split="I"))
                 out.append(good_label(group, n, a, split="II"))
             else:
                 out.append(good_label(group, n, a))
         return out
-    if group == "GLd":
-        for a in family_members("kappa", dim, 1):
-            fam = epsilon_family(group, n)
-            for eps in all_epsilon_functions(a, fam):
-                out.append(UnipotentLabel(group, n, CHAR2, a, eps))
-        return out
-    if group == "O_odd":
-        base = [a + (1,) for a in family_members("kappa", dim - 1, -1)]
-    else:
-        base = family_members("kappa", dim, -1)
     fam = epsilon_family(group, n)
-    for a in base:
-        a = as_partition(sorted(a, reverse=True))
+    for a in members:
         for eps in all_epsilon_functions(a, fam):
             if (
                 group == "O_even"

@@ -19,29 +19,41 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .partitions import Partition, as_partition, check_bound, family_members
 
 SignedPermutation = tuple[int, ...]
 
-# The most elements the minimal-length sets of one context may have
-# together (classposet.weyl_relation builds them one class at a time and
-# counts every class), and the largest group the brute-force oracle
-# enumerates.  Read at call time, so a test can lower it; the lru caches
-# of weyl_relation and _class_table, filled under another value, must
-# then be cleared.
+# The most elements the minimal-length set of one class may have
+# (classposet.weyl_relation holds one such set at a time), and the largest
+# group the brute-force oracle enumerates.  Read at call time, so a test
+# can lower it; the lru caches of weyl_relation and _class_table, filled
+# under another value, must then be cleared.
 MAX_HELD = 10**6
-
-FAMILIES = ("A", "BC", "D", "2A")
 
 IDENTITY_COMPONENT = "id"
 TWISTED_COMPONENT = "twisted"
 
 
+class FamilyRule(NamedTuple):
+    components: tuple[str, ...]  # the first is the default
+    min_rank: int
+
+
+FAMILY_RULES = {
+    "A": FamilyRule((IDENTITY_COMPONENT,), 1),
+    "BC": FamilyRule((IDENTITY_COMPONENT,), 1),
+    "D": FamilyRule((IDENTITY_COMPONENT, TWISTED_COMPONENT), 2),
+    "2A": FamilyRule((TWISTED_COMPONENT,), 2),
+}
+
+FAMILIES = tuple(FAMILY_RULES)
+
+
 class CapExceeded(RuntimeError):
-    """Raised when the minimal-length sets of one context, or a
-    brute-force enumeration, would hold more than MAX_HELD elements."""
+    """Raised when the minimal-length set of one class, or a brute-force
+    enumeration, would hold more than MAX_HELD elements."""
 
 
 @dataclass(frozen=True)
@@ -60,22 +72,19 @@ class GroupContext:
 
 
 def context(family: str, n: int, component: str | None = None) -> GroupContext:
-    if family not in FAMILIES:
+    """The context of family at rank n; component None picks the
+    family's default."""
+    if family not in FAMILY_RULES:
         raise ValueError(f"unknown family {family!r}")
-    if n < 1 or (family in ("D", "2A") and n < 2):
+    rule = FAMILY_RULES[family]
+    if n < rule.min_rank:
         raise ValueError(f"rank {n} out of range for family {family}")
-    if family == "2A":
-        if component not in (None, TWISTED_COMPONENT):
-            raise ValueError("family 2A is a twisted coset; component must be 'twisted'")
-        comp = TWISTED_COMPONENT
-    elif family in ("A", "BC"):
-        if component not in (None, IDENTITY_COMPONENT):
-            raise ValueError(f"family {family} has no twisted component")
-        comp = IDENTITY_COMPONENT
-    else:
-        comp = component or IDENTITY_COMPONENT
-        if comp not in (IDENTITY_COMPONENT, TWISTED_COMPONENT):
-            raise ValueError(f"unknown component {component!r}")
+    comp = rule.components[0] if component is None else component
+    if comp not in rule.components:
+        raise ValueError(
+            f"family {family} has no component {component!r}; "
+            f"its components are {', '.join(rule.components)}"
+        )
     return GroupContext(family, n, comp)
 
 
@@ -374,23 +383,19 @@ def class_label(ctx: GroupContext, w: SignedPermutation) -> Partition | None:
     """The partition naming w's elliptic conjugacy class, or None when w
     is not elliptic.
 
-    BC: the negative cycle type when there are no positive cycles.
-    D: the same, with the component read off the parity of the number of
-    parts (odd number of negative cycles lies in the twisted coset).
-    2A: the cycle type of w·delta when all its parts are odd.
+    A: the cycle type; 2A: the cycle type of w·delta.  BC and D: the
+    negative cycle type when there are no positive cycles (an odd number
+    of negative cycles lies in the twisted coset of D).  The partition
+    names a class when is_elliptic accepts it.
     """
     _check_element(ctx, w)
-    if ctx.family == "2A":
-        u = multiply(w, delta(ctx))
-        parts = _perm_cycle_type(u)
-        return parts if all(p % 2 == 1 for p in parts) else None
-    if ctx.family == "A":
-        parts = _perm_cycle_type(w)
-        return parts if parts == (ctx.n,) else None
-    neg, pos = signed_cycle_type(w)
-    if pos:
-        return None
-    return neg
+    if ctx.family in ("A", "2A"):
+        parts = _perm_cycle_type(multiply(w, delta(ctx)) if ctx.family == "2A" else w)
+    else:
+        parts, pos = signed_cycle_type(w)
+        if pos:
+            return None
+    return parts if is_elliptic(ctx, parts) else None
 
 
 def _perm_cycle_type(w: SignedPermutation) -> Partition:
@@ -419,11 +424,9 @@ def rep_signed(n: int, alpha: Partition) -> SignedPermutation:
     (s_[a, b] = s_a s_{a+1} ... s_b) in BC's simple reflections.
 
     It has one sign change per part, so it lies in the identity
-    component of D iff alpha has an even number of parts.
+    component of D iff alpha has an even number of parts.  alpha must be
+    a partition of n; class_rep checks that.
     """
-    alpha = as_partition(alpha)
-    if sum(alpha) != n:
-        raise ValueError(f"{alpha} is not a partition of {n}")
     w = list(range(1, n + 1))
     top = n
     for a in alpha:
@@ -443,13 +446,9 @@ def rep_2A(n: int, alpha: Partition) -> SignedPermutation:
     a = 2b+1 contributes one u-cycle through the b outermost remaining
     positions on each side plus one near-middle position; unused parts
     of size one become fixed points.  All-ones makes u the identity, so
-    the stored part is the reversal window itself.
+    the stored part is the reversal window itself.  alpha must be a
+    partition of n into odd parts; class_rep checks that.
     """
-    alpha = as_partition(alpha)
-    if sum(alpha) != n:
-        raise ValueError(f"{alpha} is not a partition of {n}")
-    if any(a % 2 == 0 for a in alpha):
-        raise ValueError(f"twisted A classes need all parts odd, got {alpha}")
     u = list(range(1, n + 1))
     remaining = list(range(1, n + 1))
     for a in alpha:
@@ -476,45 +475,54 @@ def rep_2A(n: int, alpha: Partition) -> SignedPermutation:
 
 def class_rep(ctx: GroupContext, alpha: Partition) -> SignedPermutation:
     """The closed-form minimal-length representative for ctx's family."""
-    if ctx.family == "BC":
-        return rep_signed(ctx.n, alpha)
-    if ctx.family == "D":
-        w = rep_signed(ctx.n, alpha)
-        want = IDENTITY_COMPONENT if len(alpha) % 2 == 0 else TWISTED_COMPONENT
-        if want != ctx.component:
-            raise ValueError(
-                f"class {alpha} lives in the {want} component, not {ctx.component}"
-            )
-        return w
+    alpha = check_elliptic(ctx, alpha)
+    if ctx.family == "A":
+        return tuple(range(2, ctx.n + 1)) + (1,)
     if ctx.family == "2A":
         return rep_2A(ctx.n, alpha)
-    if ctx.family == "A":
-        if alpha != (ctx.n,):
-            raise ValueError("the only elliptic class of type A is the Coxeter class")
-        return tuple(range(2, ctx.n + 1)) + (1,)
-    raise ValueError(f"no representative formula for family {ctx.family}")
+    return rep_signed(ctx.n, alpha)
 
 
 # ---------------------------------------------------------------------------
-# minimal-length class sets by cyclic shifts, class sizes in closed form
+# which partitions name elliptic classes; class sizes in closed form;
+# minimal-length class sets by cyclic shifts
+
+
+def is_elliptic(ctx: GroupContext, alpha: Partition) -> bool:
+    """Whether the partition alpha names an elliptic class of ctx: it is
+    a partition of n, and for A it is the Coxeter class (n), for D its
+    number of parts is even on the identity component and odd on the
+    twisted one, and for 2A its parts are all odd.  Every partition of n
+    names a class of BC."""
+    if sum(alpha) != ctx.n:
+        return False
+    if ctx.family == "A":
+        return alpha == (ctx.n,)
+    if ctx.family == "D":
+        return len(alpha) % 2 == (ctx.component == TWISTED_COMPONENT)
+    if ctx.family == "2A":
+        return all(p % 2 == 1 for p in alpha)
+    return True
+
+
+def check_elliptic(ctx: GroupContext, alpha) -> Partition:
+    """alpha as a partition, refused unless it names an elliptic class of
+    ctx; like elliptic_partitions, refuses n above the partition bound."""
+    alpha = as_partition(alpha)
+    check_bound(ctx.n)
+    if not is_elliptic(ctx, alpha):
+        raise ValueError(f"{alpha} is not an elliptic class of {ctx}")
+    return alpha
 
 
 def elliptic_partitions(ctx: GroupContext) -> list[Partition]:
-    """The partitions naming ctx's elliptic classes, reverse-lexicographically:
-    the Coxeter class (n) for A, all partitions for BC, those with an even
-    (identity) or odd (twisted) number of parts for D, and those with all
-    parts odd for 2A.  Every family, A included, refuses n above the
-    partition bound before anything of size n is built."""
-    n = ctx.n
+    """The partitions is_elliptic accepts, reverse-lexicographically.
+    Every family, A included, refuses n above the partition bound before
+    anything of size n is built."""
     if ctx.family == "A":
-        check_bound(n)
-        return [(n,)]
-    if ctx.family == "BC":
-        return family_members("all", n)
-    if ctx.family == "D":
-        tag = "even_length" if ctx.component == IDENTITY_COMPONENT else "odd_length"
-        return family_members(tag, n)
-    return family_members("odd_parts", n)
+        check_bound(ctx.n)
+        return [(ctx.n,)]
+    return [a for a in family_members("all", ctx.n) if is_elliptic(ctx, a)]
 
 
 def class_size(ctx: GroupContext, alpha: Partition) -> int:
@@ -525,9 +533,7 @@ def class_size(ctx: GroupContext, alpha: Partition) -> int:
     centraliser of a class with negative cycles alpha has order
     prod (2a)^m_a m_a!.  D: the same count, because a class of negative
     cycles does not split in the even-signed group."""
-    alpha = as_partition(alpha)
-    if alpha not in elliptic_partitions(ctx):
-        raise ValueError(f"{alpha} is not an elliptic class of {ctx}")
+    alpha = check_elliptic(ctx, alpha)
     signed = ctx.family in ("BC", "D")
     z = 1
     for a, m in Counter(alpha).items():
@@ -535,14 +541,12 @@ def class_size(ctx: GroupContext, alpha: Partition) -> int:
     return factorial(ctx.n) * (2**ctx.n if signed else 1) // z
 
 
-def _min_length_set(
-    ctx: GroupContext, rep: SignedPermutation, held: int
-) -> tuple[SignedPermutation, ...]:
+def _min_length_set(ctx: GroupContext, rep: SignedPermutation) -> tuple[SignedPermutation, ...]:
     """The closure of rep under length-preserving cyclic shifts.  For an
     elliptic class with minimal-length rep this is the whole set of
     minimal-length elements (Geck-Pfeiffer 2000, ch. 3; Geck-Kim-Pfeiffer
-    2000 for twisted classes; He-Nie 2012).  held elements of other
-    classes count against MAX_HELD.
+    2000 for twisted classes; He-Nie 2012), refused once it passes
+    MAX_HELD elements.
 
     The shifts are w -> s_i·w·s_j with j = i.  Conjugating w·delta by s_i
     in the twisted A coset steps the stored part u to s_i·u·s_{n-i}, as
@@ -560,10 +564,10 @@ def _min_length_set(
     seen = {rep}
     todo = [rep]
     while todo:
-        if held + len(seen) > MAX_HELD:
+        if len(seen) > MAX_HELD:
             raise CapExceeded(
-                f"the minimal-length sets of {ctx.family}({ctx.n}) "
-                f"hold more than {MAX_HELD} elements"
+                f"a minimal-length set of {ctx.family}({ctx.n}) "
+                f"holds more than {MAX_HELD} elements"
             )
         w = todo.pop()
         winv = inverse(w)

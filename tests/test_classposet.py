@@ -145,7 +145,7 @@ def pairwise_leq_W(a, b):
     the minimal-length elements of a and scan them for one below the
     representative of b, False at once when they are longer."""
     ctx = a.ctx
-    lower = wg._min_length_set(ctx, wg.class_rep(ctx, a.partition), 0)
+    lower = wg._min_length_set(ctx, wg.class_rep(ctx, a.partition))
     w = wg.class_rep(ctx, b.partition)
     la = wg.length(ctx, lower[0])
     if la > wg.length(ctx, w):

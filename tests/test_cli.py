@@ -221,7 +221,7 @@ def test_main_verify_component_filter(capsys):
 
 
 def test_main_verify_reaches_rank_eight(capsys):
-    # the minimal-length sets of D(8) hold far fewer than weylgroup.MAX_HELD
+    # every minimal-length set of D(8) holds far fewer than weylgroup.MAX_HELD
     assert cli.main(["verify", "--family", "D", "--rank", "8"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "all checks passed"
 
@@ -239,9 +239,9 @@ def test_main_verify_range_builds_each_table_once(capsys, monkeypatch, family, c
     built = Counter()
     real = wg._min_length_set
 
-    def counted(ctx, rep, held):
+    def counted(ctx, rep):
         built[ctx, rep] += 1
-        return real(ctx, rep, held)
+        return real(ctx, rep)
 
     monkeypatch.setattr(wg, "_min_length_set", counted)
     weyl_relation.cache_clear()
@@ -263,6 +263,7 @@ def test_main_verify_cap_is_a_usage_error(capsys, monkeypatch):
     from weylunip import weylgroup as wg
     from weylunip.classposet import weyl_relation
 
+    # the largest minimal-length set of BC(8), class [2,2,2,2], holds 1,680
     monkeypatch.setattr(wg, "MAX_HELD", 1000)
     weyl_relation.cache_clear()
     try:

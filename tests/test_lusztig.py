@@ -154,7 +154,7 @@ def test_transfer_square_commutes():
             for alpha in family_members("all", n):
                 assert phi_good_char_equals_theta2_of_phi_char2(group, n, alpha)
     for n in range(2, 6):
-        for alpha in family_members("even_length", n):
+        for alpha in wg.elliptic_partitions(wg.context("D", n)):
             assert phi_good_char_equals_theta2_of_phi_char2("O_even", n, alpha)
 
 

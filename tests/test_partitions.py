@@ -1,5 +1,6 @@
 import pytest
 
+from weylunip import weylgroup as wg
 from weylunip.partitions import (
     add_psi,
     append_one,
@@ -131,13 +132,16 @@ def test_family_members_match_their_defining_filters():
             if all(multiplicity(a, k) % 2 == 0 for k in set(a) if k % 2 == 0)
         ]
         assert family_members("kappa", n, kappa=1) == want
-        assert family_members("even_length", n) == [
+        if n < 2:
+            continue
+        # the elliptic classes of D and 2A, whose rule lives in weylgroup
+        assert wg.elliptic_partitions(wg.context("D", n, "id")) == [
             a for a in all_parts if len(a) % 2 == 0
         ]
-        assert family_members("odd_length", n) == [
+        assert wg.elliptic_partitions(wg.context("D", n, "twisted")) == [
             a for a in all_parts if len(a) % 2 == 1
         ]
-        assert family_members("odd_parts", n) == [
+        assert wg.elliptic_partitions(wg.context("2A", n)) == [
             a for a in all_parts if all(p % 2 == 1 for p in a)
         ]
 

@@ -12,9 +12,11 @@ from weylunip.partitions import (
 from weylunip.unipotent import (
     CHAR2,
     GOOD,
+    GROUPS,
     OMEGA,
     EpsilonFunction,
     UnipotentLabel,
+    _dim,
     all_epsilon_functions,
     bad_label,
     bad_leq,
@@ -362,6 +364,25 @@ def test_enumerate_members_valid():
         assert len(set(labs)) == len(labs)
         for u in labs:
             assert u.group == group
+
+
+def test_label_factories_accept_exactly_the_enumerated_partitions():
+    # good_label and bad_label read the kappa rule enumerate_unipotent
+    # lists by, so they accept the same partitions of the matrix size
+    for group in GROUPS:
+        for char in (GOOD, CHAR2):
+            if group == "GLd" and char == GOOD:
+                continue  # refused by enumerate_unipotent (test_enumerate_counts)
+            make = good_label if char == GOOD or group == "GL" else bad_label
+            for n in range(1, 8):
+                listed = {u.partition for u in enumerate_unipotent(group, n, char)}
+                for a in partitions(_dim(group, n)):
+                    try:
+                        make(group, n, a)
+                        accepted = True
+                    except ValueError:
+                        accepted = False
+                    assert accepted == (a in listed), (group, char, n, a)
 
 
 def test_format_unipotent():

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylunip import weylgroup as wg
-from weylunip.classposet import weyl_relation
-from weylunip.partitions import family_members
+from weylunip.classposet import elliptic_label, weyl_relation
+from weylunip.partitions import family_members, partitions
 
 
 def all_contexts(spec):
@@ -347,7 +347,7 @@ def test_class_partition_of_group():
                 if (len(a) % 2 == 0) == (ctx.component == "id")
             ]
         elif ctx.family == "2A":
-            alphas = family_members("odd_parts", ctx.n)
+            alphas = wg.elliptic_partitions(ctx)
         else:
             alphas = family_members("all", ctx.n)
         seen = set()
@@ -377,7 +377,7 @@ def test_min_length_table_matches_brute_force(fam, n):
         assert sorted(wg._class_table(ctx)) == sorted(wg.elliptic_partitions(ctx))
         for a in wg.elliptic_partitions(ctx):
             rep = wg.class_rep(ctx, a)
-            assert wg._min_length_set(ctx, rep, 0) == wg.min_length_elements(ctx, a), (ctx, a)
+            assert wg._min_length_set(ctx, rep) == wg.min_length_elements(ctx, a), (ctx, a)
             assert wg._length(ctx, rep) == wg.class_lengths(ctx, a)[0]
             assert wg.class_size(ctx, a) == len(wg.enumerate_class(ctx, a))
 
@@ -389,6 +389,26 @@ def test_class_size_rejects_non_elliptic_labels():
         wg.class_size(wg.context("2A", 4), (2, 2))
     with pytest.raises(ValueError):
         wg.class_size(wg.context("A", 4), (3, 1))
+
+
+VALIDATOR_CONTEXTS = [("A", range(1, 11)), ("BC", range(1, 11)), ("D", range(2, 11)),
+                      ("2A", range(2, 11))]
+
+
+def test_validators_accept_exactly_the_listed_classes():
+    # elliptic_label, class_rep and class_size read the rule that
+    # elliptic_partitions lists, so they accept the same partitions of n
+    for ctx in all_contexts(VALIDATOR_CONTEXTS):
+        listed = set(wg.elliptic_partitions(ctx))
+        for a in partitions(ctx.n):
+            if a in listed:
+                assert elliptic_label(ctx, a).partition == a
+                assert wg.class_label(ctx, wg.class_rep(ctx, a)) == a
+                assert wg.class_size(ctx, a) > 0
+                continue
+            for check in (elliptic_label, wg.class_rep, wg.class_size):
+                with pytest.raises(ValueError, match="is not an elliptic class of"):
+                    check(ctx, a)
 
 
 def cyclic_shifts(ctx, w):
@@ -414,7 +434,7 @@ def elliptic_class(draw):
 def test_min_length_set_is_a_shift_closed_class_of_minimal_length(case):
     ctx, a = case
     rep = wg.class_rep(ctx, a)
-    elements = wg._min_length_set(ctx, rep, 0)
+    elements = wg._min_length_set(ctx, rep)
     lmin = wg.length(ctx, rep)
     members = set(elements)
     assert rep in members
@@ -427,22 +447,23 @@ def test_min_length_set_is_a_shift_closed_class_of_minimal_length(case):
                 assert v in members, (ctx, a, w, v)
 
 
-def test_min_length_table_cap_counts_every_class(monkeypatch):
-    # the bound is not part of the cache key, so the relation cache is
-    # cleared around every build under a lowered bound
+def test_min_length_bound_counts_the_largest_class(monkeypatch):
+    # the relation holds one class's set at a time, so the bound is met
+    # by the largest set alone; it is not part of the cache key, so the
+    # relation cache is cleared around every build under a lowered bound
     ctx = wg.context("BC", 5)
     full = weyl_relation(ctx)
-    held = sum(
-        len(wg._min_length_set(ctx, wg.class_rep(ctx, a), 0))
+    largest = max(
+        len(wg._min_length_set(ctx, wg.class_rep(ctx, a)))
         for a in wg.elliptic_partitions(ctx)
     )
     try:
-        monkeypatch.setattr(wg, "MAX_HELD", held)
+        monkeypatch.setattr(wg, "MAX_HELD", largest)
         weyl_relation.cache_clear()
         assert weyl_relation(ctx) == full
-        monkeypatch.setattr(wg, "MAX_HELD", held - 1)
+        monkeypatch.setattr(wg, "MAX_HELD", largest - 1)
         weyl_relation.cache_clear()
-        with pytest.raises(wg.CapExceeded, match=f"more than {held - 1} "):
+        with pytest.raises(wg.CapExceeded, match=f"holds more than {largest - 1} "):
             weyl_relation(ctx)
     finally:
         weyl_relation.cache_clear()
@@ -487,7 +508,7 @@ def test_rep_D_minimal(n):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_rep_2A_minimal(n):
     ctx = wg.context("2A", n)
-    for a in family_members("odd_parts", n):
+    for a in wg.elliptic_partitions(ctx):
         w = wg.class_rep(ctx, a)
         assert wg.class_label(ctx, w) == a
         assert wg.length(ctx, w) == wg.class_lengths(ctx, a)[0]
