@@ -33,7 +33,6 @@ from .classposet import (
 from .lusztig import (
     GROUP_FAMILY,
     group_spec,
-    has_good_char_unipotents,
     phi,
     verify_combinations,
     verify_theorem,
@@ -108,8 +107,8 @@ def _parse_window(text: str) -> tuple[int, ...]:
 # classes
 
 
-def run_classes(family: str, n: int, component: str, fmt: str) -> str:
-    ctx = wg.context(family, n, component if family == "D" else None)
+def run_classes(family: str, n: int, component: str | None, fmt: str) -> str:
+    ctx = wg.context(family, n, component)
     rows = []
     for c in elliptic_classes(ctx):
         rep = wg.class_rep(ctx, c.partition)
@@ -162,14 +161,14 @@ def run_unipotent(group: str, n: int, char: str, fmt: str) -> str:
 # map
 
 
-def run_map(group: str, n: int, component: str = wg.IDENTITY_COMPONENT, fmt: str = "text") -> str:
+def run_map(group: str, n: int, component: str | None = None, fmt: str = "text") -> str:
     """The Lusztig map tabulated over the elliptic classes, one row per
     class: its label, the good-characteristic image, and the
     characteristic-2 image.  Components with no good-characteristic
     unipotents get a single image column."""
     spec2 = group_spec(group, n, CHAR2)
     ctx = weyl_context(spec2, component)
-    good_ok = has_good_char_unipotents(group, component)
+    good_ok = ctx.component == wg.IDENTITY_COMPONENT
     spec0 = group_spec(group, n, GOOD) if good_ok else None
     rows = []
     for c in elliptic_classes(ctx):
@@ -215,7 +214,7 @@ def run_hasse(
     n: int,
     char: str,
     side: str,
-    component: str,
+    component: str | None,
     fmt: str,
 ) -> tuple[str, int]:
     spec = group_spec(group, n, char)
@@ -266,29 +265,24 @@ def run_hasse(
 
 
 def run_verify(
-    families: list[str],
+    family: str,
     ranks: list[int],
-    chars: list[str] | None,
-    components: list[str] | None,
+    char: str | None,
+    component: str | None,
     fmt: str,
 ) -> tuple[str, int]:
-    tasks = []
-    for family in families:
-        least = wg.FAMILY_RULES[family].min_rank
-        for group, char, component in verify_combinations(family):
-            if chars and char not in chars:
-                continue
-            if components and component not in components:
-                continue
-            for n in ranks:
-                # a range from 1 skips the ranks below a family's least
-                # rank; a family whose ranks start at 1 lets group_spec
-                # refuse a rank below it
-                if least > 1 and n < least:
-                    continue
-                tasks.append((group, n, char, component))
+    """Verify each (group, char, component) combination of family, narrowed
+    by char and component where given, at each of ranks."""
+    tasks = [
+        (group, n, c, comp)
+        for group, c, comp in verify_combinations(family)
+        if char in (None, c) and component in (None, comp)
+        for n in ranks
+        # a range from 1 skips the ranks below a family's least rank
+        if n >= wg.FAMILY_RULES[family].min_rank
+    ]
     if not tasks:
-        raise UsageError("nothing to verify for that family/char/component choice")
+        raise UsageError("nothing to verify for that family/rank/char/component choice")
     reports = [verify_theorem(*t) for t in tasks]
     bad = sum(1 for r in reports if r["failures"])
     code = 1 if bad else 0
@@ -316,14 +310,7 @@ def run_verify(
 def run_bruhat(family: str, n: int, x_text: str, y_text: str, fmt: str) -> tuple[str, int]:
     x = _parse_window(x_text.replace("*d", ""))
     y = _parse_window(y_text.replace("*d", ""))
-    component = None
-    if family == "D":
-        component = (
-            wg.TWISTED_COMPONENT
-            if sum(1 for v in x if v < 0) % 2
-            else wg.IDENTITY_COMPONENT
-        )
-    ctx = wg.context(family, n, component)
+    ctx = wg.context(family, n, wg.component_of(family, x))
     lx, ly = wg.length(ctx, x), wg.length(ctx, y)
     generic = wg.bruhat_leq_generic(ctx, x, y)
     counts = witness = note = None
@@ -391,11 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if char:
             p.add_argument("--char", choices=(GOOD, CHAR2))
         if component:
-            p.add_argument(
-                "--component",
-                choices=(wg.IDENTITY_COMPONENT, wg.TWISTED_COMPONENT),
-                default=wg.IDENTITY_COMPONENT,
-            )
+            p.add_argument("--component", choices=(wg.IDENTITY_COMPONENT, wg.TWISTED_COMPONENT))
         p.add_argument("--format", choices=fmt, default="text")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
@@ -414,9 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the order-reversal theorem exhaustively")
     common(p, char=True, component=True)
-    # verify runs every valid (char, component) combination unless the
-    # flags narrow it down, so its component flag must not default to id
-    p.set_defaults(component=None)
 
     p = sub.add_parser("bruhat", help="compare two elements in Bruhat order")
     common(p)
@@ -426,13 +406,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_char(args, group: str) -> str:
-    char = getattr(args, "char", None)
-    if char:
-        return char
-    # the unipotent verb has no --component flag
-    component = getattr(args, "component", wg.IDENTITY_COMPONENT)
-    return GOOD if has_good_char_unipotents(group, component) else CHAR2
+def _default_char(args, group: str, n: int) -> str:
+    """--char, or else good characteristic on an identity component and
+    characteristic 2 on a twisted one, which has unipotents only there."""
+    if args.char:
+        return args.char
+    if "component" in args:
+        component = weyl_context(group_spec(group, n, CHAR2), args.component).component
+    else:
+        # the unipotent verb has no --component flag and builds no context:
+        # it lists SOeven's labels at rank 1, below family D's least rank
+        component = wg.FAMILY_RULES[GROUP_FAMILY[group]].components[0]
+    return GOOD if component == wg.IDENTITY_COMPONENT else CHAR2
 
 
 def _dispatch(args) -> tuple[str, int]:
@@ -443,17 +428,17 @@ def _dispatch(args) -> tuple[str, int]:
             0,
         )
     if args.verb == "unipotent":
-        group = _resolve_group(args)
-        return run_unipotent(group, _single_rank(args), _default_char(args, group), args.format), 0
+        group, n = _resolve_group(args), _single_rank(args)
+        return run_unipotent(group, n, _default_char(args, group, n), args.format), 0
     if args.verb == "map":
         group = _resolve_group(args)
         return run_map(group, _single_rank(args), args.component, args.format), 0
     if args.verb == "hasse":
-        group = _resolve_group(args)
+        group, n = _resolve_group(args), _single_rank(args)
         return run_hasse(
             group,
-            _single_rank(args),
-            _default_char(args, group),
+            n,
+            _default_char(args, group, n),
             args.side,
             args.component,
             args.format,
@@ -461,14 +446,8 @@ def _dispatch(args) -> tuple[str, int]:
     if args.verb == "verify":
         if not args.family:
             raise UsageError("verify needs --family")
-        chars = [args.char] if args.char else None
-        components = [args.component] if args.component else None
         return run_verify(
-            [_resolve_family(args)],
-            _rank_range(args.rank),
-            chars,
-            components,
-            args.format,
+            _resolve_family(args), _rank_range(args.rank), args.char, args.component, args.format
         )
     if args.verb == "bruhat":
         family = _resolve_family(args)

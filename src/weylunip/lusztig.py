@@ -56,12 +56,10 @@ def group_spec(group: str, n: int, char: str) -> GroupSpec:
     return GroupSpec(group, n, char)
 
 
-def weyl_context(spec: GroupSpec, component: str = wg.IDENTITY_COMPONENT) -> GroupContext:
-    """The Weyl-group context whose elliptic classes spec's map consumes."""
-    fam = GROUP_FAMILY[spec.group]
-    if fam == "D":
-        return wg.context(fam, spec.n, component)
-    return wg.context(fam, spec.n)
+def weyl_context(spec: GroupSpec, component: str | None = None) -> GroupContext:
+    """The Weyl-group context whose elliptic classes spec's map consumes;
+    component None picks the family's default."""
+    return wg.context(GROUP_FAMILY[spec.group], spec.n, component)
 
 
 def phi(spec: GroupSpec, c: EllipticClassLabel) -> UnipotentLabel:
@@ -82,7 +80,9 @@ def phi(spec: GroupSpec, c: EllipticClassLabel) -> UnipotentLabel:
         raise ValueError(f"class {c} does not belong to the Weyl side of {spec}")
     alpha = c.partition
     g, n = spec.group, spec.n
-    if spec.char == GOOD and not has_good_char_unipotents(g, c.ctx.component):
+    # outside characteristic 2 every unipotent element lies in the
+    # identity component
+    if spec.char == GOOD and c.ctx.component != wg.IDENTITY_COMPONENT:
         name = "O(2n)" if g == "O_even" else g
         raise ValueError(
             f"the twisted component of {name} has no unipotent elements in good characteristic"
@@ -132,7 +132,7 @@ def verify_theorem(
     group: str,
     n: int,
     char: str,
-    component: str = wg.IDENTITY_COMPONENT,
+    component: str | None = None,
 ) -> dict:
     """Exhaustively check, for every ordered pair of elliptic classes
     (C_alpha, C_beta) of the group's Weyl side, the three-way equivalence
@@ -182,22 +182,15 @@ def verify_theorem(
         "failures": failures,
     }
     if group == "O_even":
-        report["component"] = component
+        report["component"] = ctx.component
     return report
-
-
-def has_good_char_unipotents(group: str, component: str) -> bool:
-    """Whether the group's component carries unipotent classes in good
-    characteristic: the twisted GLd and O_even cosets carry them only in
-    characteristic 2.  component matters for O_even only."""
-    return group != "GLd" and not (group == "O_even" and component == wg.TWISTED_COMPONENT)
 
 
 def verify_combinations(family: str) -> list[tuple[str, str, str]]:
     """The (group, char, component) triples a Weyl family supports: each
     group of the family on each of the family's components, good
-    characteristic only where has_good_char_unipotents holds.  The first
-    group is the family's default."""
+    characteristic only on the identity component.  The first group is
+    the family's default."""
     if family not in wg.FAMILY_RULES:
         raise ValueError(f"unknown family {family!r}")
     return [
@@ -206,5 +199,5 @@ def verify_combinations(family: str) -> list[tuple[str, str, str]]:
         if fam == family
         for component in wg.FAMILY_RULES[family].components
         for char in (GOOD, CHAR2)
-        if char == CHAR2 or has_good_char_unipotents(group, component)
+        if char == CHAR2 or component == wg.IDENTITY_COMPONENT
     ]

@@ -226,15 +226,23 @@ def kappa(group: str, char: str) -> int | None:
     and, in characteristic 2, for the orthogonal groups (an O_odd label
     without its appended 1); +1 (even rows) for the orthogonal groups in
     good characteristic and for GLd; None where every partition is a
-    label (GL, and GLd's good-characteristic label kind)."""
-    if group == "GL" or (group == "GLd" and char == GOOD):
+    label (GL)."""
+    if group == "GL":
         return None
     if group == "GLd":
         return 1
     return -1 if group == "Sp" or char == CHAR2 else 1
 
 
+def _check_has_unipotents(group: str, char: str) -> None:
+    if group == "GLd" and char == GOOD:
+        raise ValueError(
+            "the twisted component of GLd carries unipotents only in characteristic 2"
+        )
+
+
 def _check_partition(group: str, n: int, char: str, alpha: Partition) -> None:
+    _check_has_unipotents(group, char)
     dim = _dim(group, n)
     if sum(alpha) != dim:
         raise ValueError(f"{alpha} is not a partition of {dim}")
@@ -425,10 +433,7 @@ def enumerate_unipotent(group: str, n: int, char: str) -> list[UnipotentLabel]:
         raise ValueError(f"unknown group {group!r}")
     if char not in (GOOD, CHAR2):
         raise ValueError(f"characteristic must be '{GOOD}' or '{CHAR2}'")
-    if group == "GLd" and char == GOOD:
-        raise ValueError(
-            "the twisted component of GLd carries unipotents only in characteristic 2"
-        )
+    _check_has_unipotents(group, char)
     k = kappa(group, char)
     # O_odd's characteristic-2 labels are partitions of 2n with a 1 appended
     isogeny = group == "O_odd" and char == CHAR2

@@ -68,12 +68,12 @@ class GroupContext:
 
     family: str
     n: int
-    component: str = IDENTITY_COMPONENT
+    component: str
 
 
 def context(family: str, n: int, component: str | None = None) -> GroupContext:
     """The context of family at rank n; component None picks the
-    family's default."""
+    family's default.  The only code that picks or refuses a component."""
     if family not in FAMILY_RULES:
         raise ValueError(f"unknown family {family!r}")
     rule = FAMILY_RULES[family]
@@ -86,6 +86,15 @@ def context(family: str, n: int, component: str | None = None) -> GroupContext:
             f"its components are {', '.join(rule.components)}"
         )
     return GroupContext(family, n, comp)
+
+
+def component_of(family: str, w: SignedPermutation) -> str:
+    """The component of family's extended group that holds the window w:
+    for D the twisted one when w has an odd number of sign changes; every
+    other family has one component."""
+    if family == "D":
+        return TWISTED_COMPONENT if sum(1 for v in w if v < 0) % 2 else IDENTITY_COMPONENT
+    return FAMILY_RULES[family].components[0]
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +131,13 @@ def _check_element(ctx: GroupContext, w: SignedPermutation) -> None:
         raise ValueError(f"element of rank {len(w)} passed to {ctx}")
     if sorted(abs(v) for v in w) != list(range(1, ctx.n + 1)):
         raise ValueError(f"{w} is not a signed permutation window")
-    neg = sum(1 for v in w if v < 0)
-    if ctx.family in ("A", "2A") and neg:
+    if ctx.family in ("A", "2A") and min(w) < 0:
         raise ValueError(f"{w} has signs; family {ctx.family} stores plain permutations")
-    if ctx.family == "D":
-        want = 0 if ctx.component == IDENTITY_COMPONENT else 1
-        if neg % 2 != want:
-            raise ValueError(
-                f"{w} has {neg} sign changes; wrong parity for the "
-                f"{ctx.component} component of D({ctx.n})"
-            )
+    if ctx.family == "D" and component_of("D", w) != ctx.component:
+        raise ValueError(
+            f"{w} has {sum(1 for v in w if v < 0)} sign changes; wrong parity for the "
+            f"{ctx.component} component of D({ctx.n})"
+        )
 
 
 def delta(ctx: GroupContext) -> SignedPermutation:
@@ -613,14 +619,11 @@ def enumerate_group(ctx: GroupContext) -> Iterator[SignedPermutation]:
     if ctx.family in ("A", "2A"):
         yield from itertools.permutations(range(1, n + 1))
         return
-    want = None
-    if ctx.family == "D":
-        want = 0 if ctx.component == IDENTITY_COMPONENT else 1
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):
-            if want is not None and signs.count(-1) % 2 != want:
-                continue
-            yield tuple(s * p for s, p in zip(signs, perm))
+            w = tuple(s * p for s, p in zip(signs, perm))
+            if component_of(ctx.family, w) == ctx.component:
+                yield w
 
 
 @lru_cache(maxsize=32)

@@ -210,15 +210,15 @@ def test_criterion_08_order_condition_equivalence():
 
 def test_criterion_09_main_theorem_sweep():
     text, code = cli.run_verify(
-        ["BC"], list(range(2, 7)), None, None, "text"
+        "BC", list(range(2, 7)), None, None, "text"
     )
     assert code == 0, text
     text_d, code = cli.run_verify(
-        ["D"], list(range(2, 7)), None, None, "text"
+        "D", list(range(2, 7)), None, None, "text"
     )
     assert code == 0, text_d
     text_a, code = cli.run_verify(
-        ["2A"], list(range(2, 8)), None, None, "text"
+        "2A", list(range(2, 8)), None, None, "text"
     )
     assert code == 0, text_a
     runs = [

@@ -195,6 +195,42 @@ def test_verify_refuses_a_rank_range_past_its_bounds(capsys, text):
     assert "1..60" in line
 
 
+@pytest.mark.parametrize("family, rank", [("A", 0), ("BC", 0), ("BC", -3), ("D", 0), ("2A", 1)])
+def test_verify_below_the_least_rank_has_one_message(capsys, family, rank):
+    # every family skips the ranks below its least rank, so a single such
+    # rank leaves nothing to verify, whichever family it is
+    line = assert_one_line_refusal(capsys, ["verify", "--family", family, f"--rank={rank}"])
+    assert line == "error: nothing to verify for that family/rank/char/component choice"
+
+
+@pytest.mark.parametrize("verb", ["classes", "map", "hasse", "verify"])
+def test_component_flag_names_one_of_the_familys_components(capsys, verb):
+    # a component the family lacks is refused, and naming the family's
+    # first component prints what leaving the flag out prints; verify
+    # without the flag runs every component, so a family with two differs
+    from weylunip import lusztig, weylgroup as wg
+
+    def run(argv):
+        code = cli.main(argv)
+        return code, capsys.readouterr().out
+
+    selectors = [("--family", f, cli.FAMILY_ALIAS.get(f, f)) for f in cli.FAMILY_CHOICES]
+    if verb in ("map", "hasse"):
+        selectors += [("--group", g, lusztig.GROUP_FAMILY[group]) for g, group in cli.GROUP_FLAG.items()]
+    sides = [["--side", s] for s in ("weyl", "unipotent", "both")] if verb == "hasse" else [[]]
+    for flag, name, family in selectors:
+        components = wg.FAMILY_RULES[family].components
+        for rank in ("2", "3"):
+            for side in sides:
+                argv = [verb, flag, name, "--rank", rank, *side]
+                for comp in (wg.IDENTITY_COMPONENT, wg.TWISTED_COMPONENT):
+                    if comp not in components:
+                        assert_one_line_refusal(capsys, [*argv, "--component", comp])
+                first = run([*argv, "--component", components[0]])
+                if verb != "verify" or len(components) == 1:
+                    assert first == run(argv), argv
+
+
 def test_main_verify_ok(capsys):
     code = cli.main(["verify", "--family", "BC", "--rank", "2..3"])
     out = capsys.readouterr().out
@@ -401,7 +437,7 @@ def test_byte_determinism():
     a = cli.run_hasse("O_even", 4, "2", "both", "id", "dot")
     b = cli.run_hasse("O_even", 4, "2", "both", "id", "dot")
     assert a == b
-    args = (["BC"], [2, 3], None, None, "json")
+    args = ("BC", [2, 3], None, None, "json")
     assert cli.run_verify(*args) == cli.run_verify(*args)
 
 
@@ -412,7 +448,7 @@ def test_classes_listing():
         "[2]\t[2,-1]\t2\t2\n"
         "[1,1]\t[-1,-2]\t4\t1\n"
     )
-    text = cli.run_classes("2A", 2, "id", "text")
+    text = cli.run_classes("2A", 2, None, "text")
     assert text == "class\trep\tlength\tsize\n[1,1]*d\t[2,1]*d\t1\t1\n"
 
 

@@ -4,7 +4,6 @@ from weylunip.classposet import elliptic_classes, elliptic_label
 from weylunip.lusztig import (
     GROUP_FAMILY,
     group_spec,
-    has_good_char_unipotents,
     phi,
     phi_good_char_equals_theta2_of_phi_char2,
     verify_combinations,
@@ -217,7 +216,7 @@ def test_good_characteristic_runs_where_the_component_has_unipotents(family):
     triples = verify_combinations(family)
     for group, component in {(g, comp) for g, _, comp in triples}:
         good = (group, "good", component) in triples
-        assert has_good_char_unipotents(group, component) == good
+        assert good == (component == "id")
         ctx = weyl_context(group_spec(group, 3, "2"), component)
         c = elliptic_classes(ctx)[0]
         if not good:

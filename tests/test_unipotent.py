@@ -338,6 +338,8 @@ def test_enumerate_counts():
         }
     with pytest.raises(ValueError):
         enumerate_unipotent("GLd", 4, "good")  # no unipotents there
+    with pytest.raises(ValueError, match="only in characteristic 2"):
+        good_label("GLd", 3, (2, 1))
 
 
 def test_enumerate_good_splits():
@@ -372,7 +374,7 @@ def test_label_factories_accept_exactly_the_enumerated_partitions():
     for group in GROUPS:
         for char in (GOOD, CHAR2):
             if group == "GLd" and char == GOOD:
-                continue  # refused by enumerate_unipotent (test_enumerate_counts)
+                continue  # refused by both (test_enumerate_counts)
             make = good_label if char == GOOD or group == "GL" else bad_label
             for n in range(1, 8):
                 listed = {u.partition for u in enumerate_unipotent(group, n, char)}
