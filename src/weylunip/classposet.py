@@ -32,10 +32,6 @@ class EllipticClassLabel:
     ctx: GroupContext
     partition: Partition
 
-    @property
-    def component(self) -> str:
-        return self.ctx.component
-
     def __str__(self) -> str:
         suffix = "*d" if self.ctx.component == wg.TWISTED_COMPONENT else ""
         return format_partition(self.partition) + suffix

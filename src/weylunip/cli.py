@@ -24,11 +24,11 @@ from .weylgroup import CapExceeded
 from .partitions import PARTITION_BOUND
 from .classposet import (
     PosetError,
-    class_leq_W,
     elliptic_classes,
     hasse,
     hasse_to_dot,
     hasse_to_json,
+    weyl_relation,
 )
 from .lusztig import (
     GROUP_FAMILY,
@@ -218,12 +218,16 @@ def run_hasse(
     fmt: str,
 ) -> tuple[str, int]:
     spec = group_spec(group, n, char)
-    classes = elliptic_classes(weyl_context(spec, component))
+    ctx = weyl_context(spec, component)
+    classes = elliptic_classes(ctx)
     # phi refuses a (group, char) pair with no map, whichever side is shown
     images = [phi(spec, c) for c in classes]
     weyl = unip = None
     if side in ("weyl", "both"):
-        weyl = hasse(classes, class_leq_W)
+        # the relation's rows and columns follow elliptic_classes' order
+        rel = weyl_relation(ctx)
+        index = {c: i for i, c in enumerate(classes)}
+        weyl = hasse(classes, lambda a, b: rel[index[a]][index[b]])
     if side in ("unipotent", "both"):
         unip = hasse(images, unipotent_leq)
     opposite = side == "both" and {(j, i) for i, j in unip.covers} == set(weyl.covers)

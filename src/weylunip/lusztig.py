@@ -31,6 +31,7 @@ from .unipotent import (
     GOOD,
     UnipotentLabel,
     bad_label,
+    check_group_char,
     good_label,
     theta2,
     unipotent_leq,
@@ -47,10 +48,7 @@ class GroupSpec:
 
 
 def group_spec(group: str, n: int, char: str) -> GroupSpec:
-    if group not in GROUP_FAMILY:
-        raise ValueError(f"unknown group {group!r}")
-    if char not in (GOOD, CHAR2):
-        raise ValueError(f"characteristic must be '{GOOD}' or '{CHAR2}'")
+    check_group_char(group, char)
     if n < wg.FAMILY_RULES[GROUP_FAMILY[group]].min_rank:
         raise ValueError(f"rank {n} out of range for {group}")
     return GroupSpec(group, n, char)

@@ -8,7 +8,9 @@ classes of the symplectic and orthogonal groups are pairs (partition,
 epsilon) where epsilon assigns omega, 0, or 1 to every row size, free
 only at even rows of positive even multiplicity (odd rows for the
 twisted general linear family).  omega is a formal value below 0; it is
-encoded here as -1.
+encoded here as -1.  A label stores only the free values; _forced_value
+gives the others.  epsilon_max, the choice of 1 at every free row, is
+the largest epsilon of its partition.
 
 Groups are named "GL", "GLd" (the extension of GL(n) by transpose
 inverse), "Sp" (Sp(2n)), "O_odd" (O(2n+1)), and "O_even" (O(2n)); n is
@@ -43,98 +45,40 @@ GOOD = "good"
 CHAR2 = "2"
 
 
-@dataclass(frozen=True)
-class EpsilonFamily:
-    """Which rule set an epsilon function follows.
-
-    kind "minus_one": odd rows are forced to omega (symplectic and
-    orthogonal groups); group "Sp" or "O" picks the value at 0.
-    kind "plus_one": even rows are forced to omega (twisted GL).
-    total is the size of the partitions carrying the functions.
-    """
-
-    kind: str
-    total: int
-    group: str | None = None
+def check_group_char(group: str, char: str) -> None:
+    """Refuse a group name outside GROUPS or a characteristic other than
+    good or 2."""
+    if group not in GROUPS:
+        raise ValueError(f"unknown group {group!r}")
+    if char not in (GOOD, CHAR2):
+        raise ValueError(f"characteristic must be '{GOOD}' or '{CHAR2}'")
 
 
-def _forced_value(fam: EpsilonFamily, alpha: Partition, i: int) -> int | None:
-    """The value epsilon must take at row size i, or None when free."""
+def _forced_value(group: str, alpha: Partition, i: int) -> int | None:
+    """The value epsilon must take at row size i of a characteristic-2
+    label of group with partition alpha, or None when it is free.
+
+    GLd forces even rows and absent rows to omega; the symplectic and
+    orthogonal groups force odd rows and absent rows to omega, and
+    epsilon(0) to 1 for Sp and 0 for the orthogonal groups.  A row of
+    odd multiplicity is 1."""
     m = multiplicity(alpha, i)
-    if fam.kind == "minus_one":
+    if group == "GLd":
+        if i % 2 == 0 or m == 0:
+            return OMEGA
+    else:
         if i == 0:
-            return 1 if fam.group == "Sp" else 0
+            return 1 if group == "Sp" else 0
         if i % 2 == 1 or m == 0:
             return OMEGA
-        if m % 2 == 1:
-            return 1
-        return None
-    if i % 2 == 0 or m == 0:
-        return OMEGA
-    if m % 2 == 1:
-        return 1
-    return None
+    return 1 if m % 2 == 1 else None
 
 
-def free_indices(fam: EpsilonFamily, alpha: Partition) -> tuple[int, ...]:
+def free_indices(group: str, alpha: Partition) -> tuple[int, ...]:
     """Row sizes where epsilon may be 0 or 1, descending."""
     return tuple(
-        i for i in sorted(set(alpha), reverse=True) if _forced_value(fam, alpha, i) is None
+        i for i in sorted(set(alpha), reverse=True) if _forced_value(group, alpha, i) is None
     )
-
-
-@dataclass(frozen=True)
-class EpsilonFunction:
-    """A total map row-size -> {omega, 0, 1}, stored sparsely: only the
-    free assignments are kept, everything else is forced by the family
-    rules and the partition."""
-
-    family: EpsilonFamily
-    partition: Partition
-    assignments: tuple[tuple[int, int], ...]  # ((index, value), ...) descending
-
-    def value(self, i: int) -> int:
-        forced = _forced_value(self.family, self.partition, i)
-        if forced is not None:
-            return forced
-        for idx, val in self.assignments:
-            if idx == i:
-                return val
-        raise ValueError(f"no value stored for free index {i}")
-
-
-def epsilon_function(
-    fam: EpsilonFamily, alpha: Partition, assignments: dict[int, int]
-) -> EpsilonFunction:
-    """Build and validate an epsilon function from its free assignments."""
-    alpha = as_partition(alpha)
-    free = free_indices(fam, alpha)
-    if set(assignments) != set(free):
-        raise ValueError(
-            f"epsilon must assign exactly the free indices {sorted(free)}, "
-            f"got {sorted(assignments)}"
-        )
-    if any(v not in (0, 1) for v in assignments.values()):
-        raise ValueError("free epsilon values must be 0 or 1")
-    pairs = tuple((i, assignments[i]) for i in free)
-    return EpsilonFunction(fam, alpha, pairs)
-
-
-def epsilon_max(alpha: Partition, fam: EpsilonFamily) -> EpsilonFunction:
-    """The epsilon choosing 1 at every free index; the unique maximum
-    among the epsilons of alpha under the closure order."""
-    alpha = as_partition(alpha)
-    return epsilon_function(fam, alpha, {i: 1 for i in free_indices(fam, alpha)})
-
-
-def all_epsilon_functions(alpha: Partition, fam: EpsilonFamily) -> list[EpsilonFunction]:
-    """Every valid epsilon for alpha; the all-ones choice comes first."""
-    alpha = as_partition(alpha)
-    free = free_indices(fam, alpha)
-    out = []
-    for values in itertools.product((1, 0), repeat=len(free)):
-        out.append(epsilon_function(fam, alpha, dict(zip(free, values))))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +90,8 @@ class UnipotentLabel:
     """A unipotent conjugacy class of a classical group.
 
     kind "good" carries just the partition; kind "bad" (characteristic 2)
-    carries the partition and an epsilon function.  split marks the two
+    carries the partition and epsilon, stored as its free values: a tuple
+    of (row, value) pairs in descending row order.  split marks the two
     members of a class that falls apart over the special orthogonal
     subgroup; split classes compare like their base class.
     """
@@ -155,7 +100,7 @@ class UnipotentLabel:
     n: int
     kind: str
     partition: Partition
-    epsilon: EpsilonFunction | None = None
+    epsilon: tuple[tuple[int, int], ...] | None = None
     split: str | None = None
 
     @property
@@ -167,6 +112,17 @@ class UnipotentLabel:
         if self.kind == "good":
             return "SO"
         return "SO" if len(self.partition) % 2 == 0 else "O\\SO"
+
+    def epsilon_at(self, k: int) -> int:
+        """epsilon(k) of a characteristic-2 label: the forced value, or
+        else the stored free one."""
+        forced = _forced_value(self.group, self.partition, k)
+        if forced is not None:
+            return forced
+        for idx, val in self.epsilon:
+            if idx == k:
+                return val
+        raise ValueError(f"no value stored for free index {k}")
 
     def __str__(self) -> str:
         return format_unipotent(self)
@@ -191,7 +147,7 @@ class UnipotentLabel:
         cols = transpose(self.partition)
         cols += (0,) * (dim + 1 - len(cols))
         sums = tuple(itertools.accumulate(cols[:dim]))
-        eps = [self.epsilon.value(k) for k in range(1, dim + 1)]
+        eps = [self.epsilon_at(k) for k in range(1, dim + 1)]
         return (
             tuple(s - max(e, 0) for s, e in zip(sums, eps)),
             sums,
@@ -210,14 +166,6 @@ def _dim(group: str, n: int) -> int:
     if group == "O_even":
         return 2 * n
     raise ValueError(f"unknown group {group!r}")
-
-
-def epsilon_family(group: str, n: int) -> EpsilonFamily:
-    if group == "GLd":
-        return EpsilonFamily("plus_one", n)
-    if group in ("Sp", "O_odd", "O_even"):
-        return EpsilonFamily("minus_one", _dim(group, n), "Sp" if group == "Sp" else "O")
-    raise ValueError(f"group {group!r} has no characteristic-2 parameter set")
 
 
 def kappa(group: str, char: str) -> int | None:
@@ -274,25 +222,27 @@ def bad_label(
     group: str,
     n: int,
     partition,
-    epsilon: EpsilonFunction | dict[int, int] | None = None,
+    epsilon: dict[int, int] | None = None,
     split: str | None = None,
 ) -> UnipotentLabel:
-    """A characteristic-2 label.  epsilon may be an EpsilonFunction, a
-    dict of free assignments, or None for epsilon_max."""
+    """A characteristic-2 label.  epsilon maps each free row to 0 or 1;
+    None means epsilon_max."""
     alpha = as_partition(partition)
     _check_partition(group, n, CHAR2, alpha)
-    fam = epsilon_family(group, n)
-    if epsilon is None:
-        eps = epsilon_max(alpha, fam)
-    elif isinstance(epsilon, EpsilonFunction):
-        if epsilon.family != fam or epsilon.partition != alpha:
-            raise ValueError("epsilon function does not belong to this label")
-        eps = epsilon
-    else:
-        eps = epsilon_function(fam, alpha, dict(epsilon))
+    if group == "GL":
+        raise ValueError(f"group {group!r} has no characteristic-2 parameter set")
+    free = free_indices(group, alpha)
+    values = dict.fromkeys(free, 1) if epsilon is None else dict(epsilon)
+    if set(values) != set(free):
+        raise ValueError(
+            f"epsilon must assign exactly the free indices {sorted(free)}, "
+            f"got {sorted(values)}"
+        )
+    if any(v not in (0, 1) for v in values.values()):
+        raise ValueError("free epsilon values must be 0 or 1")
     if split not in (None, "I", "II"):
         raise ValueError(f"bad split marker {split!r}")
-    return UnipotentLabel(group, n, CHAR2, alpha, eps, split)
+    return UnipotentLabel(group, n, CHAR2, alpha, tuple((i, values[i]) for i in free), split)
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +313,14 @@ def theta2(label: UnipotentLabel) -> UnipotentLabel:
     partitions, the psi correction on orthogonal ones (with the odd
     orthogonal trailing 1 stripped and restored as the totals demand).
 
-    Requires a characteristic-2 label whose epsilon is epsilon_max.
+    Requires a characteristic-2 label whose epsilon is epsilon_max:
+    every stored value is 1.
     """
     if label.kind != CHAR2:
         raise ValueError("theta2 transfers characteristic-2 labels")
     if label.group not in ("Sp", "O_odd", "O_even"):
         raise ValueError(f"theta2 is not defined for group {label.group}")
-    fam = epsilon_family(label.group, label.n)
-    if label.epsilon != epsilon_max(label.partition, fam):
+    if any(v != 1 for _, v in label.epsilon):
         raise ValueError("theta2 is only defined at epsilon_max")
     if label.group == "Sp":
         return good_label("Sp", label.n, label.partition)
@@ -429,10 +379,7 @@ def enumerate_unipotent(group: str, n: int, char: str) -> list[UnipotentLabel]:
     characteristic, deterministically ordered (partitions reverse-lex,
     epsilon choices largest first, split pair I before II).  Classes
     that split over SO(2n) appear as two labels."""
-    if group not in GROUPS:
-        raise ValueError(f"unknown group {group!r}")
-    if char not in (GOOD, CHAR2):
-        raise ValueError(f"characteristic must be '{GOOD}' or '{CHAR2}'")
+    check_group_char(group, char)
     _check_has_unipotents(group, char)
     k = kappa(group, char)
     # O_odd's characteristic-2 labels are partitions of 2n with a 1 appended
@@ -452,14 +399,15 @@ def enumerate_unipotent(group: str, n: int, char: str) -> list[UnipotentLabel]:
             else:
                 out.append(good_label(group, n, a))
         return out
-    fam = epsilon_family(group, n)
     for a in members:
-        for eps in all_epsilon_functions(a, fam):
+        free = free_indices(group, a)
+        for values in itertools.product((1, 0), repeat=len(free)):
+            eps = tuple(zip(free, values))
             if (
                 group == "O_even"
                 and all(p % 2 == 0 for p in a)
                 and all(multiplicity(a, p) % 2 == 0 for p in set(a))
-                and all(v == 0 for _, v in eps.assignments)
+                and not any(values)
                 and a
             ):
                 out.append(UnipotentLabel(group, n, CHAR2, a, eps, "I"))
@@ -477,7 +425,7 @@ def format_unipotent(label: UnipotentLabel) -> str:
     tail = f"_{label.split}" if label.split else ""
     if label.kind == GOOD:
         return format_partition(label.partition) + tail
-    pairs = label.epsilon.assignments
+    pairs = label.epsilon
     if not pairs:
         eps_text = "*"
     else:
@@ -499,8 +447,11 @@ def label_to_json(label: UnipotentLabel) -> dict:
     group_name = "O" if label.group == "O_even" else label.group
     doc: dict = {"partition": list(label.partition), "group": group_name}
     if label.kind == CHAR2:
-        doc["epsilon"] = {str(i): v for i, v in label.epsilon.assignments}
-        doc["family"] = label.epsilon.family.kind
+        doc["epsilon"] = {str(i): v for i, v in label.epsilon}
+        # which row parity the group forces to omega: "minus_one" for odd
+        # rows (a row of 1s is never free), "plus_one" for even rows
+        odd_forced = _forced_value(label.group, (1, 1), 1) == OMEGA
+        doc["family"] = "minus_one" if odd_forced else "plus_one"
     if label.group == "O_even":
         doc["component"] = label.so_component
     if label.split:

@@ -396,29 +396,13 @@ def class_label(ctx: GroupContext, w: SignedPermutation) -> Partition | None:
     """
     _check_element(ctx, w)
     if ctx.family in ("A", "2A"):
-        parts = _perm_cycle_type(multiply(w, delta(ctx)) if ctx.family == "2A" else w)
+        # a plain permutation has positive cycles only
+        parts = signed_cycle_type(multiply(w, delta(ctx)) if ctx.family == "2A" else w)[1]
     else:
         parts, pos = signed_cycle_type(w)
         if pos:
             return None
     return parts if is_elliptic(ctx, parts) else None
-
-
-def _perm_cycle_type(w: SignedPermutation) -> Partition:
-    n = len(w)
-    seen = [False] * (n + 1)
-    out: list[int] = []
-    for a in range(1, n + 1):
-        if seen[a]:
-            continue
-        size = 0
-        x = a
-        while not seen[x]:
-            seen[x] = True
-            size += 1
-            x = w[x - 1]
-        out.append(size)
-    return tuple(sorted(out, reverse=True))
 
 
 def rep_signed(n: int, alpha: Partition) -> SignedPermutation:

@@ -16,8 +16,6 @@ from weylunip.unipotent import (
     bad_label,
     bad_leq,
     enumerate_unipotent,
-    epsilon_family,
-    epsilon_max,
     theta2_column_recipe,
     theta2_columns,
 )
@@ -245,13 +243,12 @@ def test_criterion_10_bad_order_sanity():
                 for c in labs:
                     if leq[(a, b)] and leq[(b, c)]:
                         assert leq[(a, c)]
-        fam = epsilon_family("Sp", n)
         partitions_seen = {u.partition for u in labs}
         for alpha in partitions_seen:
             with_alpha = [u for u in labs if u.partition == alpha]
             top = [u for u in with_alpha if all(bad_leq(v, u) for v in with_alpha)]
             assert len(top) == 1
-            assert top[0].epsilon == epsilon_max(alpha, fam)
+            assert top[0] == bad_label("Sp", n, alpha)
     print("PASS criterion 10: bad_leq is a partial order with unique top epsilon, 2n <= 12")
 
 

@@ -4,7 +4,8 @@ and names a module imports must be read.
 perfbench/tracer.py wraps every function its LAYERS table names, looked
 up with getattr on the weylunip module, and fails when one is missing;
 the package root promises every name in __all__.  The repository has no
-linter, so the unused-import scan at the end is its lint gate.
+linter, so the scans at the end are its lint gate: no unused imports,
+and no assert statements in the library, since `python -O` strips them.
 """
 
 import ast
@@ -69,3 +70,13 @@ def test_every_imported_name_is_read():
              if p.name != "__init__.py"]
     paths += sorted((ROOT / "tests").glob("*.py"))
     assert [hit for p in paths for hit in unused_imports(p)] == []
+
+
+def test_library_checks_invariants_without_assert():
+    hits = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "weylunip").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert hits == []

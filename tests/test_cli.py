@@ -293,6 +293,30 @@ def test_main_verify_range_builds_each_table_once(capsys, monkeypatch, family, c
     assert set(built.values()) == {1}
 
 
+def test_hasse_weyl_side_reads_the_relation_once(monkeypatch):
+    # one enumeration lists the classes and at most one more builds the
+    # relation; reading the order pair by pair would enumerate m^2 times
+    from weylunip import weylgroup as wg
+    from weylunip.classposet import weyl_relation
+
+    calls = []
+    real = wg.elliptic_partitions
+
+    def counted(ctx):
+        calls.append(ctx)
+        return real(ctx)
+
+    monkeypatch.setattr(wg, "elliptic_partitions", counted)
+    weyl_relation.cache_clear()
+    try:
+        for _ in range(2):  # with the relation uncached, then cached
+            calls.clear()
+            assert cli.run_hasse("Sp", 6, "good", "weyl", None, "text")[1] == 0
+            assert len(calls) <= 2
+    finally:
+        weyl_relation.cache_clear()
+
+
 def test_main_verify_cap_is_a_usage_error(capsys, monkeypatch):
     # the bound is not part of the cache key, so relations built under the
     # real bound must not answer for the lowered one, nor the other way round

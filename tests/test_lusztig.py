@@ -11,7 +11,7 @@ from weylunip.lusztig import (
     weyl_context,
 )
 from weylunip.partitions import family_members
-from weylunip.unipotent import format_unipotent
+from weylunip.unipotent import GROUPS, format_unipotent
 from weylunip import weylgroup as wg
 
 
@@ -225,10 +225,12 @@ def test_good_characteristic_runs_where_the_component_has_unipotents(family):
 
 
 def test_group_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown group 'SU'"):
         group_spec("SU", 3, "good")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="characteristic must be 'good' or '2'"):
         group_spec("Sp", 3, "5")
     with pytest.raises(ValueError):
         group_spec("O_even", 1, "good")
     assert GROUP_FAMILY["O_even"] == "D"
+    # group_spec and enumerate_unipotent refuse group names by one list
+    assert set(GROUP_FAMILY) == set(GROUPS)

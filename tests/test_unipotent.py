@@ -14,16 +14,11 @@ from weylunip.unipotent import (
     GOOD,
     GROUPS,
     OMEGA,
-    EpsilonFunction,
     UnipotentLabel,
     _dim,
-    all_epsilon_functions,
     bad_label,
     bad_leq,
     enumerate_unipotent,
-    epsilon_family,
-    epsilon_function,
-    epsilon_max,
     format_unipotent,
     free_indices,
     good_label,
@@ -37,54 +32,54 @@ from weylunip.unipotent import (
 
 
 def test_epsilon_forced_and_free_values():
-    fam = epsilon_family("Sp", 4)
-    e = epsilon_max((4, 4), fam)
-    assert free_indices(fam, (4, 4)) == (4,)
-    assert e.value(4) == 1
-    assert e.value(3) == OMEGA  # odd row
-    assert e.value(2) == OMEGA  # multiplicity zero
-    assert e.value(1) == OMEGA
+    e = bad_label("Sp", 4, (4, 4))
+    assert free_indices("Sp", (4, 4)) == (4,)
+    assert e.epsilon == ((4, 1),)
+    assert e.epsilon_at(4) == 1
+    assert e.epsilon_at(3) == OMEGA  # odd row
+    assert e.epsilon_at(2) == OMEGA  # multiplicity zero
+    assert e.epsilon_at(1) == OMEGA
     # even row with odd multiplicity is pinned to 1
-    e = epsilon_max((4, 2), epsilon_family("Sp", 3))
-    assert free_indices(epsilon_family("Sp", 3), (4, 2)) == ()
-    assert e.value(4) == 1
-    assert e.value(2) == 1
+    e = bad_label("Sp", 3, (4, 2))
+    assert free_indices("Sp", (4, 2)) == ()
+    assert e.epsilon == ()
+    assert e.epsilon_at(4) == 1
+    assert e.epsilon_at(2) == 1
     # epsilon(0) is 1 on the symplectic side, 0 on the orthogonal side
-    assert epsilon_max((2, 2), epsilon_family("Sp", 2)).value(0) == 1
-    assert epsilon_max((2, 2), epsilon_family("O_even", 2)).value(0) == 0
+    assert bad_label("Sp", 2, (2, 2)).epsilon_at(0) == 1
+    assert bad_label("O_even", 2, (2, 2)).epsilon_at(0) == 0
 
 
 def test_epsilon_plus_one_family():
     # for the parity-flipped family, free indices are odd rows of even
     # positive multiplicity
-    fam = epsilon_family("GLd", 6)
-    assert fam.kind == "plus_one"
-    assert free_indices(fam, (3, 3)) == (3,)
-    assert free_indices(fam, (5, 1)) == ()
-    e = epsilon_max((5, 1), fam)
-    assert e.value(5) == 1 and e.value(1) == 1
-    assert e.value(2) == OMEGA
+    assert label_to_json(bad_label("GLd", 6, (3, 3)))["family"] == "plus_one"
+    assert free_indices("GLd", (3, 3)) == (3,)
+    assert free_indices("GLd", (5, 1)) == ()
+    e = bad_label("GLd", 6, (5, 1))
+    assert e.epsilon_at(5) == 1 and e.epsilon_at(1) == 1
+    assert e.epsilon_at(2) == OMEGA
 
 
 def test_epsilon_function_validation():
-    fam = epsilon_family("Sp", 4)
-    e = epsilon_function(fam, (4, 4), {4: 0})
-    assert e.value(4) == 0
-    with pytest.raises(ValueError):
-        epsilon_function(fam, (4, 4), {})  # missing free index
-    with pytest.raises(ValueError):
-        epsilon_function(fam, (4, 4), {4: 0, 2: 1})  # 2 is not free
-    with pytest.raises(ValueError):
-        epsilon_function(fam, (4, 4), {4: 2})  # out of range
+    e = bad_label("Sp", 4, (4, 4), epsilon={4: 0})
+    assert e.epsilon_at(4) == 0
+    with pytest.raises(ValueError, match="exactly the free indices"):
+        bad_label("Sp", 4, (4, 4), epsilon={})  # missing free index
+    with pytest.raises(ValueError, match="exactly the free indices"):
+        bad_label("Sp", 4, (4, 4), epsilon={4: 0, 2: 1})  # 2 is not free
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        bad_label("Sp", 4, (4, 4), epsilon={4: 2})  # out of range
 
 
 def test_all_epsilon_functions_counts():
-    fam = epsilon_family("Sp", 6)
+    labels = enumerate_unipotent("Sp", 6, CHAR2)
     alphas = {(4, 4, 2, 2): 4, (6, 4, 2): 1, (2, 2, 2, 2, 2, 2): 2}
     for a, count in alphas.items():
-        funcs = all_epsilon_functions(a, fam)
+        funcs = [u.epsilon for u in labels if u.partition == a]
         assert len(funcs) == count
-        assert funcs[0] == epsilon_max(a, fam)
+        assert funcs[0] == bad_label("Sp", 6, a).epsilon
+        assert all(v == 1 for _, v in funcs[0])
         assert len(set(funcs)) == count
 
 
@@ -112,6 +107,10 @@ def test_label_factories_validate():
         bad_label("O_odd", 4, (5, 3, 1))  # rows 5 and 3 have odd multiplicity
     with pytest.raises(ValueError):
         bad_label("GLd", 4, (4,), epsilon={2: 1})  # stray epsilon index
+    with pytest.raises(ValueError):
+        bad_label("GL", 2, (2, 2))  # wrong total
+    with pytest.raises(ValueError, match="group 'GL' has no characteristic-2 parameter set"):
+        bad_label("GL", 4, (2, 2))
 
 
 def test_good_leq_is_dominance():
@@ -172,7 +171,6 @@ def test_bad_leq_is_partial_order_with_unique_max():
         blocks = defaultdict(list)
         for u in labs:
             blocks[u.so_component].append(u)
-        fam = epsilon_family(group, n)
         for block in blocks.values():
             # up[i]: bitmask of the labels j with block[i] <= block[j]
             up = [
@@ -191,7 +189,7 @@ def test_bad_leq_is_partial_order_with_unique_max():
             for alpha, members in by_partition.items():
                 maxima = [i for i in members if all(up[j] >> i & 1 for j in members)]
                 assert len(maxima) == 1, (group, n, alpha)
-                assert block[maxima[0]].epsilon == epsilon_max(alpha, fam)
+                assert block[maxima[0]] == bad_label(group, n, alpha)
 
 
 def literal_bad_leq(a, b):
@@ -205,8 +203,8 @@ def literal_bad_leq(a, b):
     for k in range(1, kmax + 1):
         sa += ta[k - 1] if k <= len(ta) else 0
         sb += tb[k - 1] if k <= len(tb) else 0
-        ea = a.epsilon.value(k)
-        eb = b.epsilon.value(k)
+        ea = a.epsilon_at(k)
+        eb = b.epsilon_at(k)
         if sb - max(eb, 0) > sa - max(ea, 0):
             return False
         if sa == sb:
@@ -246,10 +244,9 @@ def test_closure_orders_match_the_literal_definitions(group, char):
 
 
 def test_missing_free_epsilon_value_is_a_value_error():
-    fam = epsilon_family("Sp", 4)
-    hollow = UnipotentLabel("Sp", 4, CHAR2, (4, 4), EpsilonFunction(fam, (4, 4), ()))
+    hollow = UnipotentLabel("Sp", 4, CHAR2, (4, 4), ())
     with pytest.raises(ValueError, match="no value stored for free index 4"):
-        hollow.epsilon.value(4)
+        hollow.epsilon_at(4)
     with pytest.raises(ValueError, match="no value stored for free index 4"):
         bad_leq(hollow, bad_label("Sp", 4, (8,)))
 
