@@ -23,7 +23,6 @@ from . import weylgroup as wg
 from .weylgroup import CapExceeded
 from .partitions import PARTITION_BOUND
 from .classposet import (
-    PosetError,
     elliptic_classes,
     hasse,
     hasse_to_dot,
@@ -31,7 +30,6 @@ from .classposet import (
     weyl_relation,
 )
 from .lusztig import (
-    GROUP_FAMILY,
     group_spec,
     phi,
     verify_combinations,
@@ -41,6 +39,7 @@ from .lusztig import (
 from .unipotent import (
     CHAR2,
     GOOD,
+    GROUP_FAMILY,
     enumerate_unipotent,
     format_unipotent,
     label_to_json,
@@ -141,6 +140,7 @@ def run_classes(family: str, n: int, component: str | None, fmt: str) -> str:
 
 
 def run_unipotent(group: str, n: int, char: str, fmt: str) -> str:
+    group_spec(group, n, char)  # the group and least-rank checks every verb makes
     labels = enumerate_unipotent(group, n, char)
     if fmt == "json":
         payload = {
@@ -222,43 +222,31 @@ def run_hasse(
     classes = elliptic_classes(ctx)
     # phi refuses a (group, char) pair with no map, whichever side is shown
     images = [phi(spec, c) for c in classes]
-    weyl = unip = None
+    shown = []  # (name, diagram, text heading) of each diagram shown
     if side in ("weyl", "both"):
         # the relation's rows and columns follow elliptic_classes' order
         rel = weyl_relation(ctx)
         index = {c: i for i, c in enumerate(classes)}
         weyl = hasse(classes, lambda a, b: rel[index[a]][index[b]])
+        shown.append(("weyl", weyl, f"elliptic classes of {group}({n}), covers lower < upper:"))
     if side in ("unipotent", "both"):
         unip = hasse(images, unipotent_leq)
+        heading = f"unipotent image, characteristic {char}, covers lower < upper:"
+        shown.append(("unipotent", unip, heading))
     opposite = side == "both" and {(j, i) for i, j in unip.covers} == set(weyl.covers)
     code = 1 if side == "both" and not opposite else 0
     if fmt == "json":
-        payload: dict = {}
-        if side in ("weyl", "both"):
-            payload["weyl"] = hasse_to_json(weyl)
-        if side in ("unipotent", "both"):
-            payload["unipotent"] = hasse_to_json(unip, format_unipotent)
+        payload: dict = {name: hasse_to_json(diagram) for name, diagram, _ in shown}
         if side == "both":
             payload["opposite"] = opposite
         return json.dumps(payload, indent=2) + "\n", code
     if fmt == "dot":
-        parts = []
-        if side in ("weyl", "both"):
-            parts.append(hasse_to_dot(weyl, name="weyl"))
-        if side in ("unipotent", "both"):
-            parts.append(hasse_to_dot(unip, format_unipotent, name="unipotent"))
-        return "".join(parts), code
+        return "".join(hasse_to_dot(diagram, name=name) for name, diagram, _ in shown), code
     lines = []
-    if side in ("weyl", "both"):
-        lines.append(f"elliptic classes of {group}({n}), covers lower < upper:")
-        for i, j in weyl.covers:
-            lines.append(f"  {weyl.nodes[i]} < {weyl.nodes[j]}")
-    if side in ("unipotent", "both"):
-        lines.append(f"unipotent image, characteristic {char}, covers lower < upper:")
-        for i, j in unip.covers:
-            lines.append(
-                f"  {format_unipotent(unip.nodes[i])} < {format_unipotent(unip.nodes[j])}"
-            )
+    for _, diagram, heading in shown:
+        lines.append(heading)
+        nodes = diagram.nodes
+        lines.extend(f"  {nodes[i]} < {nodes[j]}" for i, j in diagram.covers)
     if side == "both":
         lines.append(f"diagrams mutually opposite: {opposite}")
     return "\n".join(lines) + "\n", code
@@ -320,17 +308,7 @@ def run_bruhat(family: str, n: int, x_text: str, y_text: str, fmt: str) -> tuple
     counts = witness = note = None
     code = 0
     if family != "2A":
-        cx, cy = wg.count_matrix(ctx, x), wg.count_matrix(ctx, y)
-        idx = cx.indices()
-        witness = next(
-            (
-                (i, j)
-                for i, rx, ry in zip(idx, cx.rows, cy.rows)
-                for j, a, b in zip(idx, rx, ry)
-                if a > b
-            ),
-            None,
-        )
+        witness = wg.count_witness(ctx, x, y)
         counts = witness is None
         if family == "D":
             note = "for even-signed groups the count criterion is necessary, not sufficient"
@@ -415,12 +393,8 @@ def _default_char(args, group: str, n: int) -> str:
     characteristic 2 on a twisted one, which has unipotents only there."""
     if args.char:
         return args.char
-    if "component" in args:
-        component = weyl_context(group_spec(group, n, CHAR2), args.component).component
-    else:
-        # the unipotent verb has no --component flag and builds no context:
-        # it lists SOeven's labels at rank 1, below family D's least rank
-        component = wg.FAMILY_RULES[GROUP_FAMILY[group]].components[0]
+    spec = group_spec(group, n, CHAR2)
+    component = weyl_context(spec, getattr(args, "component", None)).component
     return GOOD if component == wg.IDENTITY_COMPONENT else CHAR2
 
 
@@ -464,13 +438,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         text, code = _dispatch(args)
-    except (UsageError, ValueError, CapExceeded, PosetError) as exc:
+    except (ValueError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
+        elif sys.stdout is None:
+            # the interpreter found no stdout, as under `>&-`
+            raise OSError("standard output is closed")
         else:
             sys.stdout.write(text)
     except (OSError, UnicodeEncodeError) as exc:

@@ -29,6 +29,7 @@ from .classposet import (
 from .unipotent import (
     CHAR2,
     GOOD,
+    GROUP_FAMILY,
     UnipotentLabel,
     bad_label,
     check_group_char,
@@ -36,8 +37,6 @@ from .unipotent import (
     theta2,
     unipotent_leq,
 )
-
-GROUP_FAMILY = {"GL": "A", "GLd": "2A", "Sp": "BC", "O_odd": "BC", "O_even": "D"}
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,6 @@ Partition = tuple[int, ...]
 # family_members refuses totals above this; p(60) is just under a million.
 PARTITION_BOUND = 60
 
-FAMILY_TAGS = ("all", "kappa")
-
 
 def as_partition(parts: Iterable[int]) -> Partition:
     """Normalize ``parts`` to a partition tuple.
@@ -34,10 +32,6 @@ def as_partition(parts: Iterable[int]) -> Partition:
         if i > 0 and seq[i - 1] < p:
             raise ValueError(f"partition parts must be weakly decreasing, got {seq}")
     return tuple(seq)
-
-
-def total(a: Partition) -> int:
-    return sum(a)
 
 
 def dominance_leq(a: Partition, b: Partition) -> bool:
@@ -98,30 +92,23 @@ def kappa_member(a: Partition, kappa: int) -> bool:
     return True
 
 
-def check_bound(n: int, bound: int = PARTITION_BOUND) -> None:
-    """Refuse a total above bound before anything of size n is built."""
-    if n > bound:
-        raise ValueError(f"partition enumeration bound exceeded: n={n} > {bound}")
+def check_bound(n: int) -> None:
+    """Refuse a total above PARTITION_BOUND before anything of size n is
+    built."""
+    if n > PARTITION_BOUND:
+        raise ValueError(f"partition enumeration bound exceeded: n={n} > {PARTITION_BOUND}")
 
 
-def family_members(
-    tag: str, n: int, kappa: int | None = None, bound: int = PARTITION_BOUND
-) -> list[Partition]:
-    """Enumerate a constrained partition family, reverse-lexicographically.
-
-    tag is "all" or "kappa" (requires kappa=+1 or -1: multiplicities of
-    rows with (-1)^row == kappa must be even).
-    """
-    if tag not in FAMILY_TAGS:
-        raise ValueError(f"unknown partition family {tag!r}; expected one of {FAMILY_TAGS}")
-    check_bound(n, bound)
-    if tag == "kappa":
-        if kappa not in (1, -1):
-            raise ValueError("kappa family needs kappa=+1 or kappa=-1")
-        return [a for a in partitions(n) if kappa_member(a, kappa)]
-    if kappa is not None:
-        raise ValueError(f"kappa argument is only meaningful for the kappa family, not {tag!r}")
-    return list(partitions(n))
+def family_members(n: int, kappa: int | None = None) -> list[Partition]:
+    """The partitions of n, reverse-lexicographically; with kappa +1 or
+    -1, only those whose rows with (-1)^row == kappa have even
+    multiplicity."""
+    check_bound(n)
+    if kappa is None:
+        return list(partitions(n))
+    if kappa not in (1, -1):
+        raise ValueError(f"kappa must be +1, -1 or None, got {kappa!r}")
+    return [a for a in partitions(n) if kappa_member(a, kappa)]
 
 
 def psi(a: Partition) -> tuple[int, ...]:
@@ -149,7 +136,7 @@ def psi(a: Partition) -> tuple[int, ...]:
 def add_psi(a: Partition) -> Partition:
     """a + psi_a, defined for partitions with all parts even.
 
-    The result is a partition of total(a) + (1 if len(a) is odd else 0).
+    The result is a partition of sum(a) + (1 if len(a) is odd else 0).
     """
     if any(p % 2 == 1 for p in a):
         raise ValueError(f"add_psi requires all parts even, got {a}")
@@ -167,23 +154,6 @@ def scale(a: Partition, c: int) -> Partition:
 
 def append_one(a: Partition) -> Partition:
     return a + (1,)
-
-
-def parse_partition(text: str) -> Partition:
-    """Parse "[6,6,4,2]", "6+6+4+2", or "6,6,4,2".  "[]" is the empty
-    partition."""
-    s = text.strip()
-    if s.startswith("[") and s.endswith("]"):
-        s = s[1:-1]
-    s = s.strip()
-    if not s:
-        return ()
-    sep = "+" if "+" in s else ","
-    try:
-        parts = [int(tok) for tok in s.split(sep)]
-    except ValueError as exc:
-        raise ValueError(f"cannot parse partition from {text!r}") from exc
-    return as_partition(parts)
 
 
 def format_partition(a: Partition) -> str:

@@ -13,10 +13,11 @@ gives the others.  epsilon_max, the choice of 1 at every free row, is
 the largest epsilon of its partition.
 
 Groups are named "GL", "GLd" (the extension of GL(n) by transpose
-inverse), "Sp" (Sp(2n)), "O_odd" (O(2n+1)), and "O_even" (O(2n)); n is
-always the Weyl-group rank.  Odd orthogonal groups in characteristic 2
-borrow the symplectic parameter set through the exceptional isogeny,
-written with a trailing 1 appended to the partition.
+inverse), "Sp" (Sp(2n)), "O_odd" (O(2n+1)), and "O_even" (O(2n)), the
+keys of GROUP_FAMILY; n is always the Weyl-group rank.  Odd orthogonal
+groups in characteristic 2 borrow the symplectic parameter set through
+the exceptional isogeny, written with a trailing 1 appended to the
+partition.
 """
 
 from __future__ import annotations
@@ -36,19 +37,21 @@ from .partitions import (
     multiplicity,
     transpose,
 )
+from . import weylgroup as wg
 
 OMEGA = -1
 
-GROUPS = ("GL", "GLd", "Sp", "O_odd", "O_even")
+# every group, with the Weyl family its elliptic classes come from
+GROUP_FAMILY = {"GL": "A", "GLd": "2A", "Sp": "BC", "O_odd": "BC", "O_even": "D"}
 
 GOOD = "good"
 CHAR2 = "2"
 
 
 def check_group_char(group: str, char: str) -> None:
-    """Refuse a group name outside GROUPS or a characteristic other than
-    good or 2."""
-    if group not in GROUPS:
+    """Refuse a group name outside GROUP_FAMILY or a characteristic other
+    than good or 2."""
+    if group not in GROUP_FAMILY:
         raise ValueError(f"unknown group {group!r}")
     if char not in (GOOD, CHAR2):
         raise ValueError(f"characteristic must be '{GOOD}' or '{CHAR2}'")
@@ -157,15 +160,10 @@ class UnipotentLabel:
 
 
 def _dim(group: str, n: int) -> int:
+    """The matrix size of group at Weyl rank n."""
     if group in ("GL", "GLd"):
         return n
-    if group == "Sp":
-        return 2 * n
-    if group == "O_odd":
-        return 2 * n + 1
-    if group == "O_even":
-        return 2 * n
-    raise ValueError(f"unknown group {group!r}")
+    return 2 * n + 1 if group == "O_odd" else 2 * n
 
 
 def kappa(group: str, char: str) -> int | None:
@@ -183,13 +181,20 @@ def kappa(group: str, char: str) -> int | None:
 
 
 def _check_has_unipotents(group: str, char: str) -> None:
-    if group == "GLd" and char == GOOD:
+    """check_group_char, and refuse good characteristic on a group whose
+    Weyl family has no identity component: good characteristic means the
+    identity component."""
+    check_group_char(group, char)
+    components = wg.FAMILY_RULES[GROUP_FAMILY[group]].components
+    if char == GOOD and wg.IDENTITY_COMPONENT not in components:
         raise ValueError(
-            "the twisted component of GLd carries unipotents only in characteristic 2"
+            f"the twisted component of {group} carries unipotents only in characteristic 2"
         )
 
 
-def _check_partition(group: str, n: int, char: str, alpha: Partition) -> None:
+def _check_partition(
+    group: str, n: int, char: str, alpha: Partition, split: str | None
+) -> None:
     _check_has_unipotents(group, char)
     dim = _dim(group, n)
     if sum(alpha) != dim:
@@ -208,13 +213,13 @@ def _check_partition(group: str, n: int, char: str, alpha: Partition) -> None:
                 f"{alpha} is not a valid {group} partition: an {parity} row has odd multiplicity"
             )
         raise ValueError(f"{alpha}: an {parity} row has odd multiplicity")
+    if split not in (None, "I", "II"):
+        raise ValueError(f"bad split marker {split!r}")
 
 
 def good_label(group: str, n: int, partition, split: str | None = None) -> UnipotentLabel:
     alpha = as_partition(partition)
-    _check_partition(group, n, GOOD, alpha)
-    if split not in (None, "I", "II"):
-        raise ValueError(f"bad split marker {split!r}")
+    _check_partition(group, n, GOOD, alpha, split)
     return UnipotentLabel(group, n, GOOD, alpha, None, split)
 
 
@@ -228,7 +233,7 @@ def bad_label(
     """A characteristic-2 label.  epsilon maps each free row to 0 or 1;
     None means epsilon_max."""
     alpha = as_partition(partition)
-    _check_partition(group, n, CHAR2, alpha)
+    _check_partition(group, n, CHAR2, alpha, split)
     if group == "GL":
         raise ValueError(f"group {group!r} has no characteristic-2 parameter set")
     free = free_indices(group, alpha)
@@ -240,8 +245,6 @@ def bad_label(
         )
     if any(v not in (0, 1) for v in values.values()):
         raise ValueError("free epsilon values must be 0 or 1")
-    if split not in (None, "I", "II"):
-        raise ValueError(f"bad split marker {split!r}")
     return UnipotentLabel(group, n, CHAR2, alpha, tuple((i, values[i]) for i in free), split)
 
 
@@ -379,13 +382,10 @@ def enumerate_unipotent(group: str, n: int, char: str) -> list[UnipotentLabel]:
     characteristic, deterministically ordered (partitions reverse-lex,
     epsilon choices largest first, split pair I before II).  Classes
     that split over SO(2n) appear as two labels."""
-    check_group_char(group, char)
     _check_has_unipotents(group, char)
-    k = kappa(group, char)
     # O_odd's characteristic-2 labels are partitions of 2n with a 1 appended
     isogeny = group == "O_odd" and char == CHAR2
-    total = 2 * n if isogeny else _dim(group, n)
-    members = family_members("all", total) if k is None else family_members("kappa", total, k)
+    members = family_members(2 * n if isogeny else _dim(group, n), kappa(group, char))
     if isogeny:
         members = [a + (1,) for a in members]
     if group == "GL":

@@ -267,9 +267,25 @@ def bruhat_leq_counts(ctx: GroupContext, x: SignedPermutation, y: SignedPermutat
             f"count-matrix criterion is exact only for A and BC, not {ctx.family}; "
             "use bruhat_leq_generic"
         )
-    mx = count_matrix(ctx, x).rows
-    my = count_matrix(ctx, y).rows
-    return all(a <= b for ra, rb in zip(mx, my) for a, b in zip(ra, rb))
+    return count_witness(ctx, x, y) is None
+
+
+def count_witness(
+    ctx: GroupContext, x: SignedPermutation, y: SignedPermutation
+) -> tuple[int, int] | None:
+    """The first index pair (i, j), row by row, where x's count matrix
+    exceeds y's, or None when x's lies entrywise below y's."""
+    cx, cy = count_matrix(ctx, x), count_matrix(ctx, y)
+    idx = cx.indices()
+    return next(
+        (
+            (i, j)
+            for i, rx, ry in zip(idx, cx.rows, cy.rows)
+            for j, a, b in zip(idx, rx, ry)
+            if a > b
+        ),
+        None,
+    )
 
 
 def _is_descent(fam: str, w: SignedPermutation, i: int) -> bool:
@@ -512,7 +528,7 @@ def elliptic_partitions(ctx: GroupContext) -> list[Partition]:
     if ctx.family == "A":
         check_bound(ctx.n)
         return [(ctx.n,)]
-    return [a for a in family_members("all", ctx.n) if is_elliptic(ctx, a)]
+    return [a for a in family_members(ctx.n) if is_elliptic(ctx, a)]
 
 
 def class_size(ctx: GroupContext, alpha: Partition) -> int:

@@ -203,12 +203,20 @@ def test_verify_below_the_least_rank_has_one_message(capsys, family, rank):
     assert line == "error: nothing to verify for that family/rank/char/component choice"
 
 
+@pytest.mark.parametrize("group, rank", [("Sp", 0), ("GL", -1), ("SOeven", 1)])
+def test_unipotent_below_the_least_rank_is_refused(capsys, group, rank):
+    # the unipotent verb reads the least-rank rule map and hasse read
+    argv = ["unipotent", "--group", group, f"--rank={rank}"]
+    line = assert_one_line_refusal(capsys, argv)
+    assert line == f"error: rank {rank} out of range for {cli.GROUP_FLAG[group]}"
+
+
 @pytest.mark.parametrize("verb", ["classes", "map", "hasse", "verify"])
 def test_component_flag_names_one_of_the_familys_components(capsys, verb):
     # a component the family lacks is refused, and naming the family's
     # first component prints what leaving the flag out prints; verify
     # without the flag runs every component, so a family with two differs
-    from weylunip import lusztig, weylgroup as wg
+    from weylunip import unipotent, weylgroup as wg
 
     def run(argv):
         code = cli.main(argv)
@@ -216,7 +224,7 @@ def test_component_flag_names_one_of_the_familys_components(capsys, verb):
 
     selectors = [("--family", f, cli.FAMILY_ALIAS.get(f, f)) for f in cli.FAMILY_CHOICES]
     if verb in ("map", "hasse"):
-        selectors += [("--group", g, lusztig.GROUP_FAMILY[group]) for g, group in cli.GROUP_FLAG.items()]
+        selectors += [("--group", g, unipotent.GROUP_FAMILY[group]) for g, group in cli.GROUP_FLAG.items()]
     sides = [["--side", s] for s in ("weyl", "unipotent", "both")] if verb == "hasse" else [[]]
     for flag, name, family in selectors:
         components = wg.FAMILY_RULES[family].components
@@ -443,6 +451,20 @@ def test_main_unwritable_out_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not target.exists()
+
+
+def test_main_closed_stdout_is_usage_error():
+    # under `>&-` the interpreter sets sys.stdout to None
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        ["sh", "-c", '"$0" -m weylunip classes --family BC --rank 2 >&-', sys.executable],
+        env=dict(os.environ, PYTHONPATH=src),
+        stderr=subprocess.PIPE,
+        encoding="utf-8",
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: standard output is closed\n"
 
 
 def test_main_unencodable_stdout_is_usage_error(capsys, monkeypatch):

@@ -2,7 +2,6 @@ import pytest
 
 from weylunip.classposet import elliptic_classes, elliptic_label
 from weylunip.lusztig import (
-    GROUP_FAMILY,
     group_spec,
     phi,
     phi_good_char_equals_theta2_of_phi_char2,
@@ -11,7 +10,7 @@ from weylunip.lusztig import (
     weyl_context,
 )
 from weylunip.partitions import family_members
-from weylunip.unipotent import GROUPS, format_unipotent
+from weylunip.unipotent import GROUP_FAMILY, format_unipotent
 from weylunip import weylgroup as wg
 
 
@@ -150,7 +149,7 @@ def test_phi_image_avoids_split_classes():
 def test_transfer_square_commutes():
     for group in ("Sp", "O_odd"):
         for n in range(1, 6):
-            for alpha in family_members("all", n):
+            for alpha in family_members(n):
                 assert phi_good_char_equals_theta2_of_phi_char2(group, n, alpha)
     for n in range(2, 6):
         for alpha in wg.elliptic_partitions(wg.context("D", n)):
@@ -232,5 +231,3 @@ def test_group_spec_validation():
     with pytest.raises(ValueError):
         group_spec("O_even", 1, "good")
     assert GROUP_FAMILY["O_even"] == "D"
-    # group_spec and enumerate_unipotent refuse group names by one list
-    assert set(GROUP_FAMILY) == set(GROUPS)

@@ -12,7 +12,7 @@ from weylunip.partitions import (
 from weylunip.unipotent import (
     CHAR2,
     GOOD,
-    GROUPS,
+    GROUP_FAMILY,
     OMEGA,
     UnipotentLabel,
     _dim,
@@ -111,6 +111,12 @@ def test_label_factories_validate():
         bad_label("GL", 2, (2, 2))  # wrong total
     with pytest.raises(ValueError, match="group 'GL' has no characteristic-2 parameter set"):
         bad_label("GL", 4, (2, 2))
+    # both factories refuse by the same group and split-marker checks
+    for make in (good_label, bad_label):
+        with pytest.raises(ValueError, match="unknown group 'SU'"):
+            make("SU", 2, (2, 2))
+        with pytest.raises(ValueError, match="bad split marker 'III'"):
+            make("Sp", 2, (2, 2), split="III")
 
 
 def test_good_leq_is_dominance():
@@ -368,7 +374,7 @@ def test_enumerate_members_valid():
 def test_label_factories_accept_exactly_the_enumerated_partitions():
     # good_label and bad_label read the kappa rule enumerate_unipotent
     # lists by, so they accept the same partitions of the matrix size
-    for group in GROUPS:
+    for group in GROUP_FAMILY:
         for char in (GOOD, CHAR2):
             if group == "GLd" and char == GOOD:
                 continue  # refused by both (test_enumerate_counts)

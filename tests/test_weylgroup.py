@@ -343,13 +343,13 @@ def test_class_partition_of_group():
         if ctx.family == "D":
             alphas = [
                 a
-                for a in family_members("all", ctx.n)
+                for a in family_members(ctx.n)
                 if (len(a) % 2 == 0) == (ctx.component == "id")
             ]
         elif ctx.family == "2A":
             alphas = wg.elliptic_partitions(ctx)
         else:
-            alphas = family_members("all", ctx.n)
+            alphas = family_members(ctx.n)
         seen = set()
         for a in alphas:
             els = wg.enumerate_class(ctx, a)
@@ -487,7 +487,7 @@ def test_min_length_table_refuses_a_non_minimal_representative(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_rep_BC_minimal(n):
     ctx = wg.context("BC", n)
-    for a in family_members("all", n):
+    for a in family_members(n):
         w = wg.class_rep(ctx, a)
         assert wg.class_label(ctx, w) == a
         assert wg.length(ctx, w) == wg.class_lengths(ctx, a)[0]
@@ -497,7 +497,7 @@ def test_rep_BC_minimal(n):
 def test_rep_D_minimal(n):
     for comp in ("id", "twisted"):
         ctx = wg.context("D", n, comp)
-        for a in family_members("all", n):
+        for a in family_members(n):
             if (len(a) % 2 == 0) != (comp == "id"):
                 continue
             w = wg.class_rep(ctx, a)
@@ -538,7 +538,7 @@ def test_rep_BC_is_the_product_formula(n):
     # s_[2, n+1-a_1-..-a_j]^{-1} s_[1, n-a_1-..-a_{j-1}] in BC's simple
     # reflections; D (n >= 2) uses the same window in its own component
     ctx = wg.context("BC", n)
-    for alpha in family_members("all", n):
+    for alpha in family_members(n):
         w = wg.identity(n)
         sig = 0
         for a in alpha:
@@ -562,7 +562,7 @@ def test_rep_count_identity_BC():
     # matrix walks down the staircase exactly
     for n in range(1, 7):
         ctx = wg.context("BC", n)
-        for a in family_members("all", n):
+        for a in family_members(n):
             w = wg.class_rep(ctx, a)
             sigma = 0
             for k, part in enumerate(a, start=1):
