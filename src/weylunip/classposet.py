@@ -189,13 +189,25 @@ def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagra
                     )
                 up[i] |= 1 << j
                 down[j] |= 1 << i
-    covers = tuple(
-        (i, j)
-        for i in range(m)
-        for j in range(m)
-        if up[i] >> j & 1 and not up[i] & down[j]
-    )
-    return HasseDiagram(tuple(nodes), covers)
+    # the covers of i are the minimal nodes of up[i]: from a node not yet
+    # settled, step down inside up[i] to a minimal one, then settle it
+    # and every node above it; each step settles one node, so the walk
+    # ends even on a predicate that is not transitive
+    covers = []
+    for i, above in enumerate(up):
+        rest, least = above, []
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest ^= 1 << j
+            below = down[j] & rest
+            while below:
+                j = (below & -below).bit_length() - 1
+                rest ^= 1 << j
+                below = down[j] & rest
+            least.append(j)
+            rest &= ~up[j]
+        covers += ((i, j) for j in sorted(least))
+    return HasseDiagram(tuple(nodes), tuple(covers))
 
 
 def hasse_to_json(diagram: HasseDiagram, label: Callable[[object], str] = str) -> dict:

@@ -32,7 +32,7 @@ from .unipotent import (
     GROUP_FAMILY,
     UnipotentLabel,
     bad_label,
-    check_group_char,
+    check_group,
     good_label,
     theta2,
     unipotent_leq,
@@ -47,9 +47,7 @@ class GroupSpec:
 
 
 def group_spec(group: str, n: int, char: str) -> GroupSpec:
-    check_group_char(group, char)
-    if n < wg.FAMILY_RULES[GROUP_FAMILY[group]].min_rank:
-        raise ValueError(f"rank {n} out of range for {group}")
+    check_group(group, n, char)
     return GroupSpec(group, n, char)
 
 

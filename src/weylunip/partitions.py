@@ -8,7 +8,7 @@ only the first form is a valid value.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Partition = tuple[int, ...]
 
@@ -158,3 +158,40 @@ def append_one(a: Partition) -> Partition:
 
 def format_partition(a: Partition) -> str:
     return "[" + ",".join(str(p) for p in a) + "]"
+
+
+# ---------------------------------------------------------------------------
+# packed vectors: a vector of small nonnegative integers held as one int,
+# one fixed-width field per entry with a guard bit on top, so comparing two
+# vectors entrywise takes one subtraction and one AND (Lamport, "Multiple
+# byte processing with full-word instructions", CACM 1975)
+
+
+def field_width(top: int) -> int:
+    """Bits per field for entries in 0..top: top's bits and a guard bit."""
+    return top.bit_length() + 1
+
+
+def guard_bits(count: int, width: int) -> int:
+    """The guard bit of each of count fields of the given width."""
+    return ((1 << count * width) - 1) // ((1 << width) - 1) << (width - 1)
+
+
+def pack(values: Sequence[int], width: int) -> int:
+    """values[i] in field i, the lowest field first; each value must leave
+    the field's guard bit clear."""
+    limit = 1 << (width - 1)
+    out = 0
+    for v in reversed(values):
+        if not 0 <= v < limit:
+            raise ValueError(f"packed entry {v} outside 0..{limit - 1}")
+        out = out << width | v
+    return out
+
+
+def fields_leq(a: int, b: int, guards: int) -> int:
+    """The guard bits of the fields where a's entry is at most b's; every
+    entry is at most b's when this equals guards.  A field of
+    (b | guards) - a holds 2**(width - 1) + b_i - a_i, which borrows from
+    no other field and keeps its guard bit exactly when a_i <= b_i."""
+    return ((b | guards) - a) & guards

@@ -23,18 +23,22 @@ partition.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import le
 
 from .partitions import (
     Partition,
     add_psi,
     as_partition,
     family_members,
+    field_width,
+    fields_leq,
     format_partition,
+    guard_bits,
     kappa_member,
     multiplicity,
+    pack,
     transpose,
 )
 from . import weylgroup as wg
@@ -48,24 +52,27 @@ GOOD = "good"
 CHAR2 = "2"
 
 
-def check_group_char(group: str, char: str) -> None:
-    """Refuse a group name outside GROUP_FAMILY or a characteristic other
-    than good or 2."""
+def check_group(group: str, n: int, char: str) -> None:
+    """Refuse a group name outside GROUP_FAMILY, a characteristic other
+    than good or 2, or a rank below the least rank of the group's Weyl
+    family."""
     if group not in GROUP_FAMILY:
         raise ValueError(f"unknown group {group!r}")
     if char not in (GOOD, CHAR2):
         raise ValueError(f"characteristic must be '{GOOD}' or '{CHAR2}'")
+    if n < wg.FAMILY_RULES[GROUP_FAMILY[group]].min_rank:
+        raise ValueError(f"rank {n} out of range for {group}")
 
 
-def _forced_value(group: str, alpha: Partition, i: int) -> int | None:
-    """The value epsilon must take at row size i of a characteristic-2
-    label of group with partition alpha, or None when it is free.
+def _forced_value(group: str, i: int, m: int) -> int | None:
+    """The value epsilon must take at row size i, of multiplicity m in
+    the partition of a characteristic-2 label of group, or None when it
+    is free.
 
     GLd forces even rows and absent rows to omega; the symplectic and
     orthogonal groups force odd rows and absent rows to omega, and
     epsilon(0) to 1 for Sp and 0 for the orthogonal groups.  A row of
     odd multiplicity is 1."""
-    m = multiplicity(alpha, i)
     if group == "GLd":
         if i % 2 == 0 or m == 0:
             return OMEGA
@@ -79,9 +86,7 @@ def _forced_value(group: str, alpha: Partition, i: int) -> int | None:
 
 def free_indices(group: str, alpha: Partition) -> tuple[int, ...]:
     """Row sizes where epsilon may be 0 or 1, descending."""
-    return tuple(
-        i for i in sorted(set(alpha), reverse=True) if _forced_value(group, alpha, i) is None
-    )
+    return tuple(i for i, m in Counter(alpha).items() if _forced_value(group, i, m) is None)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +124,11 @@ class UnipotentLabel:
     def epsilon_at(self, k: int) -> int:
         """epsilon(k) of a characteristic-2 label: the forced value, or
         else the stored free one."""
-        forced = _forced_value(self.group, self.partition, k)
+        return self._epsilon(k, multiplicity(self.partition, k))
+
+    def _epsilon(self, k: int, m: int) -> int:
+        """epsilon_at(k), given m, the multiplicity of k."""
+        forced = _forced_value(self.group, k, m)
         if forced is not None:
             return forced
         for idx, val in self.epsilon:
@@ -131,31 +140,53 @@ class UnipotentLabel:
         return format_unipotent(self)
 
     @cached_property
-    def _dominance_key(self) -> tuple[int, ...]:
-        """Prefix sums of the partition over k = 1..dim, the matrix size;
-        past the last part they stay at the total."""
+    def _domain(self) -> tuple:
+        """What two labels must share to be compared: kind, group, rank
+        and SO component."""
+        return (self.kind, self.group, self.n, self.so_component)
+
+    @cached_property
+    def _key(self) -> tuple[int, ...]:
+        """What the closure orders read of the label, packed by
+        partitions.pack with fields wide enough for the matrix size dim,
+        the term of k = 1..dim in field k - 1.
+
+        A good label gives (guards, key): key holds the prefix sums of
+        the partition, which stay at dim past its last part.  A
+        characteristic-2 label gives (guards, key, sums, parity, zeros):
+        key goes on in fields dim..2 dim - 1 with the complemented room
+        terms dim - (S_k - max(eps(k), 0)), where S_k are the prefix sums
+        of the transpose, which sums holds; parity has the guard bit of
+        field k - 1 set when transpose entry k + 1 is odd, and zeros when
+        eps(k) = 0.  guards holds the guard bit of every field of key."""
         dim = _dim(self.group, self.n)
         if sum(self.partition) != dim:
             raise ValueError(f"{self.partition} is not a partition of {dim}")
+        width = field_width(dim)
         padded = self.partition + (0,) * (dim - len(self.partition))
-        return tuple(itertools.accumulate(padded))
-
-    @cached_property
-    def _char2_key(self) -> tuple[tuple[int, ...], ...]:
-        """What bad_leq reads of a characteristic-2 label, k = 1..dim at
-        index k - 1: S_k - max(eps(k), 0), the prefix sums S_k of the
-        transpose, the parity of transpose entry k + 1, and the indices
-        where eps(k) = 0."""
-        dim = len(self._dominance_key)  # also checks the total
+        dominance = list(itertools.accumulate(padded))
+        if self.kind == GOOD:
+            return guard_bits(dim, width), pack(dominance, width)
         cols = transpose(self.partition)
         cols += (0,) * (dim + 1 - len(cols))
-        sums = tuple(itertools.accumulate(cols[:dim]))
-        eps = [self.epsilon_at(k) for k in range(1, dim + 1)]
+        sums = list(itertools.accumulate(cols[:dim]))
+        room = [dim - s for s in sums]
+        zeros = [0] * dim
+        # eps(k) is omega at every k that is not a row, so only rows move
+        # the room terms or set a zero; rows ascend, so a label missing
+        # several free values names the least
+        for row, m in sorted(Counter(self.partition).items()):
+            e = self._epsilon(row, m)
+            if e == 1:
+                room[row - 1] += 1
+            elif e == 0:
+                zeros[row - 1] = 1
         return (
-            tuple(s - max(e, 0) for s, e in zip(sums, eps)),
-            sums,
-            tuple(c % 2 for c in cols[1:]),
-            tuple(k for k, e in enumerate(eps) if e == 0),
+            guard_bits(2 * dim, width),
+            pack(dominance + room, width),
+            pack(sums, width),
+            pack([c % 2 for c in cols[1:]], width) << (width - 1),
+            pack(zeros, width) << (width - 1),
         )
 
 
@@ -180,11 +211,11 @@ def kappa(group: str, char: str) -> int | None:
     return -1 if group == "Sp" or char == CHAR2 else 1
 
 
-def _check_has_unipotents(group: str, char: str) -> None:
-    """check_group_char, and refuse good characteristic on a group whose
-    Weyl family has no identity component: good characteristic means the
+def _check_has_unipotents(group: str, n: int, char: str) -> None:
+    """check_group, and refuse good characteristic on a group whose Weyl
+    family has no identity component: good characteristic means the
     identity component."""
-    check_group_char(group, char)
+    check_group(group, n, char)
     components = wg.FAMILY_RULES[GROUP_FAMILY[group]].components
     if char == GOOD and wg.IDENTITY_COMPONENT not in components:
         raise ValueError(
@@ -195,7 +226,7 @@ def _check_has_unipotents(group: str, char: str) -> None:
 def _check_partition(
     group: str, n: int, char: str, alpha: Partition, split: str | None
 ) -> None:
-    _check_has_unipotents(group, char)
+    _check_has_unipotents(group, n, char)
     dim = _dim(group, n)
     if sum(alpha) != dim:
         raise ValueError(f"{alpha} is not a partition of {dim}")
@@ -252,15 +283,35 @@ def bad_label(
 # closure orders
 
 
+_KIND_REFUSAL = {
+    GOOD: "good_leq compares good-characteristic labels",
+    CHAR2: "bad_leq compares characteristic-2 labels",
+}
+
+
+def _check_comparable(a: UnipotentLabel, b: UnipotentLabel, kind: str) -> None:
+    """Refuse a pair whose domains differ, by the first check that
+    fails, or a pair not of the given kind."""
+    if a.kind != kind or b.kind != kind:
+        raise ValueError(_KIND_REFUSAL[kind])
+    if (a.group, a.n) != (b.group, b.n):
+        raise ValueError(f"labels from different groups: {a} vs {b}")
+    if a.so_component != b.so_component:
+        raise ValueError(
+            f"labels in different components of O(2n): {a} vs {b}; "
+            "the closure order does not mix them"
+        )
+
+
 def good_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
     """Closure order in good characteristic: dominance of partitions.
     Split markers are ignored (the two members of a split pair sit at
     the same place in the order)."""
-    if a.kind != GOOD or b.kind != GOOD:
-        raise ValueError("good_leq compares good-characteristic labels")
-    if (a.group, a.n) != (b.group, b.n):
-        raise ValueError(f"labels from different groups: {a} vs {b}")
-    return all(map(le, a._dominance_key, b._dominance_key))
+    if a._domain != b._domain or a.kind != GOOD:
+        _check_comparable(a, b, GOOD)
+    guards, key_a = a._key
+    key_b = b._key[1]
+    return fields_leq(key_a, key_b, guards) == guards
 
 
 def bad_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
@@ -272,31 +323,25 @@ def bad_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
     whenever S_k(alpha) = S_k(beta) with alpha*_{k+1} - beta*_{k+1} odd,
     dlt(k) is omega or 1.
 
-    Each label's terms of these tests are computed once, for k = 1 up to
-    the matrix size dim, and kept on the label, so every label of a group
-    has keys of one length; the padding is exact, since past a label's
-    largest part eps is forced to omega and S_k is the total, so those k
-    pass every test.
+    Each label packs its terms of these tests into one integer, for k = 1
+    up to the matrix size dim, with the room terms complemented so that
+    both inequalities become one entrywise comparison; the padding is
+    exact, since past a label's largest part eps is forced to omega and
+    S_k is the total, so those k pass every test.
 
     Even orthogonal labels compare only within the same component of the
     group.
     """
-    if a.kind != CHAR2 or b.kind != CHAR2:
-        raise ValueError("bad_leq compares characteristic-2 labels")
-    if (a.group, a.n) != (b.group, b.n):
-        raise ValueError(f"labels from different groups: {a} vs {b}")
-    if a.group == "O_even" and a.so_component != b.so_component:
-        raise ValueError(
-            f"labels in different components of O(2n): {a} vs {b}; "
-            "the closure order does not mix them"
-        )
-    if not all(map(le, a._dominance_key, b._dominance_key)):
+    if a._domain != b._domain or a.kind != CHAR2:
+        _check_comparable(a, b, CHAR2)
+    guards, key_a, sums_a, parity_a, _ = a._key
+    _, key_b, sums_b, parity_b, zeros_b = b._key
+    if fields_leq(key_a, key_b, guards) != guards:
         return False
-    a_room, a_sums, a_parity, _ = a._char2_key
-    b_room, b_sums, b_parity, b_zeros = b._char2_key
-    if not all(map(le, b_room, a_room)):
-        return False
-    return not any(a_sums[k] == b_sums[k] and a_parity[k] != b_parity[k] for k in b_zeros)
+    clash = (parity_a ^ parity_b) & zeros_b
+    # alpha <= beta in dominance gives S_k(beta) <= S_k(alpha) for every
+    # k, so the fields where S_k(alpha) <= S_k(beta) are where they agree
+    return not clash or not clash & fields_leq(sums_a, sums_b, guards)
 
 
 def unipotent_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
@@ -382,7 +427,7 @@ def enumerate_unipotent(group: str, n: int, char: str) -> list[UnipotentLabel]:
     characteristic, deterministically ordered (partitions reverse-lex,
     epsilon choices largest first, split pair I before II).  Classes
     that split over SO(2n) appear as two labels."""
-    _check_has_unipotents(group, char)
+    _check_has_unipotents(group, n, char)
     # O_odd's characteristic-2 labels are partitions of 2n with a 1 appended
     isogeny = group == "O_odd" and char == CHAR2
     members = family_members(2 * n if isogeny else _dim(group, n), kappa(group, char))
@@ -393,7 +438,7 @@ def enumerate_unipotent(group: str, n: int, char: str) -> list[UnipotentLabel]:
     out: list[UnipotentLabel] = []
     if char == GOOD:
         for a in members:
-            if group == "O_even" and a and all(p % 2 == 0 for p in a):
+            if group == "O_even" and all(p % 2 == 0 for p in a):
                 out.append(good_label(group, n, a, split="I"))
                 out.append(good_label(group, n, a, split="II"))
             else:
@@ -401,15 +446,14 @@ def enumerate_unipotent(group: str, n: int, char: str) -> list[UnipotentLabel]:
         return out
     for a in members:
         free = free_indices(group, a)
+        # all rows even, each of even multiplicity: the class of the
+        # epsilon with no free value 1 splits
+        splits = group == "O_even" and all(
+            p % 2 == 0 and m % 2 == 0 for p, m in Counter(a).items()
+        )
         for values in itertools.product((1, 0), repeat=len(free)):
             eps = tuple(zip(free, values))
-            if (
-                group == "O_even"
-                and all(p % 2 == 0 for p in a)
-                and all(multiplicity(a, p) % 2 == 0 for p in set(a))
-                and not any(values)
-                and a
-            ):
+            if splits and not any(values):
                 out.append(UnipotentLabel(group, n, CHAR2, a, eps, "I"))
                 out.append(UnipotentLabel(group, n, CHAR2, a, eps, "II"))
             else:
@@ -450,7 +494,7 @@ def label_to_json(label: UnipotentLabel) -> dict:
         doc["epsilon"] = {str(i): v for i, v in label.epsilon}
         # which row parity the group forces to omega: "minus_one" for odd
         # rows (a row of 1s is never free), "plus_one" for even rows
-        odd_forced = _forced_value(label.group, (1, 1), 1) == OMEGA
+        odd_forced = _forced_value(label.group, 1, 2) == OMEGA
         doc["family"] = "minus_one" if odd_forced else "plus_one"
     if label.group == "O_even":
         doc["component"] = label.so_component

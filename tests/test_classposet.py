@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -257,6 +258,40 @@ def test_hasse_rejects_non_antisymmetric():
     lo, hi = next((x, y) for x in nodes for y in nodes if x != y and leq(x, y))
     with pytest.raises(PosetError, match="antisymmetry violated"):
         hasse(nodes, lambda x, y: leq(x, y) or (x, y) == (hi, lo))
+
+
+def test_hasse_asks_every_ordered_pair_once():
+    # the sweep is what finds a pair related both ways, so it may skip no
+    # pair, not even one whose reverse is known to hold
+    rng = random.Random(7)
+    for m in (0, 1, 2, 8, 20):
+        nodes, leq = random_order(rng, m, 0.3)
+        asked = Counter()
+
+        def counted(x, y, leq=leq):
+            asked[x, y] += 1
+            return leq(x, y)
+
+        hasse(nodes, counted)
+        assert sum(asked.values()) == m * (m - 1)
+        assert set(asked) == {(x, y) for x in nodes for y in nodes if x != y}
+    # whichever related pair is also made to hold the other way round
+    nodes, leq = random_order(rng, 8, 0.3)
+    related = [(x, y) for x in nodes for y in nodes if x != y and leq(x, y)]
+    assert related
+    for lo, hi in related:
+        with pytest.raises(PosetError, match="antisymmetry violated"):
+            hasse(nodes, lambda x, y: leq(x, y) or (x, y) == (hi, lo))
+
+
+def test_hasse_ends_on_a_predicate_that_is_not_transitive():
+    # a 3-cycle relates no pair both ways; refused or not, it must not
+    # keep the covers step walking round the cycle
+    rel = {("a", "b"), ("b", "c"), ("c", "a")}
+    try:
+        hasse(["a", "b", "c"], lambda x, y: (x, y) in rel)
+    except PosetError:
+        pass
 
 
 def test_hasse_covers_exclude_transitive_edges():

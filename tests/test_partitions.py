@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from weylunip import weylgroup as wg
@@ -7,8 +9,12 @@ from weylunip.partitions import (
     as_partition,
     dominance_leq,
     family_members,
+    field_width,
+    fields_leq,
     format_partition,
+    guard_bits,
     multiplicity,
+    pack,
     partitions,
     psi,
     scale,
@@ -198,3 +204,21 @@ def test_add_psi_totals():
 def test_format_partition():
     assert format_partition((6, 6, 4, 2)) == "[6,6,4,2]"
     assert format_partition(()) == "[]"
+
+
+def test_packed_comparison_is_entrywise():
+    rng = random.Random(3)
+    for top in (1, 2, 7, 8, 60, 61, 120):
+        width = field_width(top)
+        for count in (1, 2, 5, 2 * top):
+            guards = guard_bits(count, width)
+            assert guards == pack([1] * count, width) << (width - 1)
+            for _ in range(20):
+                a = [rng.choice((0, top, rng.randint(0, top))) for _ in range(count)]
+                b = [rng.choice((0, top, rng.randint(0, top))) for _ in range(count)]
+                mask = fields_leq(pack(a, width), pack(b, width), guards)
+                assert mask == pack([x <= y for x, y in zip(a, b)], width) << (width - 1)
+    with pytest.raises(ValueError, match="outside 0..7"):
+        pack([3, 8], field_width(7))
+    with pytest.raises(ValueError, match="outside 0..7"):
+        pack([-1], field_width(7))

@@ -1,3 +1,4 @@
+import random
 from collections import defaultdict
 
 import pytest
@@ -23,12 +24,18 @@ from weylunip.unipotent import (
     free_indices,
     good_label,
     good_leq,
+    kappa,
     label_to_json,
     theta2,
     theta2_column_recipe,
     theta2_columns,
     unipotent_leq,
 )
+from weylunip.weylgroup import FAMILY_RULES
+
+
+def least_rank(group):
+    return FAMILY_RULES[GROUP_FAMILY[group]].min_rank
 
 
 def test_epsilon_forced_and_free_values():
@@ -230,7 +237,7 @@ CLOSURE_CASES = [
 def test_closure_orders_match_the_literal_definitions(group, char):
     leq = good_leq if char == GOOD else bad_leq
     refused = 0
-    for n in range(2, 13) if group == "GLd" else range(1, 7):
+    for n in range(least_rank(group), 13 if group == "GLd" else 7):
         labels = enumerate_unipotent(group, n, char)
         for a in labels:
             for b in labels:
@@ -263,6 +270,133 @@ def test_closure_orders_reject_a_partition_of_the_wrong_size():
         good_leq(short, good_label("GL", 4, (4,)))
     with pytest.raises(ValueError, match="not a partition of 4"):
         good_leq(short, short)
+
+
+GOOD_ONLY = "good_leq compares good-characteristic labels"
+CHAR2_ONLY = "bad_leq compares characteristic-2 labels"
+GROUPS_DIFFER = "labels from different groups: {a} vs {b}"
+COMPONENTS_DIFFER = (
+    "labels in different components of O(2n): {a} vs {b}; the closure order does not mix them"
+)
+KINDS_DIFFER = "cannot compare {a.kind} with {b.kind} labels"
+
+
+def refused_pair(case):
+    """Two labels that no closure order compares, for each way to differ."""
+    return {
+        "kind": (good_label("Sp", 2, (4,)), bad_label("Sp", 2, (4,))),
+        "rank good": (good_label("Sp", 3, (6,)), good_label("Sp", 4, (8,))),
+        "rank char2": (bad_label("Sp", 3, (6,)), bad_label("Sp", 4, (8,))),
+        "group good": (good_label("Sp", 2, (4,)), good_label("O_odd", 2, (5,))),
+        "group char2": (bad_label("Sp", 2, (4,)), bad_label("O_odd", 2, (4, 1))),
+        "component": (bad_label("O_even", 4, (4, 4)), bad_label("O_even", 4, (8,))),
+        "size good": (UnipotentLabel("GL", 4, GOOD, (3,)), good_label("GL", 4, (4,))),
+        "size char2": (UnipotentLabel("Sp", 2, CHAR2, (2,), ()), bad_label("Sp", 2, (4,))),
+        "free epsilon": (UnipotentLabel("Sp", 4, CHAR2, (4, 4), ()), bad_label("Sp", 4, (8,))),
+    }[case]
+
+
+# case, then the message of good_leq, bad_leq and unipotent_leq
+REFUSALS = [
+    ("kind", GOOD_ONLY, CHAR2_ONLY, KINDS_DIFFER),
+    ("rank good", GROUPS_DIFFER, CHAR2_ONLY, GROUPS_DIFFER),
+    ("rank char2", GOOD_ONLY, GROUPS_DIFFER, GROUPS_DIFFER),
+    ("group good", GROUPS_DIFFER, CHAR2_ONLY, GROUPS_DIFFER),
+    ("group char2", GOOD_ONLY, GROUPS_DIFFER, GROUPS_DIFFER),
+    ("component", GOOD_ONLY, COMPONENTS_DIFFER, COMPONENTS_DIFFER),
+    ("size good", "(3,) is not a partition of 4", CHAR2_ONLY, "(3,) is not a partition of 4"),
+    ("size char2", GOOD_ONLY, "(2,) is not a partition of 4", "(2,) is not a partition of 4"),
+    ("free epsilon", GOOD_ONLY, "no value stored for free index 4",
+     "no value stored for free index 4"),
+]
+
+
+@pytest.mark.parametrize("case,good,bad,either", REFUSALS, ids=[r[0] for r in REFUSALS])
+@pytest.mark.parametrize("swap", [False, True], ids=["ab", "ba"])
+def test_closure_orders_refuse_mismatched_labels(case, good, bad, either, swap):
+    # each order names the first check that fails, by its exact message
+    a, b = refused_pair(case)
+    if swap:
+        a, b = b, a
+    for leq, message in ((good_leq, good), (bad_leq, bad), (unipotent_leq, either)):
+        with pytest.raises(ValueError) as caught:
+            leq(a, b)
+        assert str(caught.value) == message.format(a=a, b=b), (leq.__name__, case)
+
+
+def random_label(rng, group, n, char):
+    """A random label of group at rank n, built part by part so that no
+    partition of the matrix size need be listed: the rows that kappa
+    constrains come in pairs."""
+    isogeny = group == "O_odd" and char == CHAR2
+    rem = 2 * n if isogeny else _dim(group, n)
+    k = kappa(group, char)
+    cap = rng.choice((2, 5, rem))
+    parts = []
+    while rem:
+        p = rng.randint(1, min(rem, cap))
+        copies = 2 if k is not None and (-1) ** p == k else 1
+        if copies * p <= rem:
+            parts += [p] * copies
+            rem -= copies * p
+    alpha = sorted(parts, reverse=True) + [1] * isogeny
+    if char == GOOD:
+        return good_label(group, n, alpha)
+    free = free_indices(group, tuple(alpha))
+    return bad_label(group, n, alpha, {i: rng.randint(0, 1) for i in free})
+
+
+# (group, rank, char, the extreme labels' partitions): matrix sizes 60,
+# 61, 60 and 120, past what enumeration reaches
+WIDE_CASES = [
+    ("Sp", 30, GOOD, [(60,), (1,) * 60]),
+    ("Sp", 30, CHAR2, [(60,), (1,) * 60, (52, 3, 3, 1, 1), (52, 4, 2, 2)]),
+    ("O_odd", 30, GOOD, [(61,), (1,) * 61]),
+    ("O_odd", 30, CHAR2, [(60, 1), (1,) * 61]),
+    ("GLd", 60, CHAR2, [(59, 1), (1,) * 60]),
+    ("GL", 120, GOOD, [(120,), (1,) * 120]),
+]
+
+
+@pytest.mark.parametrize(
+    "group,n,char,extremes", WIDE_CASES, ids=[f"{g}-{n}-{c}" for g, n, c, _ in WIDE_CASES]
+)
+def test_wide_fields_match_the_literal_definitions(group, n, char, extremes):
+    # the extremes put every field at its largest value; for Sp the
+    # second pair differs only by the parity clause at k = 2
+    rng = random.Random(f"{group} {n} {char}")
+    labels = [random_label(rng, group, n, char) for _ in range(24)]
+    if char == GOOD:
+        labels += [good_label(group, n, a) for a in extremes]
+    else:
+        labels += [
+            bad_label(group, n, a, {i: v for i in free_indices(group, a)})
+            for a in extremes
+            for v in (0, 1)
+        ]
+    held = 0
+    for a in labels:
+        for b in labels:
+            if a.so_component != b.so_component:
+                continue
+            if char == GOOD:
+                want = dominance_leq(a.partition, b.partition)
+            else:
+                want = literal_bad_leq(a, b)
+            assert unipotent_leq(a, b) == want, (a, b)
+            held += want
+    assert len(labels) < held < len(labels) ** 2
+
+
+def test_library_refuses_ranks_below_the_least_rank():
+    for group, n, char in (("Sp", 0, GOOD), ("O_even", 1, CHAR2), ("GLd", 1, CHAR2),
+                           ("Sp", -1, GOOD)):
+        message = f"rank {n} out of range for {group}"
+        with pytest.raises(ValueError, match=message):
+            enumerate_unipotent(group, n, char)
+        make = good_label if char == GOOD else bad_label
+        with pytest.raises(ValueError, match=message):
+            make(group, n, ())
 
 
 def test_split_markers_compare_as_base():
@@ -379,7 +513,7 @@ def test_label_factories_accept_exactly_the_enumerated_partitions():
             if group == "GLd" and char == GOOD:
                 continue  # refused by both (test_enumerate_counts)
             make = good_label if char == GOOD or group == "GL" else bad_label
-            for n in range(1, 8):
+            for n in range(least_rank(group), 8):
                 listed = {u.partition for u in enumerate_unipotent(group, n, char)}
                 for a in partitions(_dim(group, n)):
                     try:
