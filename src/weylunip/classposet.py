@@ -5,10 +5,12 @@ For classes C' and C the relation C' <= C holds when some minimal-length
 element of C dominates an element of C' in the Bruhat order.  Four
 a-priori different quantifications of that sentence agree (checked
 exhaustively by the test suite).  weyl_relation is the one path that
-computes it: row by row, it fixes the closed-form representative of
-each C and scans the minimal-length elements of C', which weylgroup
-builds by cyclic shifts one class at a time, under one fixed bound per
-class (CapExceeded past it).
+computes it: row by row, it builds the minimal-length elements of C',
+which weylgroup makes by cyclic shifts one class at a time, under one
+fixed bound per class (CapExceeded past it), and compares each element's
+packed count key with that of the closed-form representative of every
+C still open.  That comparison decides A, BC and twisted A; in D it is
+a filter, and a descent walk confirms each element it lets through.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-from .partitions import Partition, dominance_leq, format_partition
+from .partitions import Partition, dominance_leq, fields_leq, format_partition
 from . import weylgroup as wg
 from .weylgroup import GroupContext
 
 
 class PosetError(ValueError):
-    """Input relation is not a partial order (antisymmetry failed)."""
+    """Input relation is not a partial order (antisymmetry or transitivity
+    failed)."""
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,9 @@ def weyl_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
 
     Row i takes the minimal-length elements of labels[i], built by
     weylgroup from the closed-form representative, and scans them for one
-    below the representative w of labels[j], whose descent walk is taken
-    once per class; it is False at once when they are longer than w.
+    below the representative w of labels[j]; the entry is False at once
+    when they are longer than w.  Each element is packed once and
+    compared with every w still open, and the row ends when none is.
     Checking that set rather than the whole class gives the same answer
     (acceptance criterion 8).  Only one class's set is in memory at a time;
     weylgroup raises CapExceeded once one set passes MAX_HELD elements.
@@ -86,17 +90,30 @@ def weyl_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
     alphas = wg.elliptic_partitions(ctx)
     reps = [wg.class_rep(ctx, a) for a in alphas]
     lengths = [wg._length(ctx, w) for w in reps]
-    walks = [wg.descent_walk(ctx, w) for w in reps]
+    keys = [wg._count_key(ctx, w) for w in reps]
+    guards = wg._count_columns(ctx)[3]
+    # the count criterion is exact for A and BC (and for 2A's stored
+    # parts, which step like A); for D it is only necessary, so a walk
+    # confirms each element it lets through
+    walks = [wg.descent_walk(ctx, w) for w in reps] if ctx.family == "D" else None
     rows = []
     for rep, la in zip(reps, lengths):
-        lower = wg._min_length_set(ctx, rep)
-        rows.append(
-            tuple(
-                la <= lb
-                and any(wg.bruhat_leq_walk(ctx, x, la, chain, path) for x in lower)
-                for lb, (chain, path) in zip(lengths, walks)
-            )
-        )
+        pending = [j for j, lb in enumerate(lengths) if la <= lb]
+        held = set()
+        for x in wg._min_length_set(ctx, rep):
+            if not pending:
+                break
+            kx = wg._count_key(ctx, x)
+            found = [
+                j
+                for j in pending
+                if fields_leq(kx, keys[j], guards) == guards
+                and (walks is None or wg.bruhat_leq_walk(ctx, x, la, *walks[j]))
+            ]
+            if found:
+                held.update(found)
+                pending = [j for j in pending if j not in held]
+        rows.append(tuple(j in held for j in range(len(reps))))
     return tuple(rows)
 
 
@@ -169,15 +186,15 @@ class HasseDiagram:
 def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagram:
     """Covering relation of a finite partial order given by a predicate.
 
-    Raises PosetError when two distinct nodes compare both ways; a cover
-    (i, j) means nodes[i] < nodes[j] with nothing strictly between, and
-    covers come sorted.
+    Raises PosetError when two distinct nodes compare both ways or the
+    predicate is not transitive; a cover (i, j) means nodes[i] < nodes[j]
+    with nothing strictly between, and covers come sorted.
     """
     nodes = list(nodes)
     m = len(nodes)
-    # up[i] and down[i] are bitmasks of the nodes strictly above and below i
+    # up[i] is the bitmask of the nodes strictly above i, ups[i] lists them
     up = [0] * m
-    down = [0] * m
+    ups: list[list[int]] = [[] for _ in range(m)]
     for i in range(m):
         for j in range(m):
             if i == j:
@@ -188,25 +205,23 @@ def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagra
                         f"antisymmetry violated between {nodes[i]!r} and {nodes[j]!r}"
                     )
                 up[i] |= 1 << j
-                down[j] |= 1 << i
-    # the covers of i are the minimal nodes of up[i]: from a node not yet
-    # settled, step down inside up[i] to a minimal one, then settle it
-    # and every node above it; each step settles one node, so the walk
-    # ends even on a predicate that is not transitive
+                ups[i].append(j)
+    # reach is everything above some node of up[i]: transitivity says it
+    # lies inside up[i], and the covers of i are the nodes of up[i] outside it
     covers = []
     for i, above in enumerate(up):
-        rest, least = above, []
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest ^= 1 << j
-            below = down[j] & rest
-            while below:
-                j = (below & -below).bit_length() - 1
-                rest ^= 1 << j
-                below = down[j] & rest
-            least.append(j)
-            rest &= ~up[j]
-        covers += ((i, j) for j in sorted(least))
+        reach = 0
+        for j in ups[i]:
+            reach |= up[j]
+        beyond = reach & ~above
+        if beyond:
+            k = (beyond & -beyond).bit_length() - 1
+            j = next(j for j in ups[i] if up[j] >> k & 1)
+            raise PosetError(
+                f"transitivity violated: {nodes[i]!r} <= {nodes[j]!r} <= "
+                f"{nodes[k]!r} but not {nodes[i]!r} <= {nodes[k]!r}"
+            )
+        covers += ((i, j) for j in ups[i] if not reach >> j & 1)
     return HasseDiagram(tuple(nodes), tuple(covers))
 
 

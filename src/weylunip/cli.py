@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import weylgroup as wg
 from .weylgroup import CapExceeded
@@ -345,6 +346,9 @@ def run_bruhat(family: str, n: int, x_text: str, y_text: str, fmt: str) -> tuple
 # argument wiring
 
 
+# built on first use, not at import, and then kept: parsing leaves the
+# parser unchanged, and building it costs about as much as a small verify
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylunip",

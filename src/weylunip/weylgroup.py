@@ -10,6 +10,13 @@ honest signed permutations with an odd number of sign changes, so no
 extra bookkeeping is needed.
 
 Composition is (xy)(i) = x(y(i)).
+
+Bruhat comparisons of many elements go through one packed count key per
+element: its count matrix held as one int, one guard-bit field per entry
+(partitions.fields_leq), built from a small per-context table of column
+rows.  One subtraction and one AND then compare two matrices entrywise,
+which decides the order in A and BC (and on twisted A's stored parts) and
+is a necessary condition in D, where the descent walk confirms it.
 """
 
 from __future__ import annotations
@@ -21,7 +28,16 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator, NamedTuple
 
-from .partitions import Partition, as_partition, check_bound, family_members
+from .partitions import (
+    Partition,
+    as_partition,
+    check_bound,
+    family_members,
+    field_width,
+    fields_leq,
+    guard_bits,
+    pack,
+)
 
 SignedPermutation = tuple[int, ...]
 
@@ -211,7 +227,9 @@ class CountMatrix:
     """Entries w[i,j] = |{k <= i : w(k) >= j}| over the family's index set.
 
     For signed families the index set is {-n..-1, 1..n} in both
-    coordinates; for type A it is {1..n}.
+    coordinates; for type A it is {1..n}.  This is the literal form, which
+    the tests and the benchmark read; comparisons use the packed key
+    (_count_key), which holds the same entries row by row.
     """
 
     n: int
@@ -274,18 +292,47 @@ def count_witness(
     ctx: GroupContext, x: SignedPermutation, y: SignedPermutation
 ) -> tuple[int, int] | None:
     """The first index pair (i, j), row by row, where x's count matrix
-    exceeds y's, or None when x's lies entrywise below y's."""
-    cx, cy = count_matrix(ctx, x), count_matrix(ctx, y)
-    idx = cx.indices()
-    return next(
-        (
-            (i, j)
-            for i, rx, ry in zip(idx, cx.rows, cy.rows)
-            for j, a, b in zip(idx, rx, ry)
-            if a > b
-        ),
-        None,
-    )
+    exceeds y's, or None when x's lies entrywise below y's.  One packed
+    comparison: the lowest guard bit it clears is that pair's field."""
+    _check_element(ctx, x)
+    _check_element(ctx, y)
+    idx, _, width, guards = _count_columns(ctx)
+    missed = guards ^ fields_leq(_count_key(ctx, x), _count_key(ctx, y), guards)
+    if not missed:
+        return None
+    row, col = divmod(((missed & -missed).bit_length() - 1) // width, len(idx))
+    return idx[row], idx[col]
+
+
+@lru_cache(maxsize=32)
+def _count_columns(ctx: GroupContext) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """ctx's count-matrix index set; the packed column rows, columns[v]
+    holding [v >= j] in field j for each index j (a negative v indexes
+    from the end); the field width; and the guard bits of one whole
+    packed matrix."""
+    idx = tuple(CountMatrix(ctx.n, ctx.family not in ("A", "2A"), ()).indices())
+    width = field_width(len(idx))
+    columns = [0] * (len(idx) + 1)
+    for v in idx:
+        columns[v] = pack([int(v >= j) for j in idx], width)
+    return idx, tuple(columns), width, guard_bits(len(idx) ** 2, width)
+
+
+def _count_key(ctx: GroupContext, w: SignedPermutation) -> int:
+    """w's count matrix packed row by row, lowest row first, one field
+    per entry: row i is row i-1 plus the column row of w(i).  No
+    membership check; callers check w or built it themselves."""
+    idx, columns, width, _ = _count_columns(ctx)
+    step = len(idx) * width
+    # the rows run over the index set: a signed one starts at -n, and
+    # w(-k) = -w(k)
+    images = [-v for v in reversed(w)] + list(w) if idx[0] < 0 else w
+    key = row = shift = 0
+    for v in images:
+        row += columns[v]
+        key |= row << shift
+        shift += step
+    return key
 
 
 def _is_descent(fam: str, w: SignedPermutation, i: int) -> bool:

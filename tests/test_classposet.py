@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from weylunip import weylgroup as wg
+from weylunip import classposet, weylgroup as wg
 from weylunip.classposet import (
     EllipticClassLabel,
     PosetError,
@@ -170,6 +170,54 @@ def test_weyl_relation_matches_the_pairwise_order(fam, n, comp):
             assert rel[i][j] is predicted_leq_W(a, b)
 
 
+@pytest.mark.parametrize(
+    "fam,n,comp",
+    [("BC", 6, None), ("2A", 8, None)]
+    + [("D", n, comp) for n in (5, 6) for comp in ("id", "twisted")],
+)
+def test_weyl_relation_walks_only_to_confirm_D(fam, n, comp, monkeypatch):
+    # the packed count test decides A, BC and 2A alone; in D it lets
+    # through little more than the pairs that hold, so a cold relation
+    # walks at most once per pair that passes the length test
+    ctx = wg.context(fam, n, comp)
+    walks = Counter()
+    walk = wg.bruhat_leq_walk
+
+    def counted(*args):
+        walks["calls"] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(wg, "bruhat_leq_walk", counted)
+    weyl_relation.cache_clear()
+    try:
+        weyl_relation(ctx)
+    finally:
+        weyl_relation.cache_clear()
+    if fam != "D":
+        assert walks["calls"] == 0
+        return
+    lengths = [wg.length(ctx, wg.class_rep(ctx, a)) for a in wg.elliptic_partitions(ctx)]
+    assert 0 < walks["calls"] <= sum(la <= lb for la in lengths for lb in lengths)
+
+
+@pytest.mark.parametrize("comp", ["id", "twisted"])
+def test_weyl_relation_in_D_rests_on_the_walk(comp, monkeypatch):
+    # in D the packed test is only necessary; with a filter that lets
+    # every element through, the confirming walks alone give the order.
+    # D 8 is the least rank whose order is not the order of lengths.
+    ctx = wg.context("D", 8, comp)
+    cls = elliptic_classes(ctx)
+    lengths = [wg.length(ctx, wg.class_rep(ctx, c.partition)) for c in cls]
+    want = tuple(tuple(predicted_leq_W(a, b) for b in cls) for a in cls)
+    assert want != tuple(tuple(la <= lb for lb in lengths) for la in lengths)
+    monkeypatch.setattr(classposet, "fields_leq", lambda a, b, guards: guards)
+    weyl_relation.cache_clear()
+    try:
+        assert weyl_relation(ctx) == want
+    finally:
+        weyl_relation.cache_clear()
+
+
 def test_condition_variants_agree():
     for fam, n, comp in [("BC", 4, None), ("D", 4, "id"), ("2A", 5, None)]:
         ctx = wg.context(fam, n, comp)
@@ -292,6 +340,29 @@ def test_hasse_ends_on_a_predicate_that_is_not_transitive():
         hasse(["a", "b", "c"], lambda x, y: (x, y) in rel)
     except PosetError:
         pass
+
+
+def test_hasse_rejects_a_predicate_that_is_not_transitive():
+    rel = {("a", "b"), ("b", "c"), ("c", "a")}
+    with pytest.raises(PosetError) as exc:
+        hasse(["a", "b", "c"], lambda x, y: (x, y) in rel)
+    assert str(exc.value) == "transitivity violated: 'a' <= 'b' <= 'c' but not 'a' <= 'c'"
+    # a chain with its long edge missing has no cycle at all
+    with pytest.raises(PosetError, match="transitivity violated"):
+        hasse(["a", "b", "c"], lambda x, y: (x, y) in {("a", "b"), ("b", "c")})
+    # any one edge implied by two others, dropped from a valid order
+    nodes, leq = random_order(random.Random(3), 12, 0.3)
+    implied = {
+        (x, z)
+        for x in nodes
+        for y in nodes
+        for z in nodes
+        if len({x, y, z}) == 3 and leq(x, y) and leq(y, z)
+    }
+    assert implied
+    for lo, hi in sorted(implied):
+        with pytest.raises(PosetError, match="transitivity violated"):
+            hasse(nodes, lambda x, y: leq(x, y) and (x, y) != (lo, hi))
 
 
 def test_hasse_covers_exclude_transitive_edges():

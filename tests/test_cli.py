@@ -359,6 +359,28 @@ def test_no_verb_takes_a_cap(capsys, verb):
     assert "unrecognized arguments: --cap 10" in capsys.readouterr().err
 
 
+def test_main_reuses_one_parser(capsys):
+    # the parser is built once per process; parsing must leave it as it
+    # was, so a second verb and then a usage error read exactly as in a
+    # fresh process
+    assert cli.main(["classes", "--family", "BC", "--rank", "2"]) == 0
+    assert capsys.readouterr() == (
+        "class\trep\tlength\tsize\n[2]\t[2,-1]\t2\t2\n[1,1]\t[-1,-2]\t4\t1\n",
+        "",
+    )
+    assert cli.main(["map", "--group", "GL", "--rank", "4"]) == 0
+    assert capsys.readouterr() == ("class\tgood\tchar2\n[4]\t[4]\t[4]\n", "")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classes", "--family", "BC", "--rank", "2", "--side", "weyl"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "",
+        "usage: weylunip [-h] {classes,unipotent,map,hasse,verify,bruhat} ...\n"
+        "weylunip: error: unrecognized arguments: --side weyl\n",
+    )
+    assert cli._build_parser.cache_info().currsize == 1
+
+
 def test_classes_sizes_need_no_enumeration(capsys):
     assert cli.main(["classes", "--family", "BC", "--rank", "8"]) == 0
     rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylunip import weylgroup as wg
 from weylunip.classposet import elliptic_label, weyl_relation
-from weylunip.partitions import family_members, partitions
+from weylunip.partitions import family_members, fields_leq, partitions
 
 
 def all_contexts(spec):
@@ -231,6 +231,100 @@ def test_bruhat_generic_implies_counts_on_D():
                 converse_fails += 1
     # the count criterion is strictly weaker here
     assert converse_fails == 17
+
+
+PACKED_CONTEXTS = [("A", range(1, 5)), ("BC", range(1, 4)), ("D", range(2, 5)), ("2A", range(2, 5))]
+
+
+def literal_witness(mx, my):
+    """The first (i, j), row by row, where count matrix mx exceeds my."""
+    idx = mx.indices()
+    for i, rx, ry in zip(idx, mx.rows, my.rows):
+        for j, a, b in zip(idx, rx, ry):
+            if a > b:
+                return i, j
+    return None
+
+
+def test_count_key_unpacks_to_the_count_matrix():
+    for ctx in all_contexts(PACKED_CONTEXTS):
+        idx, _, width, _ = wg._count_columns(ctx)
+        fields = len(idx) ** 2
+        for w in wg.enumerate_group(ctx):
+            key = wg._count_key(ctx, w)
+            unpacked = [key >> (f * width) & ((1 << width) - 1) for f in range(fields)]
+            assert unpacked == [e for row in wg.count_matrix(ctx, w).rows for e in row]
+            assert key >> (fields * width) == 0, (ctx, w)
+
+
+def test_count_witness_is_the_first_entry_row_by_row():
+    for ctx in all_contexts(PACKED_CONTEXTS):
+        els = list(wg.enumerate_group(ctx))
+        mats = [wg.count_matrix(ctx, w) for w in els]
+        for x, mx in zip(els, mats):
+            for y, my in zip(els, mats):
+                assert wg.count_witness(ctx, x, y) == literal_witness(mx, my), (ctx, x, y)
+
+
+def test_packed_counts_decide_the_order_at_small_rank():
+    # exact in A and BC, necessary in D, on every pair of each group
+    for ctx in all_contexts([("A", [5]), ("BC", [4]), ("D", [4])]):
+        els = list(wg.enumerate_group(ctx))
+        _, _, _, guards = wg._count_columns(ctx)
+        keys = [wg._count_key(ctx, w) for w in els]
+        lengths = [wg.length(ctx, w) for w in els]
+        for y, ky in zip(els, keys):
+            chain, path = wg.descent_walk(ctx, y)
+            for x, kx, lx in zip(els, keys, lengths):
+                packed = fields_leq(kx, ky, guards) == guards
+                walk = wg.bruhat_leq_walk(ctx, x, lx, chain, path)
+                if ctx.family == "D":
+                    assert packed or not walk, (ctx, x, y)
+                else:
+                    assert packed == walk, (ctx, x, y)
+
+
+@st.composite
+def element_pair(draw):
+    """(ctx, x, y, related) in A, BC or D up to rank 10.  A related pair
+    takes x as a subword of y's descent walk, so x <= y."""
+    fam = draw(st.sampled_from(["A", "BC", "D"]))
+    n = draw(st.integers(wg.FAMILY_RULES[fam].min_rank, 10))
+    ctx = wg.context(fam, n, draw(st.sampled_from(wg.FAMILY_RULES[fam].components)))
+
+    def element():
+        w = list(draw(st.permutations(range(1, n + 1))))
+        if fam != "A":
+            w = [-v if draw(st.booleans()) else v for v in w]
+            if wg.component_of(fam, w) != ctx.component:
+                w[0] = -w[0]
+        return tuple(w)
+
+    y = element()
+    related = draw(st.booleans())
+    if not related:
+        return ctx, element(), y, False
+    chain, path = wg.descent_walk(ctx, y)
+    keep = draw(st.lists(st.booleans(), min_size=len(chain), max_size=len(chain)))
+    step, _ = wg._coxeter(ctx)
+    x = path[-1]
+    for i, kept in zip(reversed(chain), reversed(keep)):
+        if kept:
+            x = wg._apply_right(step, x, i)
+    return ctx, x, y, True
+
+
+@settings(max_examples=200, deadline=None)
+@given(element_pair())
+def test_packed_counts_agree_with_the_descent_recursion(case):
+    ctx, x, y, related = case
+    generic = wg.bruhat_leq_generic(ctx, x, y)
+    assert generic or not related
+    packed = wg.count_witness(ctx, x, y) is None
+    if ctx.family == "D":
+        assert packed or not generic
+    else:
+        assert packed == generic == wg.bruhat_leq_counts(ctx, x, y)
 
 
 def test_bruhat_monotone_in_length():
