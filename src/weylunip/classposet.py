@@ -5,12 +5,14 @@ For classes C' and C the relation C' <= C holds when some minimal-length
 element of C dominates an element of C' in the Bruhat order.  Four
 a-priori different quantifications of that sentence agree (checked
 exhaustively by the test suite).  weyl_relation is the one path that
-computes it: row by row, it builds the minimal-length elements of C',
-which weylgroup makes by cyclic shifts one class at a time, under one
-fixed bound per class (CapExceeded past it), and compares each element's
+computes it, row by row.  Row C' scans the minimal-length elements of C'
+as weylgroup builds them by cyclic shifts, and compares each element's
 packed count key with that of the closed-form representative of every
 C still open.  That comparison decides A, BC and twisted A; in D it is
 a filter, and a descent walk confirms each element it lets through.
+The row stops once C' itself and every class longer than C' is
+settled, so the rest of the set is never built; the elements a row
+holds while it scans are bounded (CapExceeded past the bound).
 """
 
 from __future__ import annotations
@@ -78,14 +80,17 @@ def weyl_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
     labels = elliptic_classes(ctx).  Rows are tuples, so callers share the
     cached value without being able to change it.
 
-    Row i takes the minimal-length elements of labels[i], built by
-    weylgroup from the closed-form representative, and scans them for one
-    below the representative w of labels[j]; the entry is False at once
-    when they are longer than w.  Each element is packed once and
-    compared with every w still open, and the row ends when none is.
-    Checking that set rather than the whole class gives the same answer
-    (acceptance criterion 8).  Only one class's set is in memory at a time;
-    weylgroup raises CapExceeded once one set passes MAX_HELD elements.
+    Row i scans the minimal-length elements of labels[i] as weylgroup
+    builds them from the closed-form representative, for one below the
+    representative w of labels[j].  The entry is False at once when they
+    are longer than w, and also when they are as long and j != i: an
+    element as long as w lies below w only if it is w, which lies in
+    another class.  Each element is packed once and compared with every
+    w still open, and the row stops, leaving the rest of the set unbuilt,
+    once none is.  Checking that set rather than the whole class gives
+    the same answer (acceptance criterion 8).  Only one row's elements
+    are in memory at a time; weylgroup raises CapExceeded once a row
+    holds more than MAX_HELD.
     """
     alphas = wg.elliptic_partitions(ctx)
     reps = [wg.class_rep(ctx, a) for a in alphas]
@@ -97,12 +102,13 @@ def weyl_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
     # confirms each element it lets through
     walks = [wg.descent_walk(ctx, w) for w in reps] if ctx.family == "D" else None
     rows = []
-    for rep, la in zip(reps, lengths):
-        pending = [j for j, lb in enumerate(lengths) if la <= lb]
+    for i, (rep, la) in enumerate(zip(reps, lengths)):
+        # Bruhat order is graded by length, so x <= w with l(x) = l(w)
+        # forces x = w, and classes are disjoint: of the classes no longer
+        # than labels[i], only labels[i] itself can lie above it
+        pending = [j for j, lb in enumerate(lengths) if la < lb or j == i]
         held = set()
         for x in wg._min_length_set(ctx, rep):
-            if not pending:
-                break
             kx = wg._count_key(ctx, x)
             found = [
                 j
@@ -113,6 +119,8 @@ def weyl_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
             if found:
                 held.update(found)
                 pending = [j for j in pending if j not in held]
+                if not pending:
+                    break  # the rest of the set is never built
         rows.append(tuple(j in held for j in range(len(reps))))
     return tuple(rows)
 

@@ -41,11 +41,12 @@ from .partitions import (
 
 SignedPermutation = tuple[int, ...]
 
-# The most elements the minimal-length set of one class may have
-# (classposet.weyl_relation holds one such set at a time), and the largest
-# group the brute-force oracle enumerates.  Read at call time, so a test
-# can lower it; the lru caches of weyl_relation and _class_table, filled
-# under another value, must then be cleared.
+# The most elements one row of classposet.weyl_relation may hold while it
+# scans a minimal-length set (a row that settles early holds only what it
+# built so far), and the largest group the brute-force oracle enumerates.
+# Read at call time, so a test can lower it; the lru caches of
+# weyl_relation and _class_table, filled under another value, must then
+# be cleared.
 MAX_HELD = 10**6
 
 IDENTITY_COMPONENT = "id"
@@ -68,8 +69,9 @@ FAMILIES = tuple(FAMILY_RULES)
 
 
 class CapExceeded(RuntimeError):
-    """Raised when the minimal-length set of one class, or a brute-force
-    enumeration, would hold more than MAX_HELD elements."""
+    """Raised when a minimal-length set, as far as a caller has read it,
+    or a brute-force enumeration would hold more than MAX_HELD
+    elements."""
 
 
 @dataclass(frozen=True)
@@ -594,12 +596,17 @@ def class_size(ctx: GroupContext, alpha: Partition) -> int:
     return factorial(ctx.n) * (2**ctx.n if signed else 1) // z
 
 
-def _min_length_set(ctx: GroupContext, rep: SignedPermutation) -> tuple[SignedPermutation, ...]:
+def _min_length_set(ctx: GroupContext, rep: SignedPermutation) -> Iterator[SignedPermutation]:
     """The closure of rep under length-preserving cyclic shifts.  For an
     elliptic class with minimal-length rep this is the whole set of
     minimal-length elements (Geck-Pfeiffer 2000, ch. 3; Geck-Kim-Pfeiffer
-    2000 for twisted classes; He-Nie 2012), refused once it passes
-    MAX_HELD elements.
+    2000 for twisted classes; He-Nie 2012).
+
+    Yields each element once, in no fixed order, after checking its
+    shifts (so the first pull, which yields rep, checks rep).  The set is
+    built only as far as the caller reads, so weyl_relation scans it as
+    it is built and a row that is settled never builds the rest.
+    Refused once the elements found so far pass MAX_HELD.
 
     The shifts are w -> s_i·w·s_j with j = i.  Conjugating w·delta by s_i
     in the twisted A coset steps the stored part u to s_i·u·s_{n-i}, as
@@ -639,7 +646,7 @@ def _min_length_set(ctx: GroupContext, rep: SignedPermutation) -> tuple[SignedPe
                 continue
             seen.add(v)
             todo.append(v)
-    return tuple(sorted(seen))
+        yield w
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def pairwise_leq_W(a, b):
     the minimal-length elements of a and scan them for one below the
     representative of b, False at once when they are longer."""
     ctx = a.ctx
-    lower = wg._min_length_set(ctx, wg.class_rep(ctx, a.partition))
+    lower = tuple(wg._min_length_set(ctx, wg.class_rep(ctx, a.partition)))
     w = wg.class_rep(ctx, b.partition)
     la = wg.length(ctx, lower[0])
     if la > wg.length(ctx, w):
@@ -198,6 +198,36 @@ def test_weyl_relation_walks_only_to_confirm_D(fam, n, comp, monkeypatch):
         return
     lengths = [wg.length(ctx, wg.class_rep(ctx, a)) for a in wg.elliptic_partitions(ctx)]
     assert 0 < walks["calls"] <= sum(la <= lb for la in lengths for lb in lengths)
+
+
+@pytest.mark.parametrize(
+    "fam,n,comp",
+    [("BC", 6, None), ("D", 6, "id"), ("D", 6, "twisted"), ("2A", 8, None)],
+)
+def test_weyl_relation_ends_each_row_once_it_is_settled(fam, n, comp, monkeypatch):
+    # a row reads its minimal-length set only until every class it can
+    # still reach is settled; here that is about 2 % of all the sets, so
+    # a row that reads its whole set again fails the 10 % bound
+    ctx = wg.context(fam, n, comp)
+    full = sum(
+        sum(1 for _ in wg._min_length_set(ctx, wg.class_rep(ctx, a)))
+        for a in wg.elliptic_partitions(ctx)
+    )
+    drawn = Counter()
+    build = wg._min_length_set
+
+    def counted(ctx, rep):
+        for x in build(ctx, rep):
+            drawn["elements"] += 1
+            yield x
+
+    monkeypatch.setattr(wg, "_min_length_set", counted)
+    weyl_relation.cache_clear()
+    try:
+        weyl_relation(ctx)
+    finally:
+        weyl_relation.cache_clear()
+    assert 0 < drawn["elements"] <= full // 10
 
 
 @pytest.mark.parametrize("comp", ["id", "twisted"])

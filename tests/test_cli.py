@@ -3,8 +3,10 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylunip import cli
 
@@ -554,3 +556,128 @@ def test_family_aliases_are_resolved_by_the_cli(capsys, alias, family):
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1]
         assert outputs[0].out
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over generated command lines
+
+# the flags each verb takes; a command line draws mostly these, now and then
+# one the verb does not take, and now and then a value no flag accepts
+VERB_FLAGS = {
+    "classes": ("--family", "--rank", "--component", "--format", "--out"),
+    "unipotent": ("--family", "--group", "--rank", "--char", "--format", "--out"),
+    "map": ("--family", "--group", "--rank", "--component", "--format", "--out"),
+    "hasse": ("--family", "--group", "--rank", "--char", "--component", "--format", "--out", "--side"),
+    "verify": ("--family", "--rank", "--char", "--component", "--format", "--out"),
+    "bruhat": ("--family", "--rank", "--format", "--out"),
+}
+FLAG_VALUES = {
+    "--family": (cli.FAMILY_CHOICES, ("E", "bc")),
+    "--group": (tuple(cli.GROUP_FLAG), ("G2", "SO")),
+    "--component": (("id", "twisted"), ("both",)),
+    "--char": (("good", "2"), ("3",)),
+    "--format": (("text", "json", "dot"), ("xml",)),
+    "--side": (("weyl", "unipotent", "both"), ("left",)),
+    # TMP stands for a directory that exists
+    "--out": (("TMP/out.txt",), ("TMP", "TMP/missing/out.txt")),
+}
+# ranks stay small or are refused before anything is built: -3..6, past
+# the partition bound, or malformed; range ends are drawn the same way
+SMALL_RANKS = st.integers(-3, 6)
+HUGE_RANKS = st.sampled_from([61, 10**6, 10**18])
+MALFORMED_RANKS = st.sampled_from(["1e3", "1..", "..2", "2..1", "", "x", "3.0", "1..2..3"])
+# malformed windows, and one with the twisted-A suffix
+ODD_WINDOWS = st.sampled_from(["[1,1]", "[]", "[a]", "[0,1]", "[9,1]", "1,2,,", "[2,1]*d"])
+
+
+def rarely(draw):
+    return draw(st.integers(0, 19)) == 0
+
+
+def pick(draw, valid, invalid):
+    return draw(st.sampled_from(invalid if rarely(draw) else valid))
+
+
+@st.composite
+def rank_texts(draw):
+    # mostly a rank every family has, so that most lines run a verb
+    kind = draw(st.integers(0, 9))
+    if kind < 6:
+        return str(draw(st.integers(2, 5)))
+    if kind == 6:
+        return str(draw(SMALL_RANKS))
+    if kind == 7:
+        return str(draw(HUGE_RANKS))
+    if kind == 8:
+        return draw(MALFORMED_RANKS)
+    hi = draw(st.one_of(SMALL_RANKS, HUGE_RANKS))
+    return f"{draw(SMALL_RANKS)}..{hi}"
+
+
+@st.composite
+def windows(draw, rank):
+    # a signed permutation of the drawn rank, or an odd window
+    if not rank.isdigit() or int(rank) > 6 or draw(st.integers(0, 4)) == 0:
+        return draw(ODD_WINDOWS)
+    perm = draw(st.permutations(range(1, int(rank) + 1)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(perm), max_size=len(perm)))
+    return "[" + ",".join(str(s * v) for s, v in zip(signs, perm)) + "]"
+
+
+@st.composite
+def command_lines(draw):
+    verb = "frob" if rarely(draw) else draw(st.sampled_from(list(VERB_FLAGS)))
+    taken = VERB_FLAGS.get(verb, ())
+    argv = [verb]
+    rank = draw(rank_texts())
+    # one of --family and --group, which the verbs need, and --rank
+    selector = draw(st.sampled_from(["--family", "--group"] if "--group" in taken else ["--family"]))
+    for flag in ("--family", "--group", "--rank", "--component", "--char", "--format", "--side", "--out"):
+        if flag in (selector, "--rank"):
+            drawn = not rarely(draw)
+        else:
+            drawn = draw(st.booleans()) if flag in taken else rarely(draw)
+        if not drawn:
+            continue
+        if flag == "--rank":
+            value = rank
+        elif flag == "--format" and verb != "hasse":
+            value = pick(draw, ("text", "json"), ("dot", "xml"))
+        else:
+            value = pick(draw, *FLAG_VALUES[flag])
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if verb == "bruhat" and draw(st.integers(0, 9)) > 0:
+        argv += [draw(windows(rank)), draw(windows(rank))]
+    elif draw(st.integers(0, 9)) == 0:
+        argv += draw(st.lists(windows(rank), max_size=3))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=command_lines())
+def test_every_command_line_keeps_the_exit_code_contract(tmp_path_factory, argv):
+    # 0 ok, 1 a counterexample, 2 a usage or input error: no other code,
+    # no traceback, and a refusal prints nothing but one error line
+    argv = [a.replace("TMP", str(tmp_path_factory.getbasetemp())) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+            parsed = True
+        except SystemExit as exc:  # argparse refuses before main returns
+            code, parsed = exc.code, False
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert out == "", argv
+        lines = err.splitlines()
+        assert sum("error:" in line for line in lines) == 1, (argv, err)
+        if parsed:
+            assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
+    else:
+        assert err == "", (argv, err)
+    if code == 1:
+        # only a check that compares two answers finds a counterexample
+        args = cli._build_parser().parse_args(argv)
+        assert args.verb in ("verify", "bruhat") or (args.verb == "hasse" and args.side == "both"), argv

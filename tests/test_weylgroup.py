@@ -471,7 +471,8 @@ def test_min_length_table_matches_brute_force(fam, n):
         assert sorted(wg._class_table(ctx)) == sorted(wg.elliptic_partitions(ctx))
         for a in wg.elliptic_partitions(ctx):
             rep = wg.class_rep(ctx, a)
-            assert wg._min_length_set(ctx, rep) == wg.min_length_elements(ctx, a), (ctx, a)
+            built = tuple(sorted(wg._min_length_set(ctx, rep)))
+            assert built == wg.min_length_elements(ctx, a), (ctx, a)
             assert wg._length(ctx, rep) == wg.class_lengths(ctx, a)[0]
             assert wg.class_size(ctx, a) == len(wg.enumerate_class(ctx, a))
 
@@ -528,9 +529,12 @@ def elliptic_class(draw):
 def test_min_length_set_is_a_shift_closed_class_of_minimal_length(case):
     ctx, a = case
     rep = wg.class_rep(ctx, a)
-    elements = wg._min_length_set(ctx, rep)
+    # materialised first: a generator read twice yields nothing the
+    # second time, and the loop below would then check nothing
+    elements = tuple(wg._min_length_set(ctx, rep))
     lmin = wg.length(ctx, rep)
     members = set(elements)
+    assert len(members) == len(elements)  # no element is yielded twice
     assert rep in members
     assert len(members) <= wg.class_size(ctx, a)
     for w in elements:
@@ -541,26 +545,42 @@ def test_min_length_set_is_a_shift_closed_class_of_minimal_length(case):
                 assert v in members, (ctx, a, w, v)
 
 
-def test_min_length_bound_counts_the_largest_class(monkeypatch):
-    # the relation holds one class's set at a time, so the bound is met
-    # by the largest set alone; it is not part of the cache key, so the
-    # relation cache is cleared around every build under a lowered bound
-    ctx = wg.context("BC", 5)
-    full = weyl_relation(ctx)
-    largest = max(
-        len(wg._min_length_set(ctx, wg.class_rep(ctx, a)))
+def largest_min_length_set(ctx):
+    return max(
+        sum(1 for _ in wg._min_length_set(ctx, wg.class_rep(ctx, a)))
         for a in wg.elliptic_partitions(ctx)
     )
+
+
+def relation_under_bound(monkeypatch, ctx, bound):
+    # the bound is not part of the cache key, so the relation cache is
+    # cleared around every build under a lowered bound
+    monkeypatch.setattr(wg, "MAX_HELD", bound)
+    weyl_relation.cache_clear()
     try:
-        monkeypatch.setattr(wg, "MAX_HELD", largest)
-        weyl_relation.cache_clear()
-        assert weyl_relation(ctx) == full
-        monkeypatch.setattr(wg, "MAX_HELD", largest - 1)
-        weyl_relation.cache_clear()
-        with pytest.raises(wg.CapExceeded, match=f"holds more than {largest - 1} "):
-            weyl_relation(ctx)
+        return weyl_relation(ctx)
     finally:
         weyl_relation.cache_clear()
+
+
+def test_min_length_bound_counts_the_largest_class(monkeypatch):
+    # the bound counts the elements one row holds while it scans; in BC 7
+    # the row of the largest set, [2,2,2,1], reads all of it, so the
+    # relation needs exactly that set's size
+    ctx = wg.context("BC", 7)
+    full = weyl_relation(ctx)
+    largest = largest_min_length_set(ctx)
+    assert relation_under_bound(monkeypatch, ctx, largest) == full
+    with pytest.raises(wg.CapExceeded, match=f"holds more than {largest - 1} "):
+        relation_under_bound(monkeypatch, ctx, largest - 1)
+
+
+def test_min_length_bound_spares_a_row_that_ends_early(monkeypatch):
+    # every row of BC 5 settles before its set is built out, so a bound
+    # below the largest set still gives the same relation
+    ctx = wg.context("BC", 5)
+    full = weyl_relation(ctx)
+    assert relation_under_bound(monkeypatch, ctx, largest_min_length_set(ctx) - 1) == full
 
 
 def test_min_length_table_refuses_a_non_minimal_representative(monkeypatch):
