@@ -56,51 +56,57 @@ class UsageError(ValueError):
     pass
 
 
-def _resolve_group(args) -> str:
-    if getattr(args, "group", None):
-        return GROUP_FLAG[args.group]
-    return verify_combinations(_resolve_family(args))[0][0]
+def _target(args) -> tuple[str, str]:
+    """The (family, group) that --family and --group name: --family alone
+    gives the family's first group, --group alone that group's family,
+    and both must name the same family."""
+    family = FAMILY_ALIAS.get(args.family, args.family)
+    flag = getattr(args, "group", None)
+    if flag is None:
+        if family is None:
+            raise UsageError("pass --family or --group")
+        return family, verify_combinations(family)[0][0]
+    group = GROUP_FLAG[flag]
+    if family not in (None, GROUP_FAMILY[group]):
+        raise UsageError(
+            f"--family {args.family} and --group {flag} disagree: "
+            f"{flag} is a group of family {GROUP_FAMILY[group]}"
+        )
+    return GROUP_FAMILY[group], group
 
 
-def _resolve_family(args) -> str:
-    fam = getattr(args, "family", None)
-    if fam:
-        return FAMILY_ALIAS.get(fam, fam)
-    if getattr(args, "group", None):
-        return GROUP_FAMILY[GROUP_FLAG[args.group]]
-    raise UsageError("pass --family or --group")
-
-
-def _single_rank(args) -> int:
+def _ranks(args) -> list[int]:
+    """The ranks --rank names: one integer, or for verify a range A..B."""
     text = args.rank
-    if text is None:
-        raise UsageError("pass --rank")
-    if ".." in text:
+    lo, dots, hi = text.partition("..")
+    if dots and args.verb != "verify":
         raise UsageError("rank ranges are only accepted by the verify verb")
-    return int(text)
-
-
-def _rank_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = (int(end) for end in text.split("..", 1))
-        # every rank above the bound is refused later anyway; refusing it
-        # here keeps the list of ranks small
-        if not 1 <= lo <= PARTITION_BOUND or not 1 <= hi <= PARTITION_BOUND:
-            raise UsageError(f"rank range {text!r} must lie within 1..{PARTITION_BOUND}")
-        if lo > hi:
-            raise UsageError(f"empty rank range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    try:
+        lo, hi = int(lo), int(hi if dots else lo)
+    except ValueError:
+        expects = "an integer or A..B" if args.verb == "verify" else "an integer"
+        raise UsageError(f"--rank expects {expects}, got {text!r}") from None
+    # every rank above the bound is refused later anyway; refusing it
+    # here keeps the list of ranks small
+    if dots and not (1 <= lo <= PARTITION_BOUND and 1 <= hi <= PARTITION_BOUND):
+        raise UsageError(f"rank range {text!r} must lie within 1..{PARTITION_BOUND}")
+    if lo > hi:
+        raise UsageError(f"empty rank range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _parse_window(text: str) -> tuple[int, ...]:
-    body = text.strip()
+    """An element window such as [-2,1,3], or [2,1,3]*d in family 2A."""
+    body = text.replace("*d", "").strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
-    parts = [p for p in body.replace(" ", "").split(",") if p]
-    if not parts:
+    try:
+        window = tuple(int(p) for p in body.replace(" ", "").split(",") if p)
+    except ValueError:
+        window = ()
+    if not window:
         raise UsageError(f"cannot parse element {text!r}")
-    return tuple(int(p) for p in parts)
+    return window
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +147,6 @@ def run_classes(family: str, n: int, component: str | None, fmt: str) -> str:
 
 
 def run_unipotent(group: str, n: int, char: str, fmt: str) -> str:
-    group_spec(group, n, char)  # the group and least-rank checks every verb makes
     labels = enumerate_unipotent(group, n, char)
     if fmt == "json":
         payload = {
@@ -301,8 +306,7 @@ def run_verify(
 
 
 def run_bruhat(family: str, n: int, x_text: str, y_text: str, fmt: str) -> tuple[str, int]:
-    x = _parse_window(x_text.replace("*d", ""))
-    y = _parse_window(y_text.replace("*d", ""))
+    x, y = _parse_window(x_text), _parse_window(y_text)
     ctx = wg.context(family, n, wg.component_of(family, x))
     lx, ly = wg.length(ctx, x), wg.length(ctx, y)
     generic = wg.bruhat_leq_generic(ctx, x, y)
@@ -357,7 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p, *, fmt=("text", "json"), char=False, component=False, group=False):
-        p.add_argument("--family", choices=FAMILY_CHOICES)
+        # a verb without --group has only --family to name its target
+        p.add_argument("--family", choices=FAMILY_CHOICES, required=not group)
         if group:
             p.add_argument("--group", choices=sorted(GROUP_FLAG))
         p.add_argument("--rank", required=True, help="rank n (verify accepts A..B)")
@@ -403,38 +408,21 @@ def _default_char(args, group: str, n: int) -> str:
 
 
 def _dispatch(args) -> tuple[str, int]:
-    if args.verb == "classes":
-        family = _resolve_family(args)
-        return (
-            run_classes(family, _single_rank(args), args.component, args.format),
-            0,
-        )
-    if args.verb == "unipotent":
-        group, n = _resolve_group(args), _single_rank(args)
-        return run_unipotent(group, n, _default_char(args, group, n), args.format), 0
-    if args.verb == "map":
-        group = _resolve_group(args)
-        return run_map(group, _single_rank(args), args.component, args.format), 0
-    if args.verb == "hasse":
-        group, n = _resolve_group(args), _single_rank(args)
-        return run_hasse(
-            group,
-            n,
-            _default_char(args, group, n),
-            args.side,
-            args.component,
-            args.format,
-        )
+    family, group = _target(args)
+    ranks = _ranks(args)
     if args.verb == "verify":
-        if not args.family:
-            raise UsageError("verify needs --family")
-        return run_verify(
-            _resolve_family(args), _rank_range(args.rank), args.char, args.component, args.format
-        )
+        return run_verify(family, ranks, args.char, args.component, args.format)
+    [n] = ranks
+    if args.verb == "classes":
+        return run_classes(family, n, args.component, args.format), 0
     if args.verb == "bruhat":
-        family = _resolve_family(args)
-        return run_bruhat(family, _single_rank(args), args.x, args.y, args.format)
-    raise UsageError(f"unknown verb {args.verb!r}")
+        return run_bruhat(family, n, args.x, args.y, args.format)
+    if args.verb == "map":
+        return run_map(group, n, args.component, args.format), 0
+    char = _default_char(args, group, n)
+    if args.verb == "unipotent":
+        return run_unipotent(group, n, char, args.format), 0
+    return run_hasse(group, n, char, args.side, args.component, args.format)
 
 
 def main(argv: list[str] | None = None) -> int:

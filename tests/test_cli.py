@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylunip import cli
+from weylunip.unipotent import GROUP_FAMILY
 
 
 def test_map_symplectic_rank_two_exact():
@@ -211,6 +213,52 @@ def test_unipotent_below_the_least_rank_is_refused(capsys, group, rank):
     argv = ["unipotent", "--group", group, f"--rank={rank}"]
     line = assert_one_line_refusal(capsys, argv)
     assert line == f"error: rank {rank} out of range for {cli.GROUP_FLAG[group]}"
+
+
+@pytest.mark.parametrize("verb", ["map", "hasse", "unipotent"])
+def test_family_and_group_must_agree(capsys, verb):
+    # a pair naming one family prints what --group alone prints; a pair
+    # naming two is refused, not settled by letting one flag win
+    for family in cli.FAMILY_CHOICES:
+        for flag, group in cli.GROUP_FLAG.items():
+            argv = [verb, "--group", flag, "--rank", "3"]
+            if GROUP_FAMILY[group] == cli.FAMILY_ALIAS.get(family, family):
+                alone = cli.main(argv), capsys.readouterr()
+                assert (cli.main([*argv, "--family", family]), capsys.readouterr()) == alone
+            else:
+                line = assert_one_line_refusal(capsys, [*argv, "--family", family])
+                assert f"--family {family}" in line and f"--group {flag}" in line
+
+
+@pytest.mark.parametrize("verb", ["classes", "unipotent", "map", "hasse", "verify", "bruhat"])
+def test_a_malformed_rank_is_refused_by_name(capsys, verb):
+    target = ["--group", "Sp"] if verb == "unipotent" else ["--family", "BC"]
+    windows = ["[1,2]", "[2,1]"] if verb == "bruhat" else []
+    for text in ["1e3", "3.0", *(["1..x"] if verb == "verify" else [])]:
+        line = assert_one_line_refusal(capsys, [verb, *target, "--rank", text, *windows])
+        assert line.startswith("error: --rank expects an integer") and repr(text) in line
+
+
+@pytest.mark.parametrize("bad", ["[1,x]", "[a]", "[]*d"])
+def test_a_malformed_window_is_quoted(capsys, bad):
+    for pair in ([bad, "[1,2]"], ["[1,2]", bad]):
+        line = assert_one_line_refusal(capsys, ["bruhat", "--family", "BC", "--rank", "2", *pair])
+        assert line == f"error: cannot parse element {bad!r}"
+
+
+@pytest.mark.parametrize("verb", ["classes", "verify", "bruhat"])
+def test_a_verb_without_group_requires_family(capsys, verb):
+    # --family is the only way these verbs name a family, so argparse
+    # refuses its absence and no message offers --group
+    windows = ["[1,2]", "[2,1]"] if verb == "bruhat" else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([verb, "--rank", "2", *windows])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"weylunip {verb}: error: the following arguments are required: --family"
+    )
+    assert "--group" not in err
 
 
 @pytest.mark.parametrize("verb", ["classes", "map", "hasse", "verify"])
@@ -624,16 +672,22 @@ def windows(draw, rank):
     return "[" + ",".join(str(s * v) for s, v in zip(signs, perm)) + "]"
 
 
+# hasse is drawn three times as often as each other verb, and nearly always
+# with --side: its weyl and both sides read the Weyl relation, and enough
+# of those lines must run to the end for a wrong exit code there to show
+VERBS = ("classes", "unipotent", "map", "hasse", "hasse", "hasse", "verify", "bruhat")
+
+
 @st.composite
 def command_lines(draw):
-    verb = "frob" if rarely(draw) else draw(st.sampled_from(list(VERB_FLAGS)))
+    verb = "frob" if rarely(draw) else draw(st.sampled_from(VERBS))
     taken = VERB_FLAGS.get(verb, ())
     argv = [verb]
     rank = draw(rank_texts())
     # one of --family and --group, which the verbs need, and --rank
     selector = draw(st.sampled_from(["--family", "--group"] if "--group" in taken else ["--family"]))
     for flag in ("--family", "--group", "--rank", "--component", "--char", "--format", "--side", "--out"):
-        if flag in (selector, "--rank"):
+        if flag in (selector, "--rank") or (verb, flag) == ("hasse", "--side"):
             drawn = not rarely(draw)
         else:
             drawn = draw(st.booleans()) if flag in taken else rarely(draw)
@@ -675,9 +729,18 @@ def test_every_command_line_keeps_the_exit_code_contract(tmp_path_factory, argv)
         assert sum("error:" in line for line in lines) == 1, (argv, err)
         if parsed:
             assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
+            # a refusal names only flags the verb takes
+            assert set(re.findall(r"--[a-z]+", err)) <= set(VERB_FLAGS[argv[0]]), (argv, err)
     else:
         assert err == "", (argv, err)
+    if not parsed:
+        return
+    args = cli._build_parser().parse_args(argv)
+    if args.family and getattr(args, "group", None):
+        # --family and --group naming two families is refused by name
+        family = cli.FAMILY_ALIAS.get(args.family, args.family)
+        if GROUP_FAMILY[cli.GROUP_FLAG[args.group]] != family:
+            assert code == 2 and "--family" in err and "--group" in err, (argv, err)
     if code == 1:
         # only a check that compares two answers finds a counterexample
-        args = cli._build_parser().parse_args(argv)
         assert args.verb in ("verify", "bruhat") or (args.verb == "hasse" and args.side == "both"), argv
