@@ -23,10 +23,7 @@ from .weylgroup import (
     class_rep,
     class_size,
     context,
-    count_matrix,
-    enumerate_class,
     length,
-    min_length_elements,
 )
 from .classposet import (
     EllipticClassLabel,
@@ -73,10 +70,7 @@ __all__ = [
     "class_rep",
     "class_size",
     "context",
-    "count_matrix",
-    "enumerate_class",
     "length",
-    "min_length_elements",
     "EllipticClassLabel",
     "HasseDiagram",
     "class_leq_W",

@@ -17,10 +17,9 @@ holds while it scans are bounded (CapExceeded past the bound).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .partitions import Partition, dominance_leq, fields_leq, format_partition
 from . import weylgroup as wg
@@ -123,55 +122,6 @@ def weyl_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
                     break  # the rest of the set is never built
         rows.append(tuple(j in held for j in range(len(reps))))
     return tuple(rows)
-
-
-class ConditionRecord(NamedTuple):
-    """The four quantifications whose agreement defines the order: does
-    (some | every) minimal-length element of the upper class dominate an
-    element of the lower class's (minimal-length subset | whole class)."""
-
-    some_min_to_min: bool
-    every_min_to_min: bool
-    some_min_to_class: bool
-    every_min_to_class: bool
-
-    def all_agree(self) -> bool:
-        return len(set(self)) == 1
-
-
-def class_leq_W_all_variants(a: EllipticClassLabel, b: EllipticClassLabel) -> ConditionRecord:
-    """Evaluate all four defining conditions of a <= b independently by
-    brute force over minimal-length sets and full classes."""
-    ctx = _require_same_ctx(a, b)
-    upper_min = wg.min_length_elements(ctx, b.partition)
-    els = wg.enumerate_class(ctx, a.partition)
-    lens = wg.class_lengths(ctx, a.partition)
-    lmin = lens[0]
-    min_cut = bisect_right(lens, lmin)
-
-    hits_min: list[bool] = []
-    hits_class: list[bool] = []
-    for w in upper_min:
-        lw = wg.length(ctx, w)
-        chain, path = wg.descent_walk(ctx, w)
-        cut = bisect_right(lens, lw)
-        hit_min = any(
-            wg.bruhat_leq_walk(ctx, els[pos], lens[pos], chain, path)
-            for pos in range(min(min_cut, cut))
-        )
-        hit_class = hit_min or any(
-            wg.bruhat_leq_walk(ctx, els[pos], lens[pos], chain, path)
-            for pos in range(min_cut, cut)
-        )
-        hits_min.append(hit_min)
-        hits_class.append(hit_class)
-
-    return ConditionRecord(
-        some_min_to_min=any(hits_min),
-        every_min_to_min=all(hits_min),
-        some_min_to_class=any(hits_class),
-        every_min_to_class=all(hits_class),
-    )
 
 
 def predicted_leq_W(a: EllipticClassLabel, b: EllipticClassLabel) -> bool:

@@ -95,9 +95,12 @@ def _ranks(args) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _parse_window(text: str) -> tuple[int, ...]:
-    """An element window such as [-2,1,3], or [2,1,3]*d in family 2A."""
-    body = text.replace("*d", "").strip()
+def _parse_window(text: str, family: str) -> tuple[int, ...]:
+    """An element window such as [-2,1,3], or [2,1,3]*d in family 2A,
+    where the *d suffix is optional; *d anywhere else is refused."""
+    body = text.strip()
+    if family == "2A" and body.endswith("*d"):
+        body = body[:-2].strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
     try:
@@ -306,7 +309,7 @@ def run_verify(
 
 
 def run_bruhat(family: str, n: int, x_text: str, y_text: str, fmt: str) -> tuple[str, int]:
-    x, y = _parse_window(x_text), _parse_window(y_text)
+    x, y = _parse_window(x_text, family), _parse_window(y_text, family)
     ctx = wg.context(family, n, wg.component_of(family, x))
     lx, ly = wg.length(ctx, x), wg.length(ctx, y)
     generic = wg.bruhat_leq_generic(ctx, x, y)

@@ -23,7 +23,6 @@ from .weylgroup import GroupContext
 from .classposet import (
     EllipticClassLabel,
     elliptic_classes,
-    elliptic_label,
     weyl_relation,
 )
 from .unipotent import (
@@ -34,7 +33,6 @@ from .unipotent import (
     bad_label,
     check_group,
     good_label,
-    theta2,
     unipotent_leq,
 )
 
@@ -73,7 +71,7 @@ def phi(spec: GroupSpec, c: EllipticClassLabel) -> UnipotentLabel:
     fam = GROUP_FAMILY[spec.group]
     if c.ctx.family != fam or c.ctx.n != spec.n:
         raise ValueError(f"class {c} does not belong to the Weyl side of {spec}")
-    alpha = c.partition
+    alpha = wg.check_elliptic(c.ctx, c.partition)
     g, n = spec.group, spec.n
     # outside characteristic 2 every unipotent element lies in the
     # identity component
@@ -104,23 +102,7 @@ def phi(spec: GroupSpec, c: EllipticClassLabel) -> UnipotentLabel:
     doubled = scale(alpha, 2)
     if spec.char == GOOD:
         return good_label("O_even", n, add_psi(doubled))
-    out = bad_label("O_even", n, doubled)
-    inside = out.so_component == "SO"
-    if inside != (c.ctx.component == wg.IDENTITY_COMPONENT):
-        raise AssertionError(f"component mismatch between {c} and {out}")
-    return out
-
-
-def phi_good_char_equals_theta2_of_phi_char2(group: str, n: int, alpha) -> bool:
-    """The transfer square commutes on elliptic classes: applying the map
-    in characteristic 2 and transferring back equals the good-characteristic
-    map.  Defined for Sp, O_odd, and the identity component of O_even."""
-    spec2 = group_spec(group, n, CHAR2)
-    spec0 = group_spec(group, n, GOOD)
-    ctx = weyl_context(spec0)
-    c = elliptic_label(ctx, alpha)
-    transferred = theta2(phi(spec2, c))
-    return transferred == phi(spec0, c)
+    return bad_label("O_even", n, doubled)
 
 
 def verify_theorem(

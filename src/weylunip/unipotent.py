@@ -386,38 +386,6 @@ def theta2(label: UnipotentLabel) -> UnipotentLabel:
     return good_label("O_odd", label.n, gamma)
 
 
-def theta2_columns(alpha) -> tuple[int, ...]:
-    """The transformed column lengths of the orthogonal transfer: column
-    i gains a box when i is odd, alpha*_i is even, and alpha has a part
-    of size i-1; it loses a box when i is even, alpha*_i is even, and
-    alpha has a part of size i; otherwise it is unchanged.  Defined for
-    partitions with all parts even.  Trailing zero columns are kept so
-    the returned tuple always has alpha_1 + 1 entries.
-    """
-    alpha = as_partition(alpha)
-    if any(p % 2 for p in alpha):
-        raise ValueError(f"column recipe requires all parts even, got {alpha}")
-    if not alpha:
-        raise ValueError("column recipe of the empty partition is undefined")
-    ta = transpose(alpha)
-    out = []
-    for i in range(1, alpha[0] + 2):
-        ti = ta[i - 1] if i <= len(ta) else 0
-        if i % 2 == 1 and ti % 2 == 0 and multiplicity(alpha, i - 1) > 0:
-            out.append(ti + 1)
-        elif i % 2 == 0 and ti % 2 == 0 and multiplicity(alpha, i) > 0:
-            out.append(ti - 1)
-        else:
-            out.append(ti)
-    return tuple(out)
-
-
-def theta2_column_recipe(alpha) -> Partition:
-    """The column-by-column form of the orthogonal transfer; agrees with
-    add_psi on every partition with all parts even."""
-    return transpose(as_partition(theta2_columns(alpha)))
-
-
 # ---------------------------------------------------------------------------
 # enumeration and display
 

@@ -168,7 +168,7 @@ def delta(ctx: GroupContext) -> SignedPermutation:
 
 
 # ---------------------------------------------------------------------------
-# simple reflections and length
+# Coxeter data and length
 
 
 def _coxeter(ctx: GroupContext) -> tuple[str, int]:
@@ -177,18 +177,6 @@ def _coxeter(ctx: GroupContext) -> tuple[str, int]:
     if ctx.family in ("A", "2A"):
         return "A", ctx.n - 1
     return ctx.family, ctx.n
-
-
-def simple_reflection(ctx: GroupContext, i: int) -> SignedPermutation:
-    fam, top = _coxeter(ctx)
-    if not 1 <= i <= top:
-        raise ValueError(f"simple reflection index {i} out of range for {ctx.family}({ctx.n})")
-    return _apply_right(fam, identity(ctx.n), i)
-
-
-def simples(ctx: GroupContext) -> tuple[SignedPermutation, ...]:
-    _, top = _coxeter(ctx)
-    return tuple(simple_reflection(ctx, i) for i in range(1, top + 1))
 
 
 def _inv_count(w: SignedPermutation) -> int:
@@ -246,36 +234,6 @@ class CountMatrix:
     def entry(self, i: int, j: int) -> int:
         idx = self.indices()
         return self.rows[idx.index(i)][idx.index(j)]
-
-
-def count_entry(w: SignedPermutation, i: int, j: int) -> int:
-    """The literal count |{k in {-n..-1,1..n} : k <= i, w(k) >= j}| for
-    arbitrary integers i, j (out-of-range values are fine; plain
-    permutations are extended by w(-k) = -w(k))."""
-    n = len(w)
-    c = 0
-    for k in range(-n, 0):
-        if k <= i and -w[-k - 1] >= j:
-            c += 1
-    for k in range(1, n + 1):
-        if k <= i and w[k - 1] >= j:
-            c += 1
-    return c
-
-
-def count_matrix(ctx: GroupContext, w: SignedPermutation) -> CountMatrix:
-    """Prefix sums down the index set: row i is row i-1 plus the
-    indicator [w(i) >= j] for each column j."""
-    _check_element(ctx, w)
-    signed = ctx.family not in ("A", "2A")
-    idx = CountMatrix(ctx.n, signed, ()).indices()
-    row = [0] * len(idx)
-    rows = []
-    for i in idx:
-        wi = apply(w, i)
-        row = [c + (wi >= j) for c, j in zip(row, idx)]
-        rows.append(tuple(row))
-    return CountMatrix(ctx.n, signed, tuple(rows))
 
 
 def bruhat_leq_counts(ctx: GroupContext, x: SignedPermutation, y: SignedPermutation) -> bool:
@@ -650,7 +608,14 @@ def _min_length_set(ctx: GroupContext, rep: SignedPermutation) -> Iterator[Signe
 
 
 # ---------------------------------------------------------------------------
-# brute-force enumeration: the test oracle for the sets and sizes above
+# the whole-group class sweep and the literal count matrix
+#
+# No verb or library path reads this block; the tests and tests/oracle.py
+# check the library against it.  It stays in the library only because the
+# benchmark binds it by name: perfbench/tracer.py's LAYERS wraps
+# enumerate_class, class_lengths, count_matrix and the class_label calls
+# the sweep makes, and perfbench/worker.py's op_bruhat calls count_matrix.
+# It moves to tests/oracle.py once ROADMAP item 1 retires those names.
 
 
 def group_order(ctx: GroupContext) -> int:
@@ -686,8 +651,8 @@ def _class_table(
 ) -> dict[Partition, tuple[tuple[SignedPermutation, ...], tuple[int, ...]]]:
     """All elliptic classes of ctx at once: label -> (elements, lengths),
     both sorted by (length, element).  One group sweep, reused by every
-    brute-force class query below; no library path calls these, the
-    tests compare _min_length_set and class_size against them."""
+    brute-force class query below; the tests compare _min_length_set and
+    class_size against them."""
     buckets: dict[Partition, list[tuple[int, SignedPermutation]]] = {}
     for w in enumerate_group(ctx):
         lab = class_label(ctx, w)
@@ -719,8 +684,16 @@ def class_lengths(ctx: GroupContext, alpha: Partition) -> tuple[int, ...]:
     return table[alpha][1]
 
 
-def min_length_elements(ctx: GroupContext, alpha: Partition) -> tuple[SignedPermutation, ...]:
-    els = enumerate_class(ctx, alpha)
-    lens = class_lengths(ctx, alpha)
-    lmin = lens[0]
-    return tuple(w for w, l in zip(els, lens) if l == lmin)
+def count_matrix(ctx: GroupContext, w: SignedPermutation) -> CountMatrix:
+    """Prefix sums down the index set: row i is row i-1 plus the
+    indicator [w(i) >= j] for each column j."""
+    _check_element(ctx, w)
+    signed = ctx.family not in ("A", "2A")
+    idx = CountMatrix(ctx.n, signed, ()).indices()
+    row = [0] * len(idx)
+    rows = []
+    for i in idx:
+        wi = apply(w, i)
+        row = [c + (wi >= j) for c, j in zip(row, idx)]
+        rows.append(tuple(row))
+    return CountMatrix(ctx.n, signed, tuple(rows))

@@ -8,7 +8,6 @@ from weylunip.classposet import (
     EllipticClassLabel,
     PosetError,
     class_leq_W,
-    class_leq_W_all_variants,
     elliptic_classes,
     elliptic_label,
     hasse,
@@ -18,6 +17,8 @@ from weylunip.classposet import (
     weyl_relation,
 )
 from weylunip.partitions import dominance_leq, partitions
+
+from oracle import class_leq_W_all_variants, min_length_elements
 
 
 def test_elliptic_label_validation():
@@ -92,7 +93,7 @@ def brute_class_leq(a, b):
     """Definition-level comparison: some minimal element of b dominates
     some element of a, with no representative formulas or length cuts."""
     ctx = a.ctx
-    w = min(wg.min_length_elements(ctx, b.partition))
+    w = min(min_length_elements(ctx, b.partition))
     return any(
         wg.bruhat_leq_generic(ctx, x, w)
         for x in wg.enumerate_class(ctx, a.partition)

@@ -239,7 +239,7 @@ def test_a_malformed_rank_is_refused_by_name(capsys, verb):
         assert line.startswith("error: --rank expects an integer") and repr(text) in line
 
 
-@pytest.mark.parametrize("bad", ["[1,x]", "[a]", "[]*d"])
+@pytest.mark.parametrize("bad", ["[1,x]", "[a]", "[]*d", "[2,1]*d", "[1,*d2]"])
 def test_a_malformed_window_is_quoted(capsys, bad):
     for pair in ([bad, "[1,2]"], ["[1,2]", bad]):
         line = assert_one_line_refusal(capsys, ["bruhat", "--family", "BC", "--rank", "2", *pair])

@@ -1,10 +1,9 @@
 import pytest
 
-from weylunip.classposet import elliptic_classes, elliptic_label
+from weylunip.classposet import EllipticClassLabel, elliptic_classes, elliptic_label
 from weylunip.lusztig import (
     group_spec,
     phi,
-    phi_good_char_equals_theta2_of_phi_char2,
     verify_combinations,
     verify_theorem,
     weyl_context,
@@ -12,6 +11,8 @@ from weylunip.lusztig import (
 from weylunip.partitions import family_members
 from weylunip.unipotent import GROUP_FAMILY, format_unipotent
 from weylunip import weylgroup as wg
+
+from oracle import phi_good_char_equals_theta2_of_phi_char2
 
 
 def _rows(group, n, char, component="id"):
@@ -114,6 +115,14 @@ def test_phi_rejects():
         phi(group_spec("O_even", 3, "2"), bc)
     with pytest.raises(ValueError):
         phi(group_spec("Sp", 4, "good"), bc)  # right family, wrong rank
+
+
+def test_phi_refuses_a_label_that_names_no_elliptic_class():
+    # built by hand, past elliptic_label: (3,) has one part, so it names
+    # a class of D(3)'s twisted component, not of the identity one
+    c = EllipticClassLabel(wg.context("D", 3), (3,))
+    with pytest.raises(ValueError, match="not an elliptic class"):
+        phi(group_spec("O_even", 3, "2"), c)
 
 
 def test_phi_injective_per_context():

@@ -27,11 +27,11 @@ from weylunip.unipotent import (
     kappa,
     label_to_json,
     theta2,
-    theta2_column_recipe,
-    theta2_columns,
     unipotent_leq,
 )
 from weylunip.weylgroup import FAMILY_RULES
+
+from oracle import theta2_column_recipe, theta2_columns
 
 
 def least_rank(group):
