@@ -46,11 +46,9 @@ from .unipotent import (
     unipotent_leq,
 )
 from .lusztig import (
-    GroupSpec,
-    group_spec,
+    map_table,
     phi,
     verify_theorem,
-    weyl_context,
 )
 
 __all__ = [
@@ -87,9 +85,7 @@ __all__ = [
     "good_label",
     "theta2",
     "unipotent_leq",
-    "GroupSpec",
-    "group_spec",
+    "map_table",
     "phi",
     "verify_theorem",
-    "weyl_context",
 ]

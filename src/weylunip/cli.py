@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 
@@ -31,16 +32,15 @@ from .classposet import (
     weyl_relation,
 )
 from .lusztig import (
-    group_spec,
-    phi,
+    map_table,
     verify_combinations,
     verify_theorem,
-    weyl_context,
 )
 from .unipotent import (
     CHAR2,
     GOOD,
     GROUP_FAMILY,
+    check_group,
     enumerate_unipotent,
     format_unipotent,
     label_to_json,
@@ -75,6 +75,14 @@ def _target(args) -> tuple[str, str]:
     return GROUP_FAMILY[group], group
 
 
+def _integer(text: str) -> int:
+    """text as an int: ASCII digits after an optional minus sign, with
+    surrounding whitespace ignored; int() alone also takes 1_0, +3 and ３."""
+    if not re.fullmatch(r"\s*-?[0-9]+\s*", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _ranks(args) -> list[int]:
     """The ranks --rank names: one integer, or for verify a range A..B."""
     text = args.rank
@@ -82,7 +90,7 @@ def _ranks(args) -> list[int]:
     if dots and args.verb != "verify":
         raise UsageError("rank ranges are only accepted by the verify verb")
     try:
-        lo, hi = int(lo), int(hi if dots else lo)
+        lo, hi = _integer(lo), _integer(hi if dots else lo)
     except ValueError:
         expects = "an integer or A..B" if args.verb == "verify" else "an integer"
         raise UsageError(f"--rank expects {expects}, got {text!r}") from None
@@ -104,12 +112,9 @@ def _parse_window(text: str, family: str) -> tuple[int, ...]:
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
     try:
-        window = tuple(int(p) for p in body.replace(" ", "").split(",") if p)
+        return tuple(_integer(p) for p in body.split(","))
     except ValueError:
-        window = ()
-    if not window:
-        raise UsageError(f"cannot parse element {text!r}")
-    return window
+        raise UsageError(f"cannot parse element {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +180,9 @@ def run_map(group: str, n: int, component: str | None = None, fmt: str = "text")
     class: its label, the good-characteristic image, and the
     characteristic-2 image.  Components with no good-characteristic
     unipotents get a single image column."""
-    spec2 = group_spec(group, n, CHAR2)
-    ctx = weyl_context(spec2, component)
+    ctx, classes, char2 = map_table(group, n, CHAR2, component)
     good_ok = ctx.component == wg.IDENTITY_COMPONENT
-    spec0 = group_spec(group, n, GOOD) if good_ok else None
-    rows = []
-    for c in elliptic_classes(ctx):
-        rows.append(
-            (
-                c,
-                phi(spec0, c) if good_ok else None,
-                phi(spec2, c),
-            )
-        )
+    good = map_table(group, n, GOOD, component)[2] if good_ok else [None] * len(classes)
     if fmt == "json":
         payload = {
             "group": group,
@@ -199,18 +194,14 @@ def run_map(group: str, n: int, component: str | None = None, fmt: str = "text")
                     "good": None if u0 is None else label_to_json(u0),
                     "char2": label_to_json(u2),
                 }
-                for c, u0, u2 in rows
+                for c, u0, u2 in zip(classes, good, char2)
             ],
         }
         return json.dumps(payload, indent=2) + "\n"
-    header = "class\tgood\tchar2" if good_ok else "class\tchar2"
-    lines = [header]
-    for c, u0, u2 in rows:
-        cells = [str(c)]
-        if good_ok:
-            cells.append(format_unipotent(u0))
-        cells.append(format_unipotent(u2))
-        lines.append("\t".join(cells))
+    lines = ["class\tgood\tchar2" if good_ok else "class\tchar2"]
+    for c, u0, u2 in zip(classes, good, char2):
+        shown = [u0, u2] if good_ok else [u2]
+        lines.append("\t".join([str(c), *map(format_unipotent, shown)]))
     return "\n".join(lines) + "\n"
 
 
@@ -226,11 +217,8 @@ def run_hasse(
     component: str | None,
     fmt: str,
 ) -> tuple[str, int]:
-    spec = group_spec(group, n, char)
-    ctx = weyl_context(spec, component)
-    classes = elliptic_classes(ctx)
     # phi refuses a (group, char) pair with no map, whichever side is shown
-    images = [phi(spec, c) for c in classes]
+    ctx, classes, images = map_table(group, n, char, component)
     shown = []  # (name, diagram, text heading) of each diagram shown
     if side in ("weyl", "both"):
         # the relation's rows and columns follow elliptic_classes' order
@@ -405,8 +393,8 @@ def _default_char(args, group: str, n: int) -> str:
     characteristic 2 on a twisted one, which has unipotents only there."""
     if args.char:
         return args.char
-    spec = group_spec(group, n, CHAR2)
-    component = weyl_context(spec, getattr(args, "component", None)).component
+    check_group(group, n, CHAR2)
+    component = wg.context(GROUP_FAMILY[group], n, getattr(args, "component", None)).component
     return GOOD if component == wg.IDENTITY_COMPONENT else CHAR2
 
 

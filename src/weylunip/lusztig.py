@@ -6,11 +6,14 @@ Group names follow the unipotent module: "GL", "GLd", "Sp", "O_odd",
 "O_even".  The Weyl side of GL is the symmetric group, of GLd its
 twisted coset, of Sp and O_odd the hyperoctahedral group, and of O_even
 the even-signed permutation group together with its twisted coset.
+
+phi takes the group and the characteristic; the elliptic class brings
+the rank and the Weyl context.  map_table is the one path from (group,
+n, char, component) to the elliptic classes and their images, and
+verify_theorem and the map and hasse verbs all read it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .partitions import (
     add_psi,
@@ -37,72 +40,58 @@ from .unipotent import (
 )
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    group: str
-    n: int
-    char: str
-
-
-def group_spec(group: str, n: int, char: str) -> GroupSpec:
-    check_group(group, n, char)
-    return GroupSpec(group, n, char)
-
-
-def weyl_context(spec: GroupSpec, component: str | None = None) -> GroupContext:
-    """The Weyl-group context whose elliptic classes spec's map consumes;
-    component None picks the family's default."""
-    return wg.context(GROUP_FAMILY[spec.group], spec.n, component)
-
-
-def phi(spec: GroupSpec, c: EllipticClassLabel) -> UnipotentLabel:
-    """Lusztig's map on the elliptic class c.
-
-    GL: the Coxeter class goes to the principal class (n).
-    GLd (characteristic 2 only): alpha with odd parts keeps its shape,
-    decorated with epsilon_max.
-    O(2n+1): good characteristic 2*alpha + psi, with a 1 appended when
-    alpha has an even number of parts; characteristic 2 gives
-    (2*alpha, 1) with epsilon_max.
-    Sp(2n): 2*alpha, decorated with epsilon_max in characteristic 2.
-    O(2n): good characteristic 2*alpha + psi on the identity component;
-    characteristic 2 gives 2*alpha with epsilon_max on both components.
+def phi(group: str, char: str, c: EllipticClassLabel) -> UnipotentLabel:
+    """Lusztig's map for group in characteristic char on the elliptic
+    class c, whose context gives the rank.  GL sends the Coxeter class to
+    the principal class (n); GLd (characteristic 2 only) keeps alpha, whose
+    parts are odd.  Sp, O(2n+1) and O(2n) double alpha: characteristic 2
+    gives 2*alpha, with a 1 appended for O(2n+1), on every component, and
+    good characteristic 2*alpha for Sp and 2*alpha + psi for the orthogonal
+    groups, with a 1 appended for O(2n+1) when alpha has an even number of
+    parts.  Every characteristic-2 image carries epsilon_max.
     """
-    fam = GROUP_FAMILY[spec.group]
-    if c.ctx.family != fam or c.ctx.n != spec.n:
-        raise ValueError(f"class {c} does not belong to the Weyl side of {spec}")
-    alpha = wg.check_elliptic(c.ctx, c.partition)
-    g, n = spec.group, spec.n
+    ctx = c.ctx
+    check_group(group, ctx.n, char)
+    if ctx.family != GROUP_FAMILY[group]:
+        raise ValueError(f"class {c} does not belong to the Weyl side of {group}")
+    alpha = wg.check_elliptic(ctx, c.partition)
     # outside characteristic 2 every unipotent element lies in the
     # identity component
-    if spec.char == GOOD and c.ctx.component != wg.IDENTITY_COMPONENT:
-        name = "O(2n)" if g == "O_even" else g
+    if char == GOOD and ctx.component != wg.IDENTITY_COMPONENT:
+        name = "O(2n)" if group == "O_even" else group
         raise ValueError(
             f"the twisted component of {name} has no unipotent elements in good characteristic"
         )
-    if g == "GL":
+    n = ctx.n
+    if group == "GL":
         return good_label("GL", n, (n,))
-    if g == "GLd":
+    if group == "GLd":
         return bad_label("GLd", n, alpha)
-    if g == "Sp":
-        doubled = scale(alpha, 2)
-        if spec.char == GOOD:
-            return good_label("Sp", n, doubled)
-        return bad_label("Sp", n, doubled)
-    if g == "O_odd":
-        doubled = scale(alpha, 2)
-        if spec.char == GOOD:
-            # psi(2*alpha) == psi(alpha): doubling keeps the strict comparisons
-            gamma = add_psi(doubled)
-            if len(alpha) % 2 == 0:
-                gamma = append_one(gamma)
-            return good_label("O_odd", n, gamma)
-        return bad_label("O_odd", n, append_one(doubled))
-    # O_even
     doubled = scale(alpha, 2)
-    if spec.char == GOOD:
-        return good_label("O_even", n, add_psi(doubled))
-    return bad_label("O_even", n, doubled)
+    if char == CHAR2:
+        return bad_label(group, n, append_one(doubled) if group == "O_odd" else doubled)
+    if group == "Sp":
+        return good_label("Sp", n, doubled)
+    # psi(2*alpha) == psi(alpha): doubling keeps the strict comparisons
+    gamma = add_psi(doubled)
+    if group == "O_odd" and len(alpha) % 2 == 0:
+        gamma = append_one(gamma)
+    return good_label(group, n, gamma)
+
+
+def map_table(
+    group: str,
+    n: int,
+    char: str,
+    component: str | None = None,
+) -> tuple[GroupContext, list[EllipticClassLabel], list[UnipotentLabel]]:
+    """The Weyl context of group at rank n (component None picks the
+    family's default), its elliptic classes in elliptic_classes' order,
+    and their images under phi, images[i] that of classes[i]."""
+    check_group(group, n, char)
+    ctx = wg.context(GROUP_FAMILY[group], n, component)
+    classes = elliptic_classes(ctx)
+    return ctx, classes, [phi(group, char, c) for c in classes]
 
 
 def verify_theorem(
@@ -127,18 +116,13 @@ def verify_theorem(
     computes it once per context and shares it among every combination
     verify runs on that context.
     """
-    spec = group_spec(group, n, char)
-    ctx = weyl_context(spec, component)
-    labels = elliptic_classes(ctx)
-    images = {c.partition: phi(spec, c) for c in labels}
+    ctx, classes, images = map_table(group, n, char, component)
     rel = weyl_relation(ctx)
     failures = []
-    pairs = 0
-    for i, ca in enumerate(labels):
-        for j, cb in enumerate(labels):
-            pairs += 1
+    for i, ca in enumerate(classes):
+        for j, cb in enumerate(classes):
             dom = dominance_leq(ca.partition, cb.partition)
-            u_leq = unipotent_leq(images[ca.partition], images[cb.partition])
+            u_leq = unipotent_leq(images[i], images[j])
             w_leq = rel[j][i]
             if not (dom == u_leq == w_leq):
                 failures.append(
@@ -155,7 +139,7 @@ def verify_theorem(
         "group": group,
         "n": n,
         "char": char,
-        "pairs": pairs,
+        "pairs": len(classes) ** 2,
         "failures": failures,
     }
     if group == "O_even":

@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 from weylunip import weylgroup as wg
 from weylunip.classposet import EllipticClassLabel, _require_same_ctx, elliptic_label
-from weylunip.lusztig import group_spec, phi, weyl_context
+from weylunip.lusztig import phi
 from weylunip.partitions import Partition, as_partition, multiplicity, transpose
-from weylunip.unipotent import CHAR2, GOOD, theta2
+from weylunip.unipotent import CHAR2, GOOD, GROUP_FAMILY, theta2
 from weylunip.weylgroup import (
     GroupContext,
     SignedPermutation,
@@ -163,9 +163,6 @@ def phi_good_char_equals_theta2_of_phi_char2(group: str, n: int, alpha) -> bool:
     """The transfer square commutes on elliptic classes: applying the map
     in characteristic 2 and transferring back equals the good-characteristic
     map.  Defined for Sp, O_odd, and the identity component of O_even."""
-    spec2 = group_spec(group, n, CHAR2)
-    spec0 = group_spec(group, n, GOOD)
-    ctx = weyl_context(spec0)
-    c = elliptic_label(ctx, alpha)
-    transferred = theta2(phi(spec2, c))
-    return transferred == phi(spec0, c)
+    c = elliptic_label(wg.context(GROUP_FAMILY[group], n), alpha)
+    transferred = theta2(phi(group, CHAR2, c))
+    return transferred == phi(group, GOOD, c)

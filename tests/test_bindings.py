@@ -5,12 +5,14 @@ perfbench/tracer.py wraps every function its LAYERS table names, looked
 up with getattr on the weylunip module, and fails when one is missing;
 the package root promises every name in __all__.  The repository has no
 linter, so the scans at the end are its lint gate: no unused imports,
-and no assert statements in the library, since `python -O` strips them.
+no assert statements in the library, since `python -O` strips them, and
+no library import from outside the standard library.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import weylunip
@@ -78,5 +80,21 @@ def test_library_checks_invariants_without_assert():
         for path in sorted((ROOT / "src" / "weylunip").glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert hits == []
+
+
+def test_library_imports_only_the_standard_library():
+    # a relative import (level > 0) stays inside the package
+    hits = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+        for path in sorted((ROOT / "src" / "weylunip").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+        if name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert hits == []

@@ -234,12 +234,15 @@ def test_family_and_group_must_agree(capsys, verb):
 def test_a_malformed_rank_is_refused_by_name(capsys, verb):
     target = ["--group", "Sp"] if verb == "unipotent" else ["--family", "BC"]
     windows = ["[1,2]", "[2,1]"] if verb == "bruhat" else []
-    for text in ["1e3", "3.0", *(["1..x"] if verb == "verify" else [])]:
+    # int() alone would read 1_0 as 10 and a full-width ３ as 3
+    for text in ["1e3", "3.0", "1_0", "３", *(["1..x"] if verb == "verify" else [])]:
         line = assert_one_line_refusal(capsys, [verb, *target, "--rank", text, *windows])
         assert line.startswith("error: --rank expects an integer") and repr(text) in line
 
 
-@pytest.mark.parametrize("bad", ["[1,x]", "[a]", "[]*d", "[2,1]*d", "[1,*d2]"])
+@pytest.mark.parametrize(
+    "bad", ["[1,x]", "[a]", "[]*d", "[2,1]*d", "[1,*d2]", "[1,,2]", "[1,2,]", "[1 2]"]
+)
 def test_a_malformed_window_is_quoted(capsys, bad):
     for pair in ([bad, "[1,2]"], ["[1,2]", bad]):
         line = assert_one_line_refusal(capsys, ["bruhat", "--family", "BC", "--rank", "2", *pair])

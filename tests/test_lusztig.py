@@ -2,11 +2,10 @@ import pytest
 
 from weylunip.classposet import EllipticClassLabel, elliptic_classes, elliptic_label
 from weylunip.lusztig import (
-    group_spec,
+    map_table,
     phi,
     verify_combinations,
     verify_theorem,
-    weyl_context,
 )
 from weylunip.partitions import family_members
 from weylunip.unipotent import GROUP_FAMILY, format_unipotent
@@ -16,11 +15,8 @@ from oracle import phi_good_char_equals_theta2_of_phi_char2
 
 
 def _rows(group, n, char, component="id"):
-    spec = group_spec(group, n, char)
-    ctx = weyl_context(spec, component)
-    return {
-        c.partition: format_unipotent(phi(spec, c)) for c in elliptic_classes(ctx)
-    }
+    _, classes, images = map_table(group, n, char, component)
+    return {c.partition: format_unipotent(u) for c, u in zip(classes, images)}
 
 
 def test_phi_symplectic_rank_two():
@@ -78,19 +74,15 @@ def test_phi_even_orthogonal_twisted_component():
 def test_phi_image_components():
     # identity-component classes land inside SO, twisted ones outside
     for n in (2, 3, 4, 5):
-        spec = group_spec("O_even", n, "2")
         for comp, want in [("id", "SO"), ("twisted", "O\\SO")]:
-            ctx = weyl_context(spec, comp)
-            for c in elliptic_classes(ctx):
-                assert phi(spec, c).so_component == want
+            for c in elliptic_classes(wg.context("D", n, comp)):
+                assert phi("O_even", "2", c).so_component == want
 
 
 def test_phi_linear_groups():
-    spec = group_spec("GL", 4, "good")
-    ctx = weyl_context(spec)
-    (c,) = elliptic_classes(ctx)
-    assert phi(spec, c).partition == (4,)
-    assert phi(group_spec("GL", 4, "2"), c).partition == (4,)
+    (c,) = elliptic_classes(wg.context("A", 4))
+    assert phi("GL", "good", c).partition == (4,)
+    assert phi("GL", "2", c).partition == (4,)
     # only the free rows get an explicit epsilon in the display: 1 is
     # free in (3,1,1) (odd row, even multiplicity) but not in (1^5)
     assert _rows("GLd", 5, "2", "twisted") == {
@@ -101,20 +93,20 @@ def test_phi_linear_groups():
 
 
 def test_phi_rejects():
-    spec = group_spec("GLd", 3, "2")
-    ctx = weyl_context(spec)
-    c = elliptic_label(ctx, (3,))
+    c = elliptic_label(wg.context("2A", 3), (3,))
     with pytest.raises(ValueError):
-        phi(group_spec("GLd", 3, "good"), c)
+        phi("GLd", "good", c)
     tw = elliptic_label(wg.context("D", 3, "twisted"), (3,))
     with pytest.raises(ValueError):
-        phi(group_spec("O_even", 3, "good"), tw)
+        phi("O_even", "good", tw)
     # class from the wrong Weyl side
     bc = elliptic_label(wg.context("BC", 3), (3,))
-    with pytest.raises(ValueError):
-        phi(group_spec("O_even", 3, "2"), bc)
-    with pytest.raises(ValueError):
-        phi(group_spec("Sp", 4, "good"), bc)  # right family, wrong rank
+    with pytest.raises(ValueError, match="does not belong to the Weyl side of O_even"):
+        phi("O_even", "2", bc)
+    # phi reads its group through check_group, so an unknown one is
+    # refused by name, not by a KeyError
+    with pytest.raises(ValueError, match="unknown group 'SU'"):
+        phi("SU", "good", bc)
 
 
 def test_phi_refuses_a_label_that_names_no_elliptic_class():
@@ -122,7 +114,7 @@ def test_phi_refuses_a_label_that_names_no_elliptic_class():
     # a class of D(3)'s twisted component, not of the identity one
     c = EllipticClassLabel(wg.context("D", 3), (3,))
     with pytest.raises(ValueError, match="not an elliptic class"):
-        phi(group_spec("O_even", 3, "2"), c)
+        phi("O_even", "2", c)
 
 
 def test_phi_injective_per_context():
@@ -137,9 +129,7 @@ def test_phi_injective_per_context():
         cases.append(("O_even", n, "2", "twisted"))
         cases.append(("GLd", n, "2", "twisted"))
     for group, n, char, comp in cases:
-        spec = group_spec(group, n, char)
-        ctx = weyl_context(spec, comp)
-        images = [phi(spec, c) for c in elliptic_classes(ctx)]
+        _, _, images = map_table(group, n, char, comp)
         assert len(set(images)) == len(images), (group, n, char, comp)
 
 
@@ -147,12 +137,11 @@ def test_phi_image_avoids_split_classes():
     # the image consists of classes without I/II decoration
     for n in range(2, 8):
         for char in ("good", "2"):
-            spec = group_spec("O_even", n, char)
             comps = ["id"] if char == "good" else ["id", "twisted"]
             for comp in comps:
-                ctx = weyl_context(spec, comp)
-                for c in elliptic_classes(ctx):
-                    assert phi(spec, c).split is None
+                _, _, images = map_table("O_even", n, char, comp)
+                for u in images:
+                    assert u.split is None
 
 
 def test_transfer_square_commutes():
@@ -225,18 +214,28 @@ def test_good_characteristic_runs_where_the_component_has_unipotents(family):
     for group, component in {(g, comp) for g, _, comp in triples}:
         good = (group, "good", component) in triples
         assert good == (component == "id")
-        ctx = weyl_context(group_spec(group, 3, "2"), component)
-        c = elliptic_classes(ctx)[0]
+        _, classes, _ = map_table(group, 3, "2", component)
         if not good:
             with pytest.raises(ValueError, match="no unipotent elements in good"):
-                phi(group_spec(group, 3, "good"), c)
+                phi(group, "good", classes[0])
 
 
 def test_group_spec_validation():
     with pytest.raises(ValueError, match="unknown group 'SU'"):
-        group_spec("SU", 3, "good")
+        map_table("SU", 3, "good")
     with pytest.raises(ValueError, match="characteristic must be 'good' or '2'"):
-        group_spec("Sp", 3, "5")
+        map_table("Sp", 3, "5")
     with pytest.raises(ValueError):
-        group_spec("O_even", 1, "good")
+        map_table("O_even", 1, "good")
     assert GROUP_FAMILY["O_even"] == "D"
+
+
+@pytest.mark.parametrize("family", ["A", "BC", "D", "2A"])
+def test_map_table_pairs_each_class_with_its_image(family):
+    # verify, map and hasse all read images[i] as the image of classes[i]
+    for group, char, component in verify_combinations(family):
+        for n in range(wg.FAMILY_RULES[family].min_rank, 7):
+            ctx, classes, images = map_table(group, n, char, component)
+            assert ctx == wg.context(family, n, component)
+            assert classes == elliptic_classes(ctx)
+            assert images == [phi(group, char, c) for c in classes]
