@@ -1,5 +1,7 @@
 """The partial order on elliptic conjugacy classes induced by Bruhat
 comparison of minimal-length elements, plus Hasse-diagram construction.
+A class is named by an EllipticClassLabel and a diagram is a
+HasseDiagram, both NamedTuples.
 
 For classes C' and C the relation C' <= C holds when some minimal-length
 element of C dominates an element of C' in the Bruhat order.  Four
@@ -17,9 +19,8 @@ holds while it scans are bounded (CapExceeded past the bound).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .partitions import Partition, dominance_leq, fields_leq, format_partition
 from . import weylgroup as wg
@@ -31,8 +32,9 @@ class PosetError(ValueError):
     failed)."""
 
 
-@dataclass(frozen=True)
-class EllipticClassLabel:
+class EllipticClassLabel(NamedTuple):
+    """The elliptic class of ctx that partition names."""
+
     ctx: GroupContext
     partition: Partition
 
@@ -59,14 +61,14 @@ def _require_same_ctx(a: EllipticClassLabel, b: EllipticClassLabel) -> GroupCont
 
 def class_leq_W(a: EllipticClassLabel, b: EllipticClassLabel) -> bool:
     """Whether a <= b in the order on elliptic classes: the entry of
-    weyl_relation(a.ctx) for the pair."""
+    weyl_relation(a.ctx) for the pair.  Both labels are checked before
+    the relation is built."""
     ctx = _require_same_ctx(a, b)
-    rel = weyl_relation(ctx)
     alphas = wg.elliptic_partitions(ctx)
     for c in (a, b):
         if c.partition not in alphas:
             raise ValueError(f"{c.partition} is not an elliptic class of {ctx}")
-    return rel[alphas.index(a.partition)][alphas.index(b.partition)]
+    return weyl_relation(ctx)[alphas.index(a.partition)][alphas.index(b.partition)]
 
 
 # 32 because verify loops over its (group, char, component) combinations
@@ -135,8 +137,7 @@ def predicted_leq_W(a: EllipticClassLabel, b: EllipticClassLabel) -> bool:
 # Hasse diagrams
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
+class HasseDiagram(NamedTuple):
     nodes: tuple
     covers: tuple[tuple[int, int], ...]  # (lower index, upper index)
 

@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 a verification found a counterexample,
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from functools import lru_cache
@@ -117,6 +116,14 @@ def _parse_window(text: str, family: str) -> tuple[int, ...]:
         raise UsageError(f"cannot parse element {text!r}") from None
 
 
+def _json(payload: dict) -> str:
+    """payload as indented JSON text.  json is imported here, so a
+    command that prints text or DOT never loads it."""
+    import json
+
+    return json.dumps(payload, indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # classes
 
@@ -141,7 +148,7 @@ def run_classes(family: str, n: int, component: str | None, fmt: str) -> str:
             "component": ctx.component,
             "classes": rows,
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload)
     lines = ["class\trep\tlength\tsize"]
     suffix = "*d" if ctx.family == "2A" else ""
     for row in rows:
@@ -163,7 +170,7 @@ def run_unipotent(group: str, n: int, char: str, fmt: str) -> str:
             "char": char,
             "classes": [label_to_json(u) for u in labels],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload)
     lines = []
     for u in labels:
         comp = u.so_component
@@ -197,7 +204,7 @@ def run_map(group: str, n: int, component: str | None = None, fmt: str = "text")
                 for c, u0, u2 in zip(classes, good, char2)
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload)
     lines = ["class\tgood\tchar2" if good_ok else "class\tchar2"]
     for c, u0, u2 in zip(classes, good, char2):
         shown = [u0, u2] if good_ok else [u2]
@@ -236,7 +243,7 @@ def run_hasse(
         payload: dict = {name: hasse_to_json(diagram) for name, diagram, _ in shown}
         if side == "both":
             payload["opposite"] = opposite
-        return json.dumps(payload, indent=2) + "\n", code
+        return _json(payload), code
     if fmt == "dot":
         return "".join(hasse_to_dot(diagram, name=name) for name, diagram, _ in shown), code
     lines = []
@@ -277,7 +284,7 @@ def run_verify(
     code = 1 if bad else 0
     if fmt == "json":
         payload = {"ok": not bad, "reports": reports}
-        return json.dumps(payload, indent=2) + "\n", code
+        return _json(payload), code
     lines = []
     for r in reports:
         status = "FAIL" if r["failures"] else "OK"
@@ -299,7 +306,11 @@ def run_verify(
 def run_bruhat(family: str, n: int, x_text: str, y_text: str, fmt: str) -> tuple[str, int]:
     x, y = _parse_window(x_text, family), _parse_window(y_text, family)
     ctx = wg.context(family, n, wg.component_of(family, x))
-    lx, ly = wg.length(ctx, x), wg.length(ctx, y)
+    for w, text in ((x, x_text), (y, y_text)):
+        if len(w) != n:
+            entries = "1 entry" if len(w) == 1 else f"{len(w)} entries"
+            raise UsageError(f"element {text!r} has {entries}; --rank {n} needs {n}")
+        wg.length(ctx, w)  # refuses a window that names no element of ctx
     generic = wg.bruhat_leq_generic(ctx, x, y)
     counts = witness = note = None
     code = 0
@@ -326,7 +337,7 @@ def run_bruhat(family: str, n: int, x_text: str, y_text: str, fmt: str) -> tuple
         }
         if note:
             payload["note"] = note
-        return json.dumps(payload, indent=2) + "\n", code
+        return _json(payload), code
     lines = [f"x <= y in Bruhat order: {generic}"]
     if counts is not None:
         lines.append(f"count-matrix criterion: {counts}")

@@ -18,14 +18,17 @@ keys of GROUP_FAMILY; n is always the Weyl-group rank.  Odd orthogonal
 groups in characteristic 2 borrow the symplectic parameter set through
 the exceptional isogeny, written with a trailing 1 appended to the
 partition.
+
+A class is named by a UnipotentLabel, a NamedTuple that caches the packed
+key the closure orders read.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .partitions import (
     Partition,
@@ -93,23 +96,28 @@ def free_indices(group: str, alpha: Partition) -> tuple[int, ...]:
 # labels
 
 
-@dataclass(frozen=True)
-class UnipotentLabel:
-    """A unipotent conjugacy class of a classical group.
-
-    kind "good" carries just the partition; kind "bad" (characteristic 2)
-    carries the partition and epsilon, stored as its free values: a tuple
-    of (row, value) pairs in descending row order.  split marks the two
-    members of a class that falls apart over the special orthogonal
-    subgroup; split classes compare like their base class.
-    """
-
+class _LabelFields(NamedTuple):
     group: str
     n: int
     kind: str
     partition: Partition
     epsilon: tuple[tuple[int, int], ...] | None = None
     split: str | None = None
+
+
+class UnipotentLabel(_LabelFields):
+    """A unipotent conjugacy class of a classical group: a NamedTuple of
+    the fields of _LabelFields, compared and hashed by value.
+
+    kind "good" carries just the partition; kind "2" (characteristic 2)
+    carries the partition and epsilon, stored as its free values: a tuple
+    of (row, value) pairs in descending row order.  split marks the two
+    members of a class that falls apart over the special orthogonal
+    subgroup; split classes compare like their base class.
+
+    The subclass declares no __slots__, so each label has an instance
+    __dict__, where cached_property keeps _domain and _key.
+    """
 
     @property
     def so_component(self) -> str | None:
@@ -307,7 +315,8 @@ def good_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
     """Closure order in good characteristic: dominance of partitions.
     Split markers are ignored (the two members of a split pair sit at
     the same place in the order)."""
-    if a._domain != b._domain or a.kind != GOOD:
+    domain = a._domain  # (kind, ...): indexing it is cheaper than reading a.kind
+    if domain != b._domain or domain[0] != GOOD:
         _check_comparable(a, b, GOOD)
     guards, key_a = a._key
     key_b = b._key[1]
@@ -332,7 +341,8 @@ def bad_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
     Even orthogonal labels compare only within the same component of the
     group.
     """
-    if a._domain != b._domain or a.kind != CHAR2:
+    domain = a._domain
+    if domain != b._domain or domain[0] != CHAR2:
         _check_comparable(a, b, CHAR2)
     guards, key_a, sums_a, parity_a, _ = a._key
     _, key_b, sums_b, parity_b, zeros_b = b._key
@@ -346,9 +356,10 @@ def bad_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
 
 def unipotent_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
     """Dispatch to the closure order matching the labels' characteristic."""
-    if a.kind != b.kind:
-        raise ValueError(f"cannot compare {a.kind} with {b.kind} labels")
-    return good_leq(a, b) if a.kind == GOOD else bad_leq(a, b)
+    kind = a.kind
+    if kind != b.kind:
+        raise ValueError(f"cannot compare {kind} with {b.kind} labels")
+    return good_leq(a, b) if kind == GOOD else bad_leq(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ twisted component of the even orthogonal model the coset elements are
 honest signed permutations with an odd number of sign changes, so no
 extra bookkeeping is needed.
 
-Composition is (xy)(i) = x(y(i)).
+Composition is (xy)(i) = x(y(i)).  A group is named by a GroupContext,
+a NamedTuple of family, rank and component.
 
 Bruhat comparisons of many elements go through one packed count key per
 element: its count matrix held as one int, one guard-bit field per entry
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Iterator, NamedTuple
@@ -74,9 +74,10 @@ class CapExceeded(RuntimeError):
     elements."""
 
 
-@dataclass(frozen=True)
-class GroupContext:
-    """A classical Weyl group (or extended group component).
+class GroupContext(NamedTuple):
+    """A classical Weyl group (or extended group component).  A
+    NamedTuple, compared and hashed by value, so it keys the per-context
+    caches.
 
     family: "A" (S_n on n letters), "BC" (hyperoctahedral), "D"
     (even-signed; the O(2n) model when the twisted component is used),
@@ -212,9 +213,9 @@ def _length(ctx: GroupContext, w: SignedPermutation) -> int:
 # Bruhat order: count-matrix criterion and generic descent recursion
 
 
-@dataclass(frozen=True)
-class CountMatrix:
-    """Entries w[i,j] = |{k <= i : w(k) >= j}| over the family's index set.
+class CountMatrix(NamedTuple):
+    """Entries w[i,j] = |{k <= i : w(k) >= j}| over the family's index set,
+    as a NamedTuple of n, signed and the rows.
 
     For signed families the index set is {-n..-1, 1..n} in both
     coordinates; for type A it is {1..n}.  This is the literal form, which

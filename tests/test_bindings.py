@@ -6,12 +6,16 @@ up with getattr on the weylunip module, and fails when one is missing;
 the package root promises every name in __all__.  The repository has no
 linter, so the scans at the end are its lint gate: no unused imports,
 no assert statements in the library, since `python -O` strips them, and
-no library import from outside the standard library.
+no library import from outside the standard library.  Every command
+pays for the package import, so the last test keeps two slow imports out
+of it.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -98,3 +102,24 @@ def test_library_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert hits == []
+
+
+def test_import_loads_neither_dataclasses_nor_json():
+    # dataclasses pulls in inspect, ast and dis, and its classes generate
+    # their methods with exec; json is imported only by the CLI verb that
+    # prints JSON, inside cli._json
+    script = (
+        "import sys; before = set(sys.modules); import weylunip, weylunip.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        encoding="utf-8",
+        timeout=60,
+        check=True,
+    )
+    added = set(proc.stdout.split())
+    assert "weylunip.cli" in added
+    assert added & {"dataclasses", "json"} == set()

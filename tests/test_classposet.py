@@ -89,6 +89,16 @@ def test_class_leq_rejects_a_label_built_without_validation():
         class_leq_W(elliptic_label(ctx, (3, 1)), odd)
 
 
+def test_class_leq_refuses_a_bad_label_before_building_the_relation():
+    ctx = wg.context("BC", 8)
+    good = elliptic_label(ctx, (8,))
+    weyl_relation.cache_clear()
+    for pair in ((EllipticClassLabel(ctx, (9,)), good), (good, EllipticClassLabel(ctx, (9,)))):
+        with pytest.raises(ValueError, match=r"^\(9,\) is not an elliptic class of "):
+            class_leq_W(*pair)
+    assert weyl_relation.cache_info().misses == 0
+
+
 def brute_class_leq(a, b):
     """Definition-level comparison: some minimal element of b dominates
     some element of a, with no representative formulas or length cuts."""

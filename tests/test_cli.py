@@ -249,6 +249,17 @@ def test_a_malformed_window_is_quoted(capsys, bad):
         assert line == f"error: cannot parse element {bad!r}"
 
 
+@pytest.mark.parametrize("family", ["A", "BC", "D", "2A"])
+@pytest.mark.parametrize(
+    "bad, entries", [("[1]", "1 entry"), ("[1,2]", "2 entries"), ("[4,3,2,1]", "4 entries")]
+)
+def test_a_window_of_the_wrong_length_is_refused_by_rank(capsys, family, bad, entries):
+    # the library's own refusal would name a GroupContext repr, not --rank
+    for pair in ([bad, "[1,2,3]"], ["[1,2,3]", bad]):
+        line = assert_one_line_refusal(capsys, ["bruhat", "--family", family, "--rank", "3", *pair])
+        assert line == f"error: element {bad!r} has {entries}; --rank 3 needs 3"
+
+
 @pytest.mark.parametrize("verb", ["classes", "verify", "bruhat"])
 def test_a_verb_without_group_requires_family(capsys, verb):
     # --family is the only way these verbs name a family, so argparse
