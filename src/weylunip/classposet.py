@@ -184,20 +184,18 @@ def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagra
     return HasseDiagram(tuple(nodes), tuple(covers))
 
 
-def hasse_to_json(diagram: HasseDiagram, label: Callable[[object], str] = str) -> dict:
+def hasse_to_json(diagram: HasseDiagram) -> dict:
     return {
-        "nodes": [label(x) for x in diagram.nodes],
+        "nodes": [str(x) for x in diagram.nodes],
         "covers": [[i, j] for i, j in diagram.covers],
     }
 
 
-def hasse_to_dot(
-    diagram: HasseDiagram, label: Callable[[object], str] = str, name: str = "poset"
-) -> str:
+def hasse_to_dot(diagram: HasseDiagram, name: str = "poset") -> str:
     """Graphviz DOT text, edges pointing from lower to upper element."""
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
     for idx, node in enumerate(diagram.nodes):
-        text = label(node).replace('"', '\\"')
+        text = str(node).replace('"', '\\"')
         lines.append(f'  n{idx} [label="{text}"];')
     for i, j in diagram.covers:
         lines.append(f"  n{i} -> n{j};")

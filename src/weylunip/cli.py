@@ -10,7 +10,7 @@ Verbs:
     bruhat     compare two group elements in Bruhat order
 
 Exit codes: 0 success, 1 a verification found a counterexample,
-2 usage error or invalid input.
+2 usage error, invalid input or out of memory.
 """
 
 from __future__ import annotations
@@ -434,6 +434,9 @@ def main(argv: list[str] | None = None) -> int:
         text, code = _dispatch(args)
     except (ValueError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     try:
         if args.out:

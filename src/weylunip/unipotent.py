@@ -113,7 +113,7 @@ class UnipotentLabel(_LabelFields):
     carries the partition and epsilon, stored as its free values: a tuple
     of (row, value) pairs in descending row order.  split marks the two
     members of a class that falls apart over the special orthogonal
-    subgroup; split classes compare like their base class.
+    subgroup (_splits says which); they compare like their base class.
 
     The subclass declares no __slots__, so each label has an instance
     __dict__, where cached_property keeps _domain and _key.
@@ -231,9 +231,7 @@ def _check_has_unipotents(group: str, n: int, char: str) -> None:
         )
 
 
-def _check_partition(
-    group: str, n: int, char: str, alpha: Partition, split: str | None
-) -> None:
+def _check_partition(group: str, n: int, char: str, alpha: Partition) -> None:
     _check_has_unipotents(group, n, char)
     dim = _dim(group, n)
     if sum(alpha) != dim:
@@ -252,13 +250,32 @@ def _check_partition(
                 f"{alpha} is not a valid {group} partition: an {parity} row has odd multiplicity"
             )
         raise ValueError(f"{alpha}: an {parity} row has odd multiplicity")
+
+
+def _splits(group: str, alpha: Partition, values) -> bool:
+    """Whether the class of alpha with free epsilon values values (none
+    for a good label) falls apart over SO(2n) into a pair marked I, II."""
+    return group == "O_even" and 1 not in values and all(
+        p % 2 == 0 and m % 2 == 0 for p, m in Counter(alpha).items()
+    )
+
+
+def _check_split(group: str, alpha: Partition, values, split: str | None) -> None:
+    """Refuse a marker other than I or II, or one on a class that does
+    not split; an unmarked label of a split class names the O(2n) class."""
     if split not in (None, "I", "II"):
         raise ValueError(f"bad split marker {split!r}")
+    if split is not None and not _splits(group, alpha, values):
+        raise ValueError(
+            f"split marker {split!r} on {format_partition(alpha)}, "
+            f"a class that does not split in {group}"
+        )
 
 
 def good_label(group: str, n: int, partition, split: str | None = None) -> UnipotentLabel:
     alpha = as_partition(partition)
-    _check_partition(group, n, GOOD, alpha, split)
+    _check_partition(group, n, GOOD, alpha)
+    _check_split(group, alpha, (), split)
     return UnipotentLabel(group, n, GOOD, alpha, None, split)
 
 
@@ -272,7 +289,7 @@ def bad_label(
     """A characteristic-2 label.  epsilon maps each free row to 0 or 1;
     None means epsilon_max."""
     alpha = as_partition(partition)
-    _check_partition(group, n, CHAR2, alpha, split)
+    _check_partition(group, n, CHAR2, alpha)
     if group == "GL":
         raise ValueError(f"group {group!r} has no characteristic-2 parameter set")
     free = free_indices(group, alpha)
@@ -284,6 +301,7 @@ def bad_label(
         )
     if any(v not in (0, 1) for v in values.values()):
         raise ValueError("free epsilon values must be 0 or 1")
+    _check_split(group, alpha, values.values(), split)
     return UnipotentLabel(group, n, CHAR2, alpha, tuple((i, values[i]) for i in free), split)
 
 
@@ -407,36 +425,18 @@ def enumerate_unipotent(group: str, n: int, char: str) -> list[UnipotentLabel]:
     epsilon choices largest first, split pair I before II).  Classes
     that split over SO(2n) appear as two labels."""
     _check_has_unipotents(group, n, char)
+    # GL's classes are partitions in every characteristic
+    kind = CHAR2 if char == CHAR2 and group != "GL" else GOOD
     # O_odd's characteristic-2 labels are partitions of 2n with a 1 appended
-    isogeny = group == "O_odd" and char == CHAR2
-    members = family_members(2 * n if isogeny else _dim(group, n), kappa(group, char))
-    if isogeny:
-        members = [a + (1,) for a in members]
-    if group == "GL":
-        return [good_label("GL", n, a) for a in members]
+    isogeny = group == "O_odd" and kind == CHAR2
     out: list[UnipotentLabel] = []
-    if char == GOOD:
-        for a in members:
-            if group == "O_even" and all(p % 2 == 0 for p in a):
-                out.append(good_label(group, n, a, split="I"))
-                out.append(good_label(group, n, a, split="II"))
-            else:
-                out.append(good_label(group, n, a))
-        return out
-    for a in members:
-        free = free_indices(group, a)
-        # all rows even, each of even multiplicity: the class of the
-        # epsilon with no free value 1 splits
-        splits = group == "O_even" and all(
-            p % 2 == 0 and m % 2 == 0 for p, m in Counter(a).items()
-        )
+    for a in family_members(2 * n if isogeny else _dim(group, n), kappa(group, char)):
+        a = a + (1,) if isogeny else a
+        free = free_indices(group, a) if kind == CHAR2 else ()
         for values in itertools.product((1, 0), repeat=len(free)):
-            eps = tuple(zip(free, values))
-            if splits and not any(values):
-                out.append(UnipotentLabel(group, n, CHAR2, a, eps, "I"))
-                out.append(UnipotentLabel(group, n, CHAR2, a, eps, "II"))
-            else:
-                out.append(UnipotentLabel(group, n, CHAR2, a, eps))
+            eps = tuple(zip(free, values)) if kind == CHAR2 else None
+            for split in ("I", "II") if _splits(group, a, values) else (None,):
+                out.append(UnipotentLabel(group, n, kind, a, eps, split))
     return out
 
 

@@ -35,6 +35,7 @@ from .partitions import (
     family_members,
     field_width,
     fields_leq,
+    format_partition,
     guard_bits,
     pack,
 )
@@ -148,14 +149,18 @@ def identity(n: int) -> SignedPermutation:
 def _check_element(ctx: GroupContext, w: SignedPermutation) -> None:
     if len(w) != ctx.n:
         raise ValueError(f"element of rank {len(w)} passed to {ctx}")
+    # a refusal writes w as a window, [w(1),...,w(n)], as the CLI takes it
     if sorted(abs(v) for v in w) != list(range(1, ctx.n + 1)):
-        raise ValueError(f"{w} is not a signed permutation window")
+        raise ValueError(f"{format_partition(w)} is not a signed permutation window")
     if ctx.family in ("A", "2A") and min(w) < 0:
-        raise ValueError(f"{w} has signs; family {ctx.family} stores plain permutations")
-    if ctx.family == "D" and component_of("D", w) != ctx.component:
         raise ValueError(
-            f"{w} has {sum(1 for v in w if v < 0)} sign changes; wrong parity for the "
-            f"{ctx.component} component of D({ctx.n})"
+            f"{format_partition(w)} has signs; family {ctx.family} stores plain permutations"
+        )
+    if ctx.family == "D" and component_of("D", w) != ctx.component:
+        signs = sum(1 for v in w if v < 0)
+        raise ValueError(
+            f"{format_partition(w)} has {signs} sign change{'' if signs == 1 else 's'}; "
+            f"wrong parity for the {ctx.component} component of D({ctx.n})"
         )
 
 

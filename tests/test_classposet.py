@@ -438,9 +438,9 @@ def test_hasse_covers_exclude_transitive_edges():
 def test_hasse_json_and_dot():
     ps = [(2,), (1, 1)]
     diagram = hasse(ps, dominance_leq)
-    payload = hasse_to_json(diagram, str)
+    payload = hasse_to_json(diagram)
     assert payload == {"nodes": ["(2,)", "(1, 1)"], "covers": [[1, 0]]}
-    dot = hasse_to_dot(diagram, str, name="g")
+    dot = hasse_to_dot(diagram, name="g")
     assert dot == (
         "digraph g {\n"
         "  rankdir=BT;\n"

@@ -260,6 +260,34 @@ def test_a_window_of_the_wrong_length_is_refused_by_rank(capsys, family, bad, en
         assert line == f"error: element {bad!r} has {entries}; --rank 3 needs 3"
 
 
+@pytest.mark.parametrize(
+    "family, pair, refusal",
+    [
+        ("BC", ["[1,1,2]", "[1,2,3]"], "[1,1,2] is not a signed permutation window"),
+        ("A", ["[1,2,3]", "[-1,2,3]"], "[-1,2,3] has signs; family A stores plain permutations"),
+        ("D", ["[1,2,3]", "[-1,2,3]"],
+         "[-1,2,3] has 1 sign change; wrong parity for the id component of D(3)"),
+        ("D", ["[1,2,3]", "[-1,-2,-3]"],
+         "[-1,-2,-3] has 3 sign changes; wrong parity for the id component of D(3)"),
+    ],
+    ids=["window", "signs", "one-sign", "three-signs"],
+)
+def test_an_element_refusal_writes_the_window(capsys, family, pair, refusal):
+    # the element is quoted as the window the command line took
+    line = assert_one_line_refusal(capsys, ["bruhat", "--family", family, "--rank", "3", *pair])
+    assert line == f"error: {refusal}"
+
+
+def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    # MemoryError is an input too large for the machine, not a counterexample
+    def exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_verify", exhaust)
+    line = assert_one_line_refusal(capsys, ["verify", "--family", "BC", "--rank", "3"])
+    assert line == "error: out of memory"
+
+
 @pytest.mark.parametrize("verb", ["classes", "verify", "bruhat"])
 def test_a_verb_without_group_requires_family(capsys, verb):
     # --family is the only way these verbs name a family, so argparse
@@ -741,6 +769,10 @@ def test_every_command_line_keeps_the_exit_code_contract(tmp_path_factory, argv)
         assert out == "", argv
         lines = err.splitlines()
         assert sum("error:" in line for line in lines) == 1, (argv, err)
+        # a refusal quotes no Python value: no repr of a value type and no
+        # integer tuple such as (1, 1) or (2,)
+        assert "GroupContext(" not in err and "UnipotentLabel(" not in err, (argv, err)
+        assert not re.search(r"\(-?\d+,( -?\d+,)*( -?\d+)?\)", err), (argv, err)
         if parsed:
             assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
             # a refusal names only flags the verb takes

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import defaultdict
 
@@ -522,6 +523,36 @@ def test_label_factories_accept_exactly_the_enumerated_partitions():
                     except ValueError:
                         accepted = False
                     assert accepted == (a in listed), (group, char, n, a)
+
+
+def rebuild(group, n, kind, a, eps, split):
+    if kind == GOOD:
+        return good_label(group, n, a, split=split)
+    return bad_label(group, n, a, dict(eps), split=split)
+
+
+def test_label_factories_accept_exactly_the_enumerated_labels():
+    # the factories read the split rule the enumeration lists by: each
+    # listed label is rebuilt equal from its partition, epsilon values and
+    # marker, and a marker is accepted only on a listed label
+    for group in GROUP_FAMILY:
+        for char in (GOOD, CHAR2):
+            if group == "GLd" and char == GOOD:
+                continue  # refused by both (test_enumerate_counts)
+            kind = CHAR2 if char == CHAR2 and group != "GL" else GOOD
+            for n in range(least_rank(group), 7):
+                listed = set(enumerate_unipotent(group, n, char))
+                for u in listed:
+                    assert rebuild(group, n, kind, u.partition, u.epsilon, u.split) == u
+                for a in {u.partition for u in listed}:
+                    free = free_indices(group, a) if kind == CHAR2 else ()
+                    for values in itertools.product((1, 0), repeat=len(free)):
+                        eps = tuple(zip(free, values)) if kind == CHAR2 else None
+                        for split in ("I", "II"):
+                            if UnipotentLabel(group, n, kind, a, eps, split) in listed:
+                                continue
+                            with pytest.raises(ValueError, match=f"does not split in {group}$"):
+                                rebuild(group, n, kind, a, eps, split)
 
 
 def test_format_unipotent():
