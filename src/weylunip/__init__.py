@@ -34,7 +34,6 @@ from .classposet import (
     hasse,
     hasse_to_dot,
     hasse_to_json,
-    predicted_leq_W,
 )
 from .unipotent import (
     UnipotentLabel,
@@ -42,7 +41,6 @@ from .unipotent import (
     enumerate_unipotent,
     format_unipotent,
     good_label,
-    theta2,
     unipotent_leq,
 )
 from .lusztig import (
@@ -77,13 +75,11 @@ __all__ = [
     "hasse",
     "hasse_to_dot",
     "hasse_to_json",
-    "predicted_leq_W",
     "UnipotentLabel",
     "bad_label",
     "enumerate_unipotent",
     "format_unipotent",
     "good_label",
-    "theta2",
     "unipotent_leq",
     "map_table",
     "phi",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-from .partitions import Partition, dominance_leq, fields_leq, format_partition
+from .partitions import Partition, fields_leq, format_partition
 from . import weylgroup as wg
 from .weylgroup import GroupContext
 
@@ -124,13 +124,6 @@ def weyl_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
                     break  # the rest of the set is never built
         rows.append(tuple(j in held for j in range(len(reps))))
     return tuple(rows)
-
-
-def predicted_leq_W(a: EllipticClassLabel, b: EllipticClassLabel) -> bool:
-    """The closed-form prediction: a <= b iff b's partition is dominated
-    by a's (the order on classes reverses dominance)."""
-    _require_same_ctx(a, b)
-    return dominance_leq(b.partition, a.partition)
 
 
 # ---------------------------------------------------------------------------

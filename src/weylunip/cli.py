@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from . import weylgroup as wg
 from .weylgroup import CapExceeded
-from .partitions import PARTITION_BOUND
+from .partitions import PARTITION_BOUND, format_partition
 from .classposet import (
     elliptic_classes,
     hasse,
@@ -42,6 +42,7 @@ from .unipotent import (
     check_group,
     enumerate_unipotent,
     format_unipotent,
+    has_unipotents,
     label_to_json,
     unipotent_leq,
 )
@@ -188,7 +189,7 @@ def run_map(group: str, n: int, component: str | None = None, fmt: str = "text")
     characteristic-2 image.  Components with no good-characteristic
     unipotents get a single image column."""
     ctx, classes, char2 = map_table(group, n, CHAR2, component)
-    good_ok = ctx.component == wg.IDENTITY_COMPONENT
+    good_ok = has_unipotents(GOOD, ctx.component)
     good = map_table(group, n, GOOD, component)[2] if good_ok else [None] * len(classes)
     if fmt == "json":
         payload = {
@@ -310,7 +311,13 @@ def run_bruhat(family: str, n: int, x_text: str, y_text: str, fmt: str) -> tuple
         if len(w) != n:
             entries = "1 entry" if len(w) == 1 else f"{len(w)} entries"
             raise UsageError(f"element {text!r} has {entries}; --rank {n} needs {n}")
-        wg.length(ctx, w)  # refuses a window that names no element of ctx
+        # refuses a window that names no element of the family at rank n
+        wg.length(wg.context(family, n, wg.component_of(family, w)), w)
+    if wg.component_of(family, y) != ctx.component:
+        raise UsageError(
+            f"{format_partition(x)} and {format_partition(y)} "
+            f"lie in different components of {family}({n})"
+        )
     generic = wg.bruhat_leq_generic(ctx, x, y)
     counts = witness = note = None
     code = 0
@@ -404,9 +411,8 @@ def _default_char(args, group: str, n: int) -> str:
     characteristic 2 on a twisted one, which has unipotents only there."""
     if args.char:
         return args.char
-    check_group(group, n, CHAR2)
-    component = wg.context(GROUP_FAMILY[group], n, getattr(args, "component", None)).component
-    return GOOD if component == wg.IDENTITY_COMPONENT else CHAR2
+    ctx = check_group(group, n, CHAR2, getattr(args, "component", None))
+    return GOOD if has_unipotents(GOOD, ctx.component) else CHAR2
 
 
 def _dispatch(args) -> tuple[str, int]:

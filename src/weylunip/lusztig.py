@@ -36,6 +36,7 @@ from .unipotent import (
     bad_label,
     check_group,
     good_label,
+    has_unipotents,
     unipotent_leq,
 )
 
@@ -51,17 +52,11 @@ def phi(group: str, char: str, c: EllipticClassLabel) -> UnipotentLabel:
     parts.  Every characteristic-2 image carries epsilon_max.
     """
     ctx = c.ctx
-    check_group(group, ctx.n, char)
-    if ctx.family != GROUP_FAMILY[group]:
+    # an unknown group passes here, for check_group to refuse by name
+    if group in GROUP_FAMILY and GROUP_FAMILY[group] != ctx.family:
         raise ValueError(f"class {c} does not belong to the Weyl side of {group}")
+    check_group(group, ctx.n, char, ctx.component)
     alpha = wg.check_elliptic(ctx, c.partition)
-    # outside characteristic 2 every unipotent element lies in the
-    # identity component
-    if char == GOOD and ctx.component != wg.IDENTITY_COMPONENT:
-        name = "O(2n)" if group == "O_even" else group
-        raise ValueError(
-            f"the twisted component of {name} has no unipotent elements in good characteristic"
-        )
     n = ctx.n
     if group == "GL":
         return good_label("GL", n, (n,))
@@ -88,8 +83,7 @@ def map_table(
     """The Weyl context of group at rank n (component None picks the
     family's default), its elliptic classes in elliptic_classes' order,
     and their images under phi, images[i] that of classes[i]."""
-    check_group(group, n, char)
-    ctx = wg.context(GROUP_FAMILY[group], n, component)
+    ctx = check_group(group, n, char, component)
     classes = elliptic_classes(ctx)
     return ctx, classes, [phi(group, char, c) for c in classes]
 
@@ -149,9 +143,9 @@ def verify_theorem(
 
 def verify_combinations(family: str) -> list[tuple[str, str, str]]:
     """The (group, char, component) triples a Weyl family supports: each
-    group of the family on each of the family's components, good
-    characteristic only on the identity component.  The first group is
-    the family's default."""
+    group of the family on each of the family's components, in each
+    characteristic where the component has unipotents (has_unipotents).
+    The first group is the family's default."""
     if family not in wg.FAMILY_RULES:
         raise ValueError(f"unknown family {family!r}")
     return [
@@ -160,5 +154,5 @@ def verify_combinations(family: str) -> list[tuple[str, str, str]]:
         if fam == family
         for component in wg.FAMILY_RULES[family].components
         for char in (GOOD, CHAR2)
-        if char == CHAR2 or component == wg.IDENTITY_COMPONENT
+        if has_unipotents(char, component)
     ]

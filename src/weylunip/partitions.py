@@ -147,8 +147,6 @@ def add_psi(a: Partition) -> Partition:
 
 
 def scale(a: Partition, c: int) -> Partition:
-    if c <= 0:
-        raise ValueError("scale factor must be positive")
     return tuple(p * c for p in a)
 
 

@@ -1,6 +1,5 @@
 """Unipotent-class parameters for classical groups in good and bad
-characteristic, the closure orders on them, and the transfer map from
-characteristic 2 back to characteristic 0 on the relevant classes.
+characteristic, and the closure orders on them.
 
 Good characteristic: classes are partitions (of the matrix size)
 constrained by the group type, ordered by dominance.  Characteristic 2:
@@ -32,7 +31,6 @@ from typing import NamedTuple
 
 from .partitions import (
     Partition,
-    add_psi,
     as_partition,
     family_members,
     field_width,
@@ -55,16 +53,34 @@ GOOD = "good"
 CHAR2 = "2"
 
 
-def check_group(group: str, n: int, char: str) -> None:
-    """Refuse a group name outside GROUP_FAMILY, a characteristic other
-    than good or 2, or a rank below the least rank of the group's Weyl
-    family."""
+def has_unipotents(char: str, component: str) -> bool:
+    """Whether the component of a group's Weyl side carries unipotent
+    classes in characteristic char: outside characteristic 2 every
+    unipotent element lies in the identity component, so a twisted one
+    has unipotents only in characteristic 2."""
+    return char == CHAR2 or component == wg.IDENTITY_COMPONENT
+
+
+def check_group(group: str, n: int, char: str, component: str | None = None) -> wg.GroupContext:
+    """The Weyl context of group at rank n on component (None picks the
+    family's default), the one gate on the group side: refuse a group
+    name outside GROUP_FAMILY, a characteristic other than good or 2, a
+    rank below the least rank of the group's Weyl family, a component
+    the family lacks, and a characteristic where the component has no
+    unipotents (has_unipotents), in that order."""
     if group not in GROUP_FAMILY:
         raise ValueError(f"unknown group {group!r}")
     if char not in (GOOD, CHAR2):
         raise ValueError(f"characteristic must be '{GOOD}' or '{CHAR2}'")
     if n < wg.FAMILY_RULES[GROUP_FAMILY[group]].min_rank:
         raise ValueError(f"rank {n} out of range for {group}")
+    ctx = wg.context(GROUP_FAMILY[group], n, component)
+    if not has_unipotents(char, ctx.component):
+        name = "O(2n)" if group == "O_even" else group
+        raise ValueError(
+            f"the twisted component of {name} has no unipotent elements in good characteristic"
+        )
+    return ctx
 
 
 def _forced_value(group: str, i: int, m: int) -> int | None:
@@ -219,20 +235,8 @@ def kappa(group: str, char: str) -> int | None:
     return -1 if group == "Sp" or char == CHAR2 else 1
 
 
-def _check_has_unipotents(group: str, n: int, char: str) -> None:
-    """check_group, and refuse good characteristic on a group whose Weyl
-    family has no identity component: good characteristic means the
-    identity component."""
-    check_group(group, n, char)
-    components = wg.FAMILY_RULES[GROUP_FAMILY[group]].components
-    if char == GOOD and wg.IDENTITY_COMPONENT not in components:
-        raise ValueError(
-            f"the twisted component of {group} carries unipotents only in characteristic 2"
-        )
-
-
 def _check_partition(group: str, n: int, char: str, alpha: Partition) -> None:
-    _check_has_unipotents(group, n, char)
+    check_group(group, n, char)
     dim = _dim(group, n)
     if sum(alpha) != dim:
         raise ValueError(f"{alpha} is not a partition of {dim}")
@@ -381,41 +385,6 @@ def unipotent_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the transfer map theta_2 from characteristic 2 to characteristic 0
-
-
-def theta2(label: UnipotentLabel) -> UnipotentLabel:
-    """The inverse of the characteristic-0-to-2 transfer on the classes
-    reached from elliptic Weyl classes: identity on symplectic
-    partitions, the psi correction on orthogonal ones (with the odd
-    orthogonal trailing 1 stripped and restored as the totals demand).
-
-    Requires a characteristic-2 label whose epsilon is epsilon_max:
-    every stored value is 1.
-    """
-    if label.kind != CHAR2:
-        raise ValueError("theta2 transfers characteristic-2 labels")
-    if label.group not in ("Sp", "O_odd", "O_even"):
-        raise ValueError(f"theta2 is not defined for group {label.group}")
-    if any(v != 1 for _, v in label.epsilon):
-        raise ValueError("theta2 is only defined at epsilon_max")
-    if label.group == "Sp":
-        return good_label("Sp", label.n, label.partition)
-    if label.group == "O_even":
-        return good_label("O_even", label.n, add_psi(label.partition))
-    block = tuple(p for p in label.partition if p != 1)
-    ones = multiplicity(label.partition, 1)
-    if ones != 1 or any(p % 2 for p in block):
-        raise ValueError(
-            f"theta2 on odd orthogonal labels needs shape (even parts, 1), got {label.partition}"
-        )
-    gamma = add_psi(block) if block else ()
-    if len(block) % 2 == 0:
-        gamma = gamma + (1,)
-    return good_label("O_odd", label.n, gamma)
-
-
-# ---------------------------------------------------------------------------
 # enumeration and display
 
 
@@ -424,7 +393,7 @@ def enumerate_unipotent(group: str, n: int, char: str) -> list[UnipotentLabel]:
     characteristic, deterministically ordered (partitions reverse-lex,
     epsilon choices largest first, split pair I before II).  Classes
     that split over SO(2n) appear as two labels."""
-    _check_has_unipotents(group, n, char)
+    check_group(group, n, char)
     # GL's classes are partitions in every characteristic
     kind = CHAR2 if char == CHAR2 and group != "GL" else GOOD
     # O_odd's characteristic-2 labels are partitions of 2n with a 1 appended

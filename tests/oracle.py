@@ -4,10 +4,11 @@ No verb and no library path reads these.  Each restates a rule the
 library computes another way: simple reflections as windows, the literal
 count |{k <= i : w(k) >= j}|, the minimal-length elements of a class
 picked out of a whole-group sweep, the four quantifications whose
-agreement defines the order on elliptic classes, Spaltenstein's
-column-by-column form of the orthogonal transfer, and the transfer square
-of the Lusztig map.  The whole-group class sweep itself stays in
-weylunip.weylgroup (see the comment there), and this module imports it.
+agreement defines the order on elliptic classes and its closed-form
+prediction, the characteristic transfer theta2 with Spaltenstein's
+column-by-column form of it, and the transfer square of the Lusztig map.
+The whole-group class sweep itself stays in weylunip.weylgroup (see the
+comment there), and this module imports it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,15 @@ from typing import NamedTuple
 from weylunip import weylgroup as wg
 from weylunip.classposet import EllipticClassLabel, _require_same_ctx, elliptic_label
 from weylunip.lusztig import phi
-from weylunip.partitions import Partition, as_partition, multiplicity, transpose
-from weylunip.unipotent import CHAR2, GOOD, GROUP_FAMILY, theta2
+from weylunip.partitions import (
+    Partition,
+    add_psi,
+    as_partition,
+    dominance_leq,
+    multiplicity,
+    transpose,
+)
+from weylunip.unipotent import CHAR2, GOOD, UnipotentLabel, check_group, good_label
 from weylunip.weylgroup import (
     GroupContext,
     SignedPermutation,
@@ -119,8 +127,46 @@ def class_leq_W_all_variants(a: EllipticClassLabel, b: EllipticClassLabel) -> Co
     )
 
 
+def predicted_leq_W(a: EllipticClassLabel, b: EllipticClassLabel) -> bool:
+    """The closed-form prediction: a <= b iff b's partition is dominated
+    by a's (the order on classes reverses dominance)."""
+    _require_same_ctx(a, b)
+    return dominance_leq(b.partition, a.partition)
+
+
 # ---------------------------------------------------------------------------
 # unipotent
+
+
+def theta2(label: UnipotentLabel) -> UnipotentLabel:
+    """The inverse of the characteristic-0-to-2 transfer on the classes
+    reached from elliptic Weyl classes: identity on symplectic
+    partitions, the psi correction on orthogonal ones (with the odd
+    orthogonal trailing 1 stripped and restored as the totals demand).
+
+    Requires a characteristic-2 label whose epsilon is epsilon_max:
+    every stored value is 1.
+    """
+    if label.kind != CHAR2:
+        raise ValueError("theta2 transfers characteristic-2 labels")
+    if label.group not in ("Sp", "O_odd", "O_even"):
+        raise ValueError(f"theta2 is not defined for group {label.group}")
+    if any(v != 1 for _, v in label.epsilon):
+        raise ValueError("theta2 is only defined at epsilon_max")
+    if label.group == "Sp":
+        return good_label("Sp", label.n, label.partition)
+    if label.group == "O_even":
+        return good_label("O_even", label.n, add_psi(label.partition))
+    block = tuple(p for p in label.partition if p != 1)
+    ones = multiplicity(label.partition, 1)
+    if ones != 1 or any(p % 2 for p in block):
+        raise ValueError(
+            f"theta2 on odd orthogonal labels needs shape (even parts, 1), got {label.partition}"
+        )
+    gamma = add_psi(block) if block else ()
+    if len(block) % 2 == 0:
+        gamma = gamma + (1,)
+    return good_label("O_odd", label.n, gamma)
 
 
 def theta2_columns(alpha) -> tuple[int, ...]:
@@ -163,6 +209,6 @@ def phi_good_char_equals_theta2_of_phi_char2(group: str, n: int, alpha) -> bool:
     """The transfer square commutes on elliptic classes: applying the map
     in characteristic 2 and transferring back equals the good-characteristic
     map.  Defined for Sp, O_odd, and the identity component of O_even."""
-    c = elliptic_label(wg.context(GROUP_FAMILY[group], n), alpha)
+    c = elliptic_label(check_group(group, n, GOOD), alpha)
     transferred = theta2(phi(group, CHAR2, c))
     return transferred == phi(group, GOOD, c)

@@ -13,12 +13,11 @@ from weylunip.classposet import (
     hasse,
     hasse_to_dot,
     hasse_to_json,
-    predicted_leq_W,
     weyl_relation,
 )
 from weylunip.partitions import dominance_leq, partitions
 
-from oracle import class_leq_W_all_variants, min_length_elements
+from oracle import class_leq_W_all_variants, min_length_elements, predicted_leq_W
 
 
 def test_elliptic_label_validation():

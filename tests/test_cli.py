@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylunip import cli
-from weylunip.unipotent import GROUP_FAMILY
+from weylunip.lusztig import map_table, phi
+from weylunip.unipotent import GROUP_FAMILY, enumerate_unipotent, good_label
 
 
 def test_map_symplectic_rank_two_exact():
@@ -266,16 +267,52 @@ def test_a_window_of_the_wrong_length_is_refused_by_rank(capsys, family, bad, en
         ("BC", ["[1,1,2]", "[1,2,3]"], "[1,1,2] is not a signed permutation window"),
         ("A", ["[1,2,3]", "[-1,2,3]"], "[-1,2,3] has signs; family A stores plain permutations"),
         ("D", ["[1,2,3]", "[-1,2,3]"],
-         "[-1,2,3] has 1 sign change; wrong parity for the id component of D(3)"),
+         "[1,2,3] and [-1,2,3] lie in different components of D(3)"),
         ("D", ["[1,2,3]", "[-1,-2,-3]"],
-         "[-1,-2,-3] has 3 sign changes; wrong parity for the id component of D(3)"),
+         "[1,2,3] and [-1,-2,-3] lie in different components of D(3)"),
+        # a window that names no element is refused before its component
+        ("D", ["[1,2,3]", "[-1,1,3]"], "[-1,1,3] is not a signed permutation window"),
     ],
-    ids=["window", "signs", "one-sign", "three-signs"],
+    ids=["window", "signs", "one-sign", "three-signs", "window-before-component"],
 )
 def test_an_element_refusal_writes_the_window(capsys, family, pair, refusal):
     # the element is quoted as the window the command line took
     line = assert_one_line_refusal(capsys, ["bruhat", "--family", family, "--rank", "3", *pair])
     assert line == f"error: {refusal}"
+
+
+def refusal_text(call, *args):
+    with pytest.raises(ValueError) as exc:
+        call(*args)
+    return str(exc.value)
+
+
+def test_the_good_characteristic_refusal_has_one_text(capsys):
+    # every path to good characteristic on a component without unipotents
+    # ends in unipotent.check_group, so each refuses with the same text
+    def verb(*argv):
+        line = assert_one_line_refusal(capsys, [*argv, "--rank", "3", "--char", "good"])
+        return line.removeprefix("error: ")
+
+    gld = map_table("GLd", 3, "2")[1][0]
+    d_twisted = map_table("O_even", 3, "2", "twisted")[1][0]
+    no_good = "the twisted component of {} has no unipotent elements in good characteristic"
+    for want, texts in [
+        (no_good.format("GLd"), [
+            refusal_text(good_label, "GLd", 3, (3,)),
+            refusal_text(enumerate_unipotent, "GLd", 3, "good"),
+            refusal_text(phi, "GLd", "good", gld),
+            refusal_text(map_table, "GLd", 3, "good"),
+            verb("unipotent", "--group", "GLd"),
+            verb("hasse", "--group", "GLd"),
+        ]),
+        (no_good.format("O(2n)"), [
+            refusal_text(phi, "O_even", "good", d_twisted),
+            refusal_text(map_table, "O_even", 3, "good", "twisted"),
+            verb("hasse", "--group", "SOeven", "--component", "twisted"),
+        ]),
+    ]:
+        assert texts == [want] * len(texts)
 
 
 def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch):

@@ -8,7 +8,7 @@ from weylunip.lusztig import (
     verify_theorem,
 )
 from weylunip.partitions import family_members
-from weylunip.unipotent import GROUP_FAMILY, format_unipotent
+from weylunip.unipotent import GROUP_FAMILY, check_group, format_unipotent
 from weylunip import weylgroup as wg
 
 from oracle import phi_good_char_equals_theta2_of_phi_char2
@@ -218,6 +218,23 @@ def test_good_characteristic_runs_where_the_component_has_unipotents(family):
         if not good:
             with pytest.raises(ValueError, match="no unipotent elements in good"):
                 phi(group, "good", classes[0])
+
+
+@pytest.mark.parametrize("family", ["A", "BC", "D", "2A"])
+def test_verify_runs_exactly_what_check_group_accepts(family):
+    # the one rule read from both ends: verify's combinations and the gate
+    n = wg.FAMILY_RULES[family].min_rank
+    accepted = []
+    for group in GROUP_FAMILY:
+        for component in (wg.IDENTITY_COMPONENT, wg.TWISTED_COMPONENT):
+            for char in ("good", "2"):
+                try:
+                    ctx = check_group(group, n, char, component)
+                except ValueError:
+                    continue
+                if ctx.family == family:
+                    accepted.append((group, char, component))
+    assert sorted(verify_combinations(family)) == sorted(accepted)
 
 
 def test_group_spec_validation():

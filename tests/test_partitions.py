@@ -4,9 +4,11 @@ import pytest
 
 from weylunip import weylgroup as wg
 from weylunip.partitions import (
+    PARTITION_BOUND,
     add_psi,
     append_one,
     as_partition,
+    check_bound,
     dominance_leq,
     family_members,
     field_width,
@@ -148,6 +150,13 @@ def test_family_members_match_their_defining_filters():
         assert wg.elliptic_partitions(wg.context("2A", n)) == [
             a for a in all_parts if all(p % 2 == 1 for p in a)
         ]
+
+
+def test_check_bound_accepts_the_bound_and_refuses_past_it():
+    assert PARTITION_BOUND == 60
+    check_bound(60)
+    with pytest.raises(ValueError, match=r"bound exceeded: n=61 > 60"):
+        check_bound(61)
 
 
 def test_family_members_refuses_a_kappa_other_than_plus_or_minus_one():

@@ -20,6 +20,7 @@ from weylunip.unipotent import (
     _dim,
     bad_label,
     bad_leq,
+    check_group,
     enumerate_unipotent,
     format_unipotent,
     free_indices,
@@ -27,12 +28,11 @@ from weylunip.unipotent import (
     good_leq,
     kappa,
     label_to_json,
-    theta2,
     unipotent_leq,
 )
-from weylunip.weylgroup import FAMILY_RULES
+from weylunip.weylgroup import FAMILY_RULES, context
 
-from oracle import theta2_column_recipe, theta2_columns
+from oracle import theta2, theta2_column_recipe, theta2_columns
 
 
 def least_rank(group):
@@ -125,6 +125,43 @@ def test_label_factories_validate():
             make("SU", 2, (2, 2))
         with pytest.raises(ValueError, match="bad split marker 'III'"):
             make("Sp", 2, (2, 2), split="III")
+
+
+@pytest.mark.parametrize(
+    "make, group, n, alpha, refusal",
+    [
+        (good_label, "Sp", 2, (3, 1),
+         "(3, 1) is not a valid Sp partition: an odd row has odd multiplicity"),
+        (good_label, "O_even", 2, (2, 1, 1),
+         "(2, 1, 1) is not a valid O_even partition: an even row has odd multiplicity"),
+        (bad_label, "Sp", 2, (3, 1), "(3, 1): an odd row has odd multiplicity"),
+        (bad_label, "GLd", 4, (2, 1, 1), "(2, 1, 1): an even row has odd multiplicity"),
+    ],
+    ids=["good-odd", "good-even", "char2-odd", "char2-even"],
+)
+def test_a_kappa_refusal_names_the_row_parity(make, group, n, alpha, refusal):
+    # a good label names its group, a characteristic-2 label does not
+    with pytest.raises(ValueError) as exc:
+        make(group, n, alpha)
+    assert str(exc.value) == refusal
+
+
+def test_check_group_is_the_one_gate_on_the_group_side():
+    assert check_group("O_even", 3, "2", "twisted") == context("D", 3, "twisted")
+    assert check_group("GLd", 3, "2") == context("2A", 3)  # the default component
+    no_good = "the twisted component of {} has no unipotent elements in good characteristic"
+    # each refusal comes before those listed after it
+    for args, refusal in [
+        (("SU", 0, "5", "x"), "unknown group 'SU'"),
+        (("Sp", 0, "5", "x"), "characteristic must be 'good' or '2'"),
+        (("Sp", 0, "good", "x"), "rank 0 out of range for Sp"),
+        (("Sp", 2, "good", "x"), "family BC has no component 'x'; its components are id"),
+        (("O_even", 2, "good", "twisted"), no_good.format("O(2n)")),
+        (("GLd", 2, "good", None), no_good.format("GLd")),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            check_group(*args)
+        assert str(exc.value) == refusal
 
 
 def test_good_leq_is_dominance():
@@ -476,7 +513,9 @@ def test_enumerate_counts():
         }
     with pytest.raises(ValueError):
         enumerate_unipotent("GLd", 4, "good")  # no unipotents there
-    with pytest.raises(ValueError, match="only in characteristic 2"):
+    with pytest.raises(
+        ValueError, match="the twisted component of GLd has no unipotent elements in good"
+    ):
         good_label("GLd", 3, (2, 1))
 
 

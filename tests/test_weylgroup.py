@@ -114,6 +114,25 @@ def test_length_rejects_foreign_elements():
         wg.length(wg.context("BC", 3), (1, 2))
 
 
+@pytest.mark.parametrize(
+    "component, w, refusal",
+    [
+        ("id", (-1, 2, 3),
+         "[-1,2,3] has 1 sign change; wrong parity for the id component of D(3)"),
+        ("id", (-1, -2, -3),
+         "[-1,-2,-3] has 3 sign changes; wrong parity for the id component of D(3)"),
+        ("twisted", (-1, -2, 3),
+         "[-1,-2,3] has 2 sign changes; wrong parity for the twisted component of D(3)"),
+    ],
+)
+def test_length_names_the_sign_parity_of_a_d_component(component, w, refusal):
+    # the bruhat verb refuses a pair across components before this text
+    # shows, so it is pinned here
+    with pytest.raises(ValueError) as exc:
+        wg.length(wg.context("D", 3, component), w)
+    assert str(exc.value) == refusal
+
+
 def test_simple_reflections():
     bc = wg.context("BC", 3)
     assert simple_reflection(bc, 1) == (-1, 2, 3)
