@@ -141,23 +141,29 @@ def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagra
     Raises PosetError when two distinct nodes compare both ways or the
     predicate is not transitive; a cover (i, j) means nodes[i] < nodes[j]
     with nothing strictly between, and covers come sorted.
+
+    Row i is one pass that asks leq(nodes[i], y) of every other node y
+    once, in index order.  The antisymmetry check follows the row and
+    scans it in the same order, so a refusal names the first pair, in
+    row-major order, that is related both ways.
     """
     nodes = list(nodes)
-    m = len(nodes)
     # up[i] is the bitmask of the nodes strictly above i, ups[i] lists them
-    up = [0] * m
-    ups: list[list[int]] = [[] for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            if leq(nodes[i], nodes[j]):
-                if up[j] >> i & 1:
-                    raise PosetError(
-                        f"antisymmetry violated between {nodes[i]!r} and {nodes[j]!r}"
-                    )
-                up[i] |= 1 << j
-                ups[i].append(j)
+    up = [0] * len(nodes)
+    ups = []
+    for i, x in enumerate(nodes):
+        row = [j for j, y in enumerate(nodes) if j != i and leq(x, y)]
+        above = 0
+        for j in row:
+            # only an earlier row is filled in: the first pair of the
+            # scan that is related both ways is named
+            if up[j] >> i & 1:
+                raise PosetError(
+                    f"antisymmetry violated between {x!r} and {nodes[j]!r}"
+                )
+            above |= 1 << j
+        up[i] = above
+        ups.append(row)
     # reach is everything above some node of up[i]: transitivity says it
     # lies inside up[i], and the covers of i are the nodes of up[i] outside it
     covers = []

@@ -71,16 +71,28 @@ def partitions(n: int) -> Iterator[Partition]:
     (1,...,1) last."""
     if n < 0:
         raise ValueError("partitions of a negative integer requested")
+    return _generate(n, n, None)
 
-    def gen(rem: int, mx: int) -> Iterator[Partition]:
-        if rem == 0:
-            yield ()
-            return
-        for first in range(min(rem, mx), 0, -1):
-            for rest in gen(rem - first, first):
-                yield (first,) + rest
 
-    return gen(n, n)
+def _generate(rem: int, top: int, paired: int | None) -> Iterator[Partition]:
+    """The partitions of rem with parts at most top, in reverse-
+    lexicographic order, each row r with r % 2 == paired taken an even
+    number of times (paired None constrains no row).  A row and its
+    multiplicity are chosen together, the largest row and then the most
+    copies first, so no partition is built only to be dropped."""
+    if rem == 0:
+        yield ()
+        return
+    for row in range(min(rem, top), 0, -1):
+        copies = rem // row
+        step = -1
+        if row % 2 == paired:
+            copies -= copies % 2
+            step = -2
+        for c in range(copies, 0, step):
+            head = (row,) * c
+            for rest in _generate(rem - c * row, row - 1, paired):
+                yield head + rest
 
 
 def kappa_member(a: Partition, kappa: int) -> bool:
@@ -102,13 +114,14 @@ def check_bound(n: int) -> None:
 def family_members(n: int, kappa: int | None = None) -> list[Partition]:
     """The partitions of n, reverse-lexicographically; with kappa +1 or
     -1, only those whose rows with (-1)^row == kappa have even
-    multiplicity."""
+    multiplicity, generated directly rather than filtered from all
+    partitions of n."""
     check_bound(n)
-    if kappa is None:
-        return list(partitions(n))
-    if kappa not in (1, -1):
+    if kappa not in (None, 1, -1):
         raise ValueError(f"kappa must be +1, -1 or None, got {kappa!r}")
-    return [a for a in partitions(n) if kappa_member(a, kappa)]
+    # (-1)^row == kappa holds at the odd rows for -1, the even ones for +1
+    paired = None if kappa is None else 1 if kappa == -1 else 0
+    return list(_generate(n, n, paired))
 
 
 def psi(a: Partition) -> tuple[int, ...]:

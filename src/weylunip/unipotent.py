@@ -18,8 +18,8 @@ groups in characteristic 2 borrow the symplectic parameter set through
 the exceptional isogeny, written with a trailing 1 appended to the
 partition.
 
-A class is named by a UnipotentLabel, a NamedTuple that caches the packed
-key the closure orders read.
+A class is named by a UnipotentLabel, a NamedTuple that caches the one
+record the closure orders read.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .partitions import (
     as_partition,
     family_members,
     field_width,
-    fields_leq,
     format_partition,
     guard_bits,
     kappa_member,
@@ -132,7 +131,8 @@ class UnipotentLabel(_LabelFields):
     subgroup (_splits says which); they compare like their base class.
 
     The subclass declares no __slots__, so each label has an instance
-    __dict__, where cached_property keeps _domain and _key.
+    __dict__, where cached_property keeps _record, the one comparison
+    record unipotent_leq reads.
     """
 
     @property
@@ -164,25 +164,23 @@ class UnipotentLabel(_LabelFields):
         return format_unipotent(self)
 
     @cached_property
-    def _domain(self) -> tuple:
-        """What two labels must share to be compared: kind, group, rank
-        and SO component."""
-        return (self.kind, self.group, self.n, self.so_component)
+    def _record(self) -> tuple:
+        """What the closure orders read of the label, as one tuple
+        (domain, guards, key, sums, parity, zeros).
 
-    @cached_property
-    def _key(self) -> tuple[int, ...]:
-        """What the closure orders read of the label, packed by
-        partitions.pack with fields wide enough for the matrix size dim,
-        the term of k = 1..dim in field k - 1.
-
-        A good label gives (guards, key): key holds the prefix sums of
-        the partition, which stay at dim past its last part.  A
-        characteristic-2 label gives (guards, key, sums, parity, zeros):
-        key goes on in fields dim..2 dim - 1 with the complemented room
-        terms dim - (S_k - max(eps(k), 0)), where S_k are the prefix sums
-        of the transpose, which sums holds; parity has the guard bit of
-        field k - 1 set when transpose entry k + 1 is odd, and zeros when
-        eps(k) = 0.  guards holds the guard bit of every field of key."""
+        domain is what two labels must share to be compared: kind, group,
+        rank and SO component.  The rest is packed by partitions.pack with
+        fields wide enough for the matrix size dim, the term of k = 1..dim
+        in field k - 1.  key holds the prefix sums of the partition, which
+        stay at dim past its last part.  A characteristic-2 label's key
+        goes on in fields dim..2 dim - 1 with the complemented room terms
+        dim - (S_k - max(eps(k), 0)), where S_k are the prefix sums of the
+        transpose, which sums holds; parity has the guard bit of field
+        k - 1 set when transpose entry k + 1 is odd, and zeros when
+        eps(k) = 0.  A good label has 0 for sums, parity and zeros, which
+        makes the parity test of unipotent_leq pass.  guards holds the
+        guard bit of every field of key."""
+        domain = (self.kind, self.group, self.n, self.so_component)
         dim = _dim(self.group, self.n)
         if sum(self.partition) != dim:
             raise ValueError(f"{self.partition} is not a partition of {dim}")
@@ -190,7 +188,7 @@ class UnipotentLabel(_LabelFields):
         padded = self.partition + (0,) * (dim - len(self.partition))
         dominance = list(itertools.accumulate(padded))
         if self.kind == GOOD:
-            return guard_bits(dim, width), pack(dominance, width)
+            return domain, guard_bits(dim, width), pack(dominance, width), 0, 0, 0
         cols = transpose(self.partition)
         cols += (0,) * (dim + 1 - len(cols))
         sums = list(itertools.accumulate(cols[:dim]))
@@ -206,6 +204,7 @@ class UnipotentLabel(_LabelFields):
             elif e == 0:
                 zeros[row - 1] = 1
         return (
+            domain,
             guard_bits(2 * dim, width),
             pack(dominance + room, width),
             pack(sums, width),
@@ -313,17 +312,11 @@ def bad_label(
 # closure orders
 
 
-_KIND_REFUSAL = {
-    GOOD: "good_leq compares good-characteristic labels",
-    CHAR2: "bad_leq compares characteristic-2 labels",
-}
-
-
-def _check_comparable(a: UnipotentLabel, b: UnipotentLabel, kind: str) -> None:
+def _check_domains(a: UnipotentLabel, b: UnipotentLabel) -> None:
     """Refuse a pair whose domains differ, by the first check that
-    fails, or a pair not of the given kind."""
-    if a.kind != kind or b.kind != kind:
-        raise ValueError(_KIND_REFUSAL[kind])
+    fails: kind, then group and rank, then SO component."""
+    if a.kind != b.kind:
+        raise ValueError(f"cannot compare {a.kind} with {b.kind} labels")
     if (a.group, a.n) != (b.group, b.n):
         raise ValueError(f"labels from different groups: {a} vs {b}")
     if a.so_component != b.so_component:
@@ -333,16 +326,41 @@ def _check_comparable(a: UnipotentLabel, b: UnipotentLabel, kind: str) -> None:
         )
 
 
+def unipotent_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
+    """The closure order on labels of one kind: good_leq for good
+    labels, bad_leq for characteristic-2 ones.
+
+    Each label's _record is built once; a comparison reads one record
+    per label, refuses a pair whose domains differ (before any fault in
+    building a record is reported) and runs the packed test inline.
+    partitions.fields_leq says why ((y | guards) - x) & guards holds the
+    guard bits of the fields where x's entry is at most y's.  A good
+    label's zeros are 0, so its pairs pass the parity test.
+    """
+    try:
+        domain, guards, key_a, sums_a, parity_a, _ = a._record
+        domain_b, _, key_b, sums_b, parity_b, zeros_b = b._record
+    except Exception:
+        _check_domains(a, b)
+        raise
+    if domain != domain_b:
+        _check_domains(a, b)
+    if ((key_b | guards) - key_a) & guards != guards:
+        return False
+    clash = (parity_a ^ parity_b) & zeros_b
+    # alpha <= beta in dominance gives S_k(beta) <= S_k(alpha) for every
+    # k, so the fields where S_k(alpha) <= S_k(beta) are where they agree
+    return not clash or not clash & ((sums_b | guards) - sums_a) & guards
+
+
 def good_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
     """Closure order in good characteristic: dominance of partitions.
     Split markers are ignored (the two members of a split pair sit at
-    the same place in the order)."""
-    domain = a._domain  # (kind, ...): indexing it is cheaper than reading a.kind
-    if domain != b._domain or domain[0] != GOOD:
-        _check_comparable(a, b, GOOD)
-    guards, key_a = a._key
-    key_b = b._key[1]
-    return fields_leq(key_a, key_b, guards) == guards
+    the same place in the order).  Refuses a label of another kind, then
+    compares as unipotent_leq does."""
+    if a.kind != GOOD or b.kind != GOOD:
+        raise ValueError("good_leq compares good-characteristic labels")
+    return unipotent_leq(a, b)
 
 
 def bad_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
@@ -354,34 +372,20 @@ def bad_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
     whenever S_k(alpha) = S_k(beta) with alpha*_{k+1} - beta*_{k+1} odd,
     dlt(k) is omega or 1.
 
-    Each label packs its terms of these tests into one integer, for k = 1
-    up to the matrix size dim, with the room terms complemented so that
-    both inequalities become one entrywise comparison; the padding is
-    exact, since past a label's largest part eps is forced to omega and
-    S_k is the total, so those k pass every test.
+    Each label's record packs its terms of these tests into integers,
+    for k = 1 up to the matrix size dim, with the room terms
+    complemented so that both inequalities become one entrywise
+    comparison; the padding is exact, since past a label's largest part
+    eps is forced to omega and S_k is the total, so those k pass every
+    test.  Refuses a label of another kind, then compares as
+    unipotent_leq does, which runs that test.
 
     Even orthogonal labels compare only within the same component of the
     group.
     """
-    domain = a._domain
-    if domain != b._domain or domain[0] != CHAR2:
-        _check_comparable(a, b, CHAR2)
-    guards, key_a, sums_a, parity_a, _ = a._key
-    _, key_b, sums_b, parity_b, zeros_b = b._key
-    if fields_leq(key_a, key_b, guards) != guards:
-        return False
-    clash = (parity_a ^ parity_b) & zeros_b
-    # alpha <= beta in dominance gives S_k(beta) <= S_k(alpha) for every
-    # k, so the fields where S_k(alpha) <= S_k(beta) are where they agree
-    return not clash or not clash & fields_leq(sums_a, sums_b, guards)
-
-
-def unipotent_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
-    """Dispatch to the closure order matching the labels' characteristic."""
-    kind = a.kind
-    if kind != b.kind:
-        raise ValueError(f"cannot compare {kind} with {b.kind} labels")
-    return good_leq(a, b) if kind == GOOD else bad_leq(a, b)
+    if a.kind != CHAR2 or b.kind != CHAR2:
+        raise ValueError("bad_leq compares characteristic-2 labels")
+    return unipotent_leq(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ and names a module imports must be read.
 
 perfbench/tracer.py wraps every function its LAYERS table names, looked
 up with getattr on the weylunip module, and fails when one is missing;
-the package root promises every name in __all__.  The repository has no
+tests/mutate.py finds its target functions by name in the source; the
+package root promises every name in __all__.  The repository has no
 linter, so the scans at the end are its lint gate: no unused imports,
 no assert statements in the library, since `python -O` strips them, and
 no library import from outside the standard library.  Every command
@@ -41,6 +42,19 @@ def test_tracer_layers_resolve():
         if not callable(getattr(importlib.import_module(f"weylunip.{mod}"), fn, None))
     ]
     assert missing == []
+
+
+def test_mutation_targets_resolve():
+    # tests/mutate.py names library functions by module and qualified
+    # name; each must still exist, and its first mutant must compile
+    spec = importlib.util.spec_from_file_location("mutate", ROOT / "tests" / "mutate.py")
+    mutate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutate)
+    for target in mutate.TARGETS:
+        first = mutate.mutants([target])[0]
+        source = mutate.mutated_source(first, first.module)
+        assert source != mutate.mutated_source(None, first.module), target
+        compile(source, first.module, "exec")
 
 
 def test_package_exports_resolve():

@@ -348,6 +348,21 @@ def test_hasse_rejects_non_antisymmetric():
         hasse(nodes, lambda x, y: leq(x, y) or (x, y) == (hi, lo))
 
 
+@pytest.mark.parametrize("nodes,both_ways,first", [
+    # every pair related both ways: row b meets a first
+    ("abc", {(x, y) for x in "abc" for y in "abc"}, ("b", "a")),
+    # a and d, b and c: row c comes before row d
+    ("abcd", {("a", "d"), ("d", "a"), ("b", "c"), ("c", "b")}, ("c", "b")),
+    # row c holds two violations, and names the earlier column
+    ("abc", {("a", "c"), ("b", "c"), ("c", "a"), ("c", "b")}, ("c", "a")),
+])
+def test_hasse_names_the_first_pair_related_both_ways(nodes, both_ways, first):
+    # the first such pair of the row-major scan, by its exact message
+    with pytest.raises(PosetError) as exc:
+        hasse(list(nodes), lambda x, y: x == y or (x, y) in both_ways)
+    assert str(exc.value) == "antisymmetry violated between {!r} and {!r}".format(*first)
+
+
 def test_hasse_asks_every_ordered_pair_once():
     # the sweep is what finds a pair related both ways, so it may skip no
     # pair, not even one whose reverse is known to hold
@@ -387,6 +402,12 @@ def test_hasse_rejects_a_predicate_that_is_not_transitive():
     with pytest.raises(PosetError) as exc:
         hasse(["a", "b", "c"], lambda x, y: (x, y) in rel)
     assert str(exc.value) == "transitivity violated: 'a' <= 'b' <= 'c' but not 'a' <= 'c'"
+    # the middle node named is one that lies above a and below d, not
+    # merely the first node above a
+    rel = {("a", "b"), ("a", "c"), ("c", "d")}
+    with pytest.raises(PosetError) as exc:
+        hasse(["a", "b", "c", "d"], lambda x, y: x == y or (x, y) in rel)
+    assert str(exc.value) == "transitivity violated: 'a' <= 'c' <= 'd' but not 'a' <= 'd'"
     # a chain with its long edge missing has no cycle at all
     with pytest.raises(PosetError, match="transitivity violated"):
         hasse(["a", "b", "c"], lambda x, y: (x, y) in {("a", "b"), ("b", "c")})

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from weylunip.partitions import (
     fields_leq,
     format_partition,
     guard_bits,
+    kappa_member,
     multiplicity,
     pack,
     partitions,
@@ -50,9 +52,9 @@ def test_partition_counts():
 def test_partitions_reverse_lex_order():
     got = list(partitions(4))
     assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    for n in range(9):
+    for n in range(21):
         seq = list(partitions(n))
-        assert seq == sorted(seq, reverse=True)
+        assert seq == sorted(set(seq), reverse=True)
         assert all(sum(a) == n for a in seq)
 
 
@@ -160,8 +162,29 @@ def test_check_bound_accepts_the_bound_and_refuses_past_it():
 
 
 def test_family_members_refuses_a_kappa_other_than_plus_or_minus_one():
-    with pytest.raises(ValueError, match="kappa must be"):
+    with pytest.raises(ValueError) as exc:
         family_members(4, 0)
+    assert str(exc.value) == "kappa must be +1, -1 or None, got 0"
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_family_members_generates_what_the_kappa_filter_keeps(kappa):
+    # the same partitions in the same order as filtering all of them
+    for n in range(27):
+        want = [a for a in partitions(n) if kappa_member(a, kappa)]
+        assert family_members(n, kappa) == want, n
+
+
+@pytest.mark.parametrize("kappa", [None, 1, -1, 0])
+def test_family_members_is_bounded_before_it_generates(kappa, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("generated past the bound")
+
+    # the package re-exports the function partitions under the module's name
+    monkeypatch.setattr(importlib.import_module("weylunip.partitions"), "_generate", refuse)
+    with pytest.raises(ValueError) as exc:
+        family_members(PARTITION_BOUND + 1, kappa)
+    assert str(exc.value) == "partition enumeration bound exceeded: n=61 > 60"
 
 
 def test_psi_values():

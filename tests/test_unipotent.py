@@ -331,6 +331,8 @@ def refused_pair(case):
         "size good": (UnipotentLabel("GL", 4, GOOD, (3,)), good_label("GL", 4, (4,))),
         "size char2": (UnipotentLabel("Sp", 2, CHAR2, (2,), ()), bad_label("Sp", 2, (4,))),
         "free epsilon": (UnipotentLabel("Sp", 4, CHAR2, (4, 4), ()), bad_label("Sp", 4, (8,))),
+        # malformed and from another group: the groups are named first
+        "size and group": (UnipotentLabel("GL", 4, GOOD, (3,)), good_label("Sp", 2, (4,))),
     }[case]
 
 
@@ -346,6 +348,7 @@ REFUSALS = [
     ("size char2", GOOD_ONLY, "(2,) is not a partition of 4", "(2,) is not a partition of 4"),
     ("free epsilon", GOOD_ONLY, "no value stored for free index 4",
      "no value stored for free index 4"),
+    ("size and group", GROUPS_DIFFER, CHAR2_ONLY, GROUPS_DIFFER),
 ]
 
 

@@ -70,9 +70,9 @@ def test_a_unipotent_label_packs_its_key_once(monkeypatch):
     dim = unipotent._dim
     monkeypatch.setattr(unipotent, "_dim", lambda *args: calls.append(args) or dim(*args))
     label = UnipotentLabel("Sp", 2, "2", (2, 2), ((2, 1),))
-    key = label._key
-    assert label._key is key and label._domain is label._domain
+    record = label._record
+    assert label._record is record
     assert calls == [("Sp", 2)]
-    # the cached key is not a field: equality and hashing ignore it
+    # the cached record is not a field: equality and hashing ignore it
     fresh = UnipotentLabel("Sp", 2, "2", (2, 2), ((2, 1),))
     assert fresh == label and hash(fresh) == hash(label)
