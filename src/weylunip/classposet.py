@@ -145,7 +145,9 @@ def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagra
     Row i is one pass that asks leq(nodes[i], y) of every other node y
     once, in index order.  The antisymmetry check follows the row and
     scans it in the same order, so a refusal names the first pair, in
-    row-major order, that is related both ways.
+    row-major order, that is related both ways.  Since the whole row is
+    asked first, an exception raised by leq itself later in a row comes
+    before the antisymmetry refusal of an earlier pair in that row.
     """
     nodes = list(nodes)
     # up[i] is the bitmask of the nodes strictly above i, ups[i] lists them

@@ -119,6 +119,8 @@ def family_members(n: int, kappa: int | None = None) -> list[Partition]:
     check_bound(n)
     if kappa not in (None, 1, -1):
         raise ValueError(f"kappa must be +1, -1 or None, got {kappa!r}")
+    if n < 0:
+        raise ValueError("partitions of a negative integer requested")
     # (-1)^row == kappa holds at the odd rows for -1, the even ones for +1
     paired = None if kappa is None else 1 if kappa == -1 else 0
     return list(_generate(n, n, paired))

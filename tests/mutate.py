@@ -1,35 +1,32 @@
 """Mutation testing of chosen library functions, standard library only.
 
-    python tests/mutate.py                    # every mutant of TARGETS
-    python tests/mutate.py --list             # list the mutants, run none
-    python tests/mutate.py --target partitions.py:_generate -- tests/test_partitions.py
+    python tests/mutate.py
 
-Run from anywhere; paths are taken relative to the repository.  A
-mutant changes one thing in one target function: a comparison operator
-to its neighbour (< and <=, > and >=, == and !=, is and is not, in and
-not in), a bitwise operator (|, & and ^) to each of the others, an
-arithmetic operator (+ and -, * and //, // and %), a shift to the other
-one, or an integer constant c to c + 1 and c - 1.  Only the target
-function's lines of the module change: its mutated syntax tree is
-unparsed in their place.
+Run from anywhere; paths are taken relative to the repository.  The
+functions mutated are those named in TARGETS; widening the scope means
+editing that tuple.  A mutant changes one thing in one target function:
+a comparison operator to its neighbour (< and <=, > and >=, == and !=,
+is and is not, in and not in), a bitwise operator (|, & and ^) to each
+of the others, an arithmetic operator (+ and -, * and //, // and %), a
+shift to the other one, or an integer constant c to c + 1 and c - 1.
+Only the target function's lines of the module change: its mutated
+syntax tree is unparsed in their place.
 
-Each mutant gets its own temporary copy of the repository, and the tests
-(tier-1 by default, or the pytest arguments after --) run there with -x.
-A mutant is killed when a test fails or the run exceeds --timeout, and
-survives when every test passes.  The unmutated copy is run first and
-must pass.  At most two test processes run at a time, each under a
-1 GB address-space limit.  Exit code 0 when no mutant survived, 1 when
-one did, 2 when the unmutated copy fails or the arguments are wrong.
+Each mutant gets its own temporary copy of the repository, and the
+tier-1 tests run there with -x.  A mutant is killed when a test fails or
+the run exceeds TIMEOUT seconds, and survives when every test passes.
+The unmutated copy is run first and must pass.  JOBS test processes run
+at a time, each under a 1 GB address-space limit that the child sets on
+itself before it imports pytest.  Exit code 0 when no mutant survived, 1
+when one did, 2 when the unmutated copy fails.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import concurrent.futures
 import os
 import re
-import resource
 import shutil
 import subprocess
 import sys
@@ -40,6 +37,16 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "weylunip"
+
+JOBS = 2  # test processes at a time
+TIMEOUT = 300.0  # seconds per mutant
+# the child limits its own address space, then runs pytest on its arguments
+PYTEST = (
+    "import resource, sys; "
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "import pytest; "
+    "sys.exit(pytest.main(sys.argv[1:]))"
+)
 
 # (module file under src/weylunip, qualified function name)
 TARGETS = (
@@ -153,12 +160,8 @@ def mutated_source(m: Mutant | None, module: str) -> str:
     return "".join(lines[:first]) + text + "".join(lines[func.end_lineno:])
 
 
-def limit_memory() -> None:
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-
-def run(m: Mutant | None, pytest_args: list[str], timeout: float) -> tuple[str, str]:
-    """(outcome, detail) of the tests on a copy carrying m."""
+def run(m: Mutant | None) -> tuple[str, str]:
+    """(outcome, detail) of the tier-1 tests on a copy carrying m."""
     with tempfile.TemporaryDirectory(prefix="weylunip-mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -167,47 +170,27 @@ def run(m: Mutant | None, pytest_args: list[str], timeout: float) -> tuple[str, 
             path = copy / "src" / "weylunip" / m.module
             path.write_text(mutated_source(m, m.module), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *pytest_args]
+        cmd = [sys.executable, "-c", PYTEST, "-q", "-x", "-p", "no:cacheprovider", "tests"]
         try:
             done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True,
-                                  timeout=timeout, preexec_fn=limit_memory)
+                                  timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
-            return "killed", f"timeout after {timeout:g} s"
+            return "killed", f"timeout after {TIMEOUT:g} s"
     if done.returncode == 0:
         return "survived", ""
     failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
     return "killed", failed.group(1) if failed else f"exit {done.returncode}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--target", action="append", metavar="MODULE:FUNCTION",
-                        help="a function to mutate, e.g. partitions.py:_generate (repeatable)")
-    parser.add_argument("--jobs", type=int, choices=(1, 2), default=2,
-                        help="test processes at a time (at most 2)")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
-    parser.add_argument("--list", action="store_true", help="list the mutants and stop")
-    parser.add_argument("pytest_args", nargs="*", default=["tests"],
-                        help="pytest arguments after --, relative to the repository")
-    args = parser.parse_args(argv)
-    targets = TARGETS
-    if args.target:
-        targets = [tuple(t.split(":", 1)) for t in args.target]
-        if any(len(t) != 2 or not (PACKAGE / t[0]).is_file() for t in targets):
-            parser.error("--target takes MODULE:FUNCTION with MODULE a file of src/weylunip")
-    todo = mutants(targets)
-    for m in todo if args.list else ():
-        print(f"{m.module}:{m.line} {m.function}: {m.change}")
-    if args.list:
-        return 0
-    outcome, detail = run(None, args.pytest_args, args.timeout)
+def main() -> int:
+    todo = mutants(TARGETS)
+    outcome, detail = run(None)
     if outcome != "survived":
         print(f"error: the unmutated copy fails: {detail}", file=sys.stderr)
         return 2
     survivors = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = pool.map(lambda m: run(m, args.pytest_args, args.timeout), todo)
-        for m, (outcome, detail) in zip(todo, results):
+    with concurrent.futures.ThreadPoolExecutor(max_workers=JOBS) as pool:
+        for m, (outcome, detail) in zip(todo, pool.map(run, todo)):
             print(f"{outcome:8} {m.module}:{m.line} {m.function}: {m.change}  {detail}".rstrip(),
                   flush=True)
             if outcome == "survived":

@@ -167,6 +167,13 @@ def test_family_members_refuses_a_kappa_other_than_plus_or_minus_one():
     assert str(exc.value) == "kappa must be +1, -1 or None, got 0"
 
 
+@pytest.mark.parametrize("kappa", [None, 1, -1])
+def test_family_members_refuses_a_negative_total(kappa):
+    with pytest.raises(ValueError) as exc:
+        family_members(-1, kappa)
+    assert str(exc.value) == "partitions of a negative integer requested"
+
+
 @pytest.mark.parametrize("kappa", [1, -1])
 def test_family_members_generates_what_the_kappa_filter_keeps(kappa):
     # the same partitions in the same order as filtering all of them
