@@ -301,9 +301,14 @@ def _count_key(ctx: GroupContext, w: SignedPermutation) -> int:
     return key
 
 
-def _is_descent(fam: str, w: SignedPermutation, i: int) -> bool:
-    """Whether w·s_i < w.  With _apply_right (w·s_i) these are the only
-    per-family step rules; fam is the stepping family from _coxeter."""
+def _is_descent(fam: str, w: SignedPermutation | list[int], i: int) -> bool:
+    """Whether w·s_i < w, for w a window as a tuple or a list.  With
+    _step (w := w·s_i) these are the only per-family step rules; fam is
+    the stepping family from _coxeter.  Descent i and the step s_i read
+    and move the same window places: w(i) and w(i+1) in A; w(1) for
+    BC's i = 1; w(1) and w(2) for D's i = 1, 2; otherwise w(i-1) and
+    w(i).  So a step s_i changes descents i-1..i+1 only, except D's
+    s_3, which also changes descent 1."""
     if fam == "BC":
         return w[0] < 0 if i == 1 else w[i - 2] > w[i - 1]
     if fam == "D":
@@ -315,8 +320,8 @@ def _is_descent(fam: str, w: SignedPermutation, i: int) -> bool:
     return w[i - 1] > w[i]
 
 
-def _apply_right(fam: str, w: SignedPermutation, i: int) -> SignedPermutation:
-    v = list(w)
+def _step(fam: str, v: list[int], i: int) -> None:
+    """v := v·s_i, in place on a window held as a list."""
     if fam == "BC":
         if i == 1:
             v[0] = -v[0]
@@ -331,6 +336,11 @@ def _apply_right(fam: str, w: SignedPermutation, i: int) -> SignedPermutation:
             v[i - 2], v[i - 1] = v[i - 1], v[i - 2]
     else:
         v[i - 1], v[i] = v[i], v[i - 1]
+
+
+def _apply_right(fam: str, w: SignedPermutation, i: int) -> SignedPermutation:
+    v = list(w)
+    _step(fam, v, i)
     return tuple(v)
 
 
@@ -350,17 +360,29 @@ def descent_walk(
     """The walk the generic recursion takes y through: the stripped
     simple-reflection indices and the element after each strip (path[0]
     is y itself, path[-1] has length zero).  Precomputing this lets many
-    x be compared against one y without rewalking y."""
+    x be compared against one y without rewalking y.
+
+    Each strip takes the leftmost descent: the scan keeps no descent
+    below it.  A strip at i changes only descents i-2..i+1 (see
+    _is_descent), so the scan resumes at max(i-2, 1), not at 1.  Each
+    strip moves the scan back at most two places and each other test
+    moves it on by one, so a walk of length l makes O(l + n) descent
+    tests.  It ends when the scan passes the last simple reflection:
+    then no descent is left, and the element has length zero."""
+    _check_element(ctx, y)
     fam, top = _coxeter(ctx)
+    v = list(y)
     chain: list[int] = []
     path = [y]
-    for _ in range(length(ctx, y)):
-        for i in range(1, top + 1):
-            if _is_descent(fam, y, i):
-                break
-        chain.append(i)
-        y = _apply_right(fam, y, i)
-        path.append(y)
+    i = 1
+    while i <= top:
+        if _is_descent(fam, v, i):
+            _step(fam, v, i)
+            chain.append(i)
+            path.append(tuple(v))
+            i = i - 2 if i > 2 else 1
+        else:
+            i += 1
     return chain, path
 
 
@@ -372,19 +394,21 @@ def bruhat_leq_walk(
     path: list[SignedPermutation],
 ) -> bool:
     """Bruhat x <= y, where (chain, path) came from descent_walk(ctx, y).
-    lx must equal length(x)."""
+    lx must equal length(x).  x steps down in place on one list; it
+    stops as soon as it is as long as what is left of y's walk."""
     fam, _ = _coxeter(ctx)
     ly = len(chain)
+    v = list(x)
     for t, i in enumerate(chain):
         if lx > ly:
             return False
         if lx == ly:
-            return x == path[t]
-        if _is_descent(fam, x, i):
-            x = _apply_right(fam, x, i)
+            return tuple(v) == path[t]
+        if _is_descent(fam, v, i):
+            _step(fam, v, i)
             lx -= 1
         ly -= 1
-    return x == path[-1]
+    return tuple(v) == path[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +499,9 @@ def rep_2A(n: int, alpha: Partition) -> SignedPermutation:
         if b == 0:
             continue
         r = remaining
+        # a = 2b + 1 <= len(r), so b <= ci < len(r) - b: c lies between
+        # ps and qs
         ci = (len(r) - 1) // 2
-        ci = max(b, min(ci, len(r) - b - 1))
         ps = r[:b]
         c = r[ci]
         qs = r[-b:][::-1]

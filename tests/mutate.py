@@ -55,6 +55,14 @@ TARGETS = (
     ("partitions.py", "_generate"),
     ("partitions.py", "family_members"),
     ("classposet.py", "hasse"),
+    ("weylgroup.py", "_step"),
+    ("weylgroup.py", "descent_walk"),
+    ("weylgroup.py", "bruhat_leq_walk"),
+    ("weylgroup.py", "_count_key"),
+    ("weylgroup.py", "rep_signed"),
+    ("weylgroup.py", "rep_2A"),
+    ("partitions.py", "psi"),
+    ("unipotent.py", "_forced_value"),
 )
 
 COMPARE_SWAPS = {

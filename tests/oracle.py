@@ -1,8 +1,9 @@
 """Brute-force cross-checks that the tests compare the library against.
 
 No verb and no library path reads these.  Each restates a rule the
-library computes another way: simple reflections as windows, the literal
-count |{k <= i : w(k) >= j}|, the minimal-length elements of a class
+library computes another way: simple reflections as windows, the descent
+walk that rescans from s_1 after every strip, the literal count
+|{k <= i : w(k) >= j}|, the minimal-length elements of a class
 picked out of a whole-group sweep, the four quantifications whose
 agreement defines the order on elliptic classes and its closed-form
 prediction, the characteristic transfer theta2 with Spaltenstein's
@@ -33,6 +34,7 @@ from weylunip.weylgroup import (
     SignedPermutation,
     _apply_right,
     _coxeter,
+    _is_descent,
     identity,
 )
 
@@ -50,6 +52,45 @@ def simple_reflection(ctx: GroupContext, i: int) -> SignedPermutation:
 def simples(ctx: GroupContext) -> tuple[SignedPermutation, ...]:
     _, top = _coxeter(ctx)
     return tuple(simple_reflection(ctx, i) for i in range(1, top + 1))
+
+
+def leftmost_descent_walk(
+    ctx: GroupContext, y: SignedPermutation
+) -> tuple[list[int], list[SignedPermutation]]:
+    """weylgroup.descent_walk by its definition: strip the leftmost
+    descent, found by a scan from s_1, length(y) times, stepping a fresh
+    tuple each time."""
+    fam, top = _coxeter(ctx)
+    chain: list[int] = []
+    path = [y]
+    for _ in range(wg.length(ctx, y)):
+        for i in range(1, top + 1):
+            if _is_descent(fam, y, i):
+                break
+        chain.append(i)
+        y = _apply_right(fam, y, i)
+        path.append(y)
+    return chain, path
+
+
+def leftmost_descent_leq(ctx: GroupContext, x: SignedPermutation, y: SignedPermutation) -> bool:
+    """Bruhat x <= y by the descent recursion along
+    leftmost_descent_walk(ctx, y), on tuples: x steps down with y while
+    the stripped reflection is a descent of x, until x is as long as
+    what is left of y."""
+    fam, _ = _coxeter(ctx)
+    chain, path = leftmost_descent_walk(ctx, y)
+    lx, ly = wg.length(ctx, x), len(chain)
+    for t, i in enumerate(chain):
+        if lx > ly:
+            return False
+        if lx == ly:
+            return x == path[t]
+        if _is_descent(fam, x, i):
+            x = _apply_right(fam, x, i)
+            lx -= 1
+        ly -= 1
+    return x == path[-1]
 
 
 def count_entry(w: SignedPermutation, i: int, j: int) -> int:

@@ -194,6 +194,25 @@ def test_family_members_is_bounded_before_it_generates(kappa, monkeypatch):
     assert str(exc.value) == "partition enumeration bound exceeded: n=61 > 60"
 
 
+def test_generate_never_tries_more_copies_than_the_remainder_holds(monkeypatch):
+    # a multiplicity past rem // row recurses on a negative remainder,
+    # which yields nothing, so only the work shows it
+    module = importlib.import_module("weylunip.partitions")
+    generate = module._generate
+    remainders = []
+
+    def counted(rem, top, paired):
+        remainders.append(rem)
+        return generate(rem, top, paired)
+
+    # the recursion reads the module attribute, so it is counted too
+    monkeypatch.setattr(module, "_generate", counted)
+    for n in range(21):
+        for kappa in (None, 1, -1):
+            family_members(n, kappa)
+    assert len(remainders) > 21 * 3 and min(remainders) == 0
+
+
 def test_psi_values():
     assert psi((6, 6, 4, 2)) == (1, -1, 1, -1)
     assert psi((2, 2, 1, 1)) == (1, -1, 1, -1)

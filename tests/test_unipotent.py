@@ -67,6 +67,9 @@ def test_epsilon_plus_one_family():
     e = bad_label("GLd", 6, (5, 1))
     assert e.epsilon_at(5) == 1 and e.epsilon_at(1) == 1
     assert e.epsilon_at(2) == OMEGA
+    # an even row is forced whatever its multiplicity
+    assert free_indices("GLd", (2, 2)) == ()
+    assert bad_label("GLd", 4, (2, 2)).epsilon_at(2) == OMEGA
 
 
 def test_epsilon_function_validation():

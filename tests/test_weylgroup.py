@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +7,14 @@ from weylunip import weylgroup as wg
 from weylunip.classposet import elliptic_label, weyl_relation
 from weylunip.partitions import family_members, fields_leq, partitions
 
-from oracle import count_entry, min_length_elements, simple_reflection, simples
+from oracle import (
+    count_entry,
+    leftmost_descent_leq,
+    leftmost_descent_walk,
+    min_length_elements,
+    simple_reflection,
+    simples,
+)
 
 
 def all_contexts(spec):
@@ -188,6 +197,106 @@ def test_descent_walk_shape():
             assert len(path) == len(chain) + 1
             assert path[0] == w
             assert wg.length(ctx, path[-1]) == 0
+
+
+def random_window(rng, ctx):
+    """A seeded element of ctx's component."""
+    w = rng.sample(range(1, ctx.n + 1), ctx.n)
+    if ctx.family in ("BC", "D"):
+        w = [rng.choice((1, -1)) * v for v in w]
+        if wg.component_of(ctx.family, w) != ctx.component:
+            w[0] = -w[0]
+    return tuple(w)
+
+
+def check_walk_against_the_rescan(ctx, y, xs):
+    walk = wg.descent_walk(ctx, y)
+    assert walk == leftmost_descent_walk(ctx, y), (ctx, y)
+    for x in xs + [walk[1][len(walk[0]) // 2]]:
+        assert wg.bruhat_leq_generic(ctx, x, y) == leftmost_descent_leq(ctx, x, y), (ctx, x, y)
+
+
+@pytest.mark.parametrize(
+    "family, n, component",
+    [("A", 5, "id"), ("BC", 4, "id"), ("D", 5, "id"), ("D", 5, "twisted"), ("2A", 6, "twisted")],
+)
+def test_descent_walk_is_the_rescan_on_every_element(family, n, component):
+    ctx = wg.context(family, n, component)
+    els = list(wg.enumerate_group(ctx))
+    rng = random.Random(f"walk:{ctx}")
+    for y in els:
+        check_walk_against_the_rescan(ctx, y, rng.sample(els, 3))
+
+
+@pytest.mark.parametrize("family", wg.FAMILIES)
+def test_descent_walk_is_the_rescan_on_seeded_windows(family):
+    rng = random.Random(f"walk:{family}")
+    components = wg.FAMILY_RULES[family].components
+    for k in range(200):
+        ctx = wg.context(family, 7 + k % 6, components[k // 6 % len(components)])
+        check_walk_against_the_rescan(
+            ctx, random_window(rng, ctx), [random_window(rng, ctx) for _ in range(2)]
+        )
+
+
+@pytest.mark.parametrize(
+    "family, n, component, x, y, text",
+    [
+        ("A", 3, None, (1, 2, 3), (1, 2),
+         "element of rank 2 passed to GroupContext(family='A', n=3, component='id')"),
+        ("BC", 3, None, (1, 2, 3), (1, 1, 2), "[1,1,2] is not a signed permutation window"),
+        ("D", 3, "id", (1, 2, 3), (1, 2, 4), "[1,2,4] is not a signed permutation window"),
+        ("A", 3, None, (1, 2, 3), (-1, 2, 3),
+         "[-1,2,3] has signs; family A stores plain permutations"),
+        ("2A", 3, None, (1, 2, 3), (1, -2, 3),
+         "[1,-2,3] has signs; family 2A stores plain permutations"),
+        ("D", 3, "id", (1, 2, 3), (-1, 2, 3),
+         "[-1,2,3] has 1 sign change; wrong parity for the id component of D(3)"),
+        ("D", 4, "twisted", (-1, 2, 3, 4), (-1, -2, 3, 4),
+         "[-1,-2,3,4] has 2 sign changes; wrong parity for the twisted component of D(4)"),
+    ],
+)
+def test_generic_refuses_a_foreign_y_as_length_does(family, n, component, x, y, text):
+    ctx = wg.context(family, n, component)
+    with pytest.raises(ValueError) as by_length:
+        wg.length(ctx, y)
+    with pytest.raises(ValueError) as by_walk:
+        wg.bruhat_leq_generic(ctx, x, y)
+    assert str(by_walk.value) == str(by_length.value) == text
+
+
+def test_walk_stops_once_x_is_as_long_as_the_rest_of_y(monkeypatch):
+    # the final comparison alone decides the answer, so a wrong length
+    # count shows only in the work: while x is shorter than what is left
+    # of y, each stripped reflection costs one descent test, and a step
+    # of x keeps the gap; x longer than y costs none
+    counts = [0, 0]
+    is_descent, step = wg._is_descent, wg._step
+
+    def counted_descent(fam, w, i):
+        counts[0] += 1
+        return is_descent(fam, w, i)
+
+    def counted_step(fam, v, i):
+        counts[1] += 1
+        step(fam, v, i)
+
+    monkeypatch.setattr(wg, "_is_descent", counted_descent)
+    monkeypatch.setattr(wg, "_step", counted_step)
+    for ctx in all_contexts([("A", [4]), ("BC", [3]), ("D", [3, 4]), ("2A", [4])]):
+        els = list(wg.enumerate_group(ctx))
+        lengths = [wg.length(ctx, w) for w in els]
+        for y in els:
+            chain, path = wg.descent_walk(ctx, y)
+            ly = len(chain)
+            for x, lx in zip(els, lengths):
+                counts[:] = [0, 0]
+                leq = wg.bruhat_leq_walk(ctx, x, lx, chain, path)
+                tests, steps = counts
+                if lx > ly:
+                    assert (tests, leq) == (0, False), (ctx, x, y)
+                else:
+                    assert tests == min(ly, ly - lx + steps), (ctx, x, y)
 
 
 def test_count_entry_literal():
@@ -647,6 +756,22 @@ def test_rep_2A_minimal(n):
         w = wg.class_rep(ctx, a)
         assert wg.class_label(ctx, w) == a
         assert wg.length(ctx, w) == wg.class_lengths(ctx, a)[0]
+
+
+def test_rep_2A_windows():
+    # the classes verb prints these windows; minimal length alone does
+    # not fix them
+    reps = {
+        (6, (5, 1)): (1, 2, 4, 5, 6, 3),
+        (6, (3, 3)): (1, 2, 5, 6, 4, 3),
+        (6, (3, 1, 1, 1)): (1, 5, 4, 6, 2, 3),
+        (7, (7,)): (1, 2, 3, 5, 6, 7, 4),
+        (7, (5, 1, 1)): (1, 2, 5, 6, 3, 7, 4),
+        (7, (3, 3, 1)): (1, 2, 5, 7, 6, 3, 4),
+        (7, (3, 1, 1, 1, 1)): (1, 6, 5, 7, 3, 2, 4),
+    }
+    for (n, a), w in reps.items():
+        assert wg.class_rep(wg.context("2A", n), a) == w, (n, a)
 
 
 def test_rep_2A_all_ones_is_reversal():
