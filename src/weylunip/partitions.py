@@ -8,6 +8,7 @@ only the first form is a valid value.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, Sequence
 
 Partition = tuple[int, ...]
@@ -52,10 +53,18 @@ def dominance_leq(a: Partition, b: Partition) -> bool:
 
 
 def transpose(a: Partition) -> Partition:
-    """Conjugate partition: row lengths of the transposed Young diagram."""
+    """Conjugate partition: row lengths of the transposed Young diagram.
+    Column i holds the parts of size at least i, so counting the parts
+    of each size and taking suffix sums gives every column in one pass.
+    The parts must be nonnegative with the largest first; a zero part
+    is counted at size 0, whose suffix sum is dropped, so it adds no
+    column."""
     if not a:
         return ()
-    return tuple(sum(1 for p in a if p >= i) for i in range(1, a[0] + 1))
+    counts = [0] * (a[0] + 1)
+    for p in a:
+        counts[p] += 1
+    return tuple(itertools.accumulate(reversed(counts)))[-2::-1]
 
 
 def multiplicity(a: Partition, k: int) -> int:
@@ -200,6 +209,38 @@ def pack(values: Sequence[int], width: int) -> int:
             raise ValueError(f"packed entry {v} outside 0..{limit - 1}")
         out = out << width | v
     return out
+
+
+def byte_width(top: int) -> int:
+    """Bits per whole-byte field for entries in 0..top: the fewest whole
+    bytes that hold top's bits and a guard bit, so one byte while top is
+    at most 127."""
+    return -(-field_width(top) // 8) * 8
+
+
+def pack_bytes(values: Sequence[int], width: int) -> int:
+    """pack for whole-byte fields, width a multiple of 8: values[i] in
+    field i, the lowest field first, little-endian on every host.  The
+    vector becomes one int in C, by int.from_bytes.  pack's refusal
+    holds, checked once per vector: no value may reach its field's guard
+    bit."""
+    size = width // 8
+    limit = 1 << (width - 1)
+    try:
+        if size == 1:
+            fields = bytes(values)
+            # ASCII bytes are those below 0x80, the guard bit
+            clear = fields.isascii()
+        else:
+            fields = b"".join(v.to_bytes(size, "little") for v in values)
+            clear = max(values, default=0) < limit
+    except (ValueError, OverflowError):
+        # bytes and to_bytes refuse an entry below 0 or past the field
+        clear = False
+    if not clear:
+        bad = next(v for v in values if not 0 <= v < limit)
+        raise ValueError(f"packed entry {bad} outside 0..{limit - 1}")
+    return int.from_bytes(fields, "little")
 
 
 def fields_leq(a: int, b: int, guards: int) -> int:

@@ -19,7 +19,7 @@ the exceptional isogeny, written with a trailing 1 appended to the
 partition.
 
 A class is named by a UnipotentLabel, a NamedTuple that caches the one
-record the closure orders read.
+record the closure orders read and its own text.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ from typing import NamedTuple
 from .partitions import (
     Partition,
     as_partition,
+    byte_width,
     family_members,
-    field_width,
     format_partition,
     guard_bits,
     kappa_member,
     multiplicity,
-    pack,
+    pack_bytes,
     transpose,
 )
 from . import weylgroup as wg
@@ -131,8 +131,10 @@ class UnipotentLabel(_LabelFields):
     subgroup (_splits says which); they compare like their base class.
 
     The subclass declares no __slots__, so each label has an instance
-    __dict__, where cached_property keeps _record, the one comparison
-    record unipotent_leq reads.
+    __dict__, where cached_property keeps what is derived from the fields
+    once per label: _record, the one comparison record unipotent_leq
+    reads, and _text, the bracket notation format_unipotent and str
+    return.
     """
 
     @property
@@ -161,7 +163,29 @@ class UnipotentLabel(_LabelFields):
         raise ValueError(f"no value stored for free index {k}")
 
     def __str__(self) -> str:
-        return format_unipotent(self)
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        """The label in bracket notation (see format_unipotent), built
+        once per label."""
+        tail = f"_{self.split}" if self.split else ""
+        if self.kind == GOOD:
+            return format_partition(self.partition) + tail
+        pairs = self.epsilon
+        if not pairs:
+            eps_text = "*"
+        else:
+            runs: list[tuple[list[int], int]] = []
+            for idx, val in pairs:
+                if runs and runs[-1][1] == val:
+                    runs[-1][0].append(idx)
+                else:
+                    runs.append(([idx], val))
+            eps_text = ",".join(
+                "=".join(f"ε({i})" for i in idxs) + f"={val}" for idxs, val in runs
+            )
+        return f"({format_partition(self.partition)},{eps_text})" + tail
 
     @cached_property
     def _record(self) -> tuple:
@@ -169,14 +193,18 @@ class UnipotentLabel(_LabelFields):
         (domain, guards, key, sums, parity, zeros).
 
         domain is what two labels must share to be compared: kind, group,
-        rank and SO component.  The rest is packed by partitions.pack with
-        fields wide enough for the matrix size dim, the term of k = 1..dim
-        in field k - 1.  key holds the prefix sums of the partition, which
-        stay at dim past its last part.  A characteristic-2 label's key
-        goes on in fields dim..2 dim - 1 with the complemented room terms
-        dim - (S_k - max(eps(k), 0)), where S_k are the prefix sums of the
-        transpose, which sums holds; parity has the guard bit of field
-        k - 1 set when transpose entry k + 1 is odd, and zeros when
+        rank and SO component.  The rest is packed by partitions.pack_bytes
+        into whole-byte fields, one byte each while the matrix size dim is
+        at most 127 (every label enumerate_unipotent or lusztig.phi
+        produces, PARTITION_BOUND capping their dim at 121) and otherwise
+        the fewest whole bytes that hold dim, little-endian on every host;
+        the term of k = 1..dim goes in field k - 1 and each field's top
+        bit is its guard.  key holds the prefix sums of the partition,
+        which stay at dim past its last part.  A characteristic-2 label's
+        key goes on in fields dim..2 dim - 1 with the complemented room
+        terms dim - (S_k - max(eps(k), 0)), where S_k are the prefix sums
+        of the transpose, which sums holds; parity has the guard bit of
+        field k - 1 set when transpose entry k + 1 is odd, and zeros when
         eps(k) = 0.  A good label has 0 for sums, parity and zeros, which
         makes the parity test of unipotent_leq pass.  guards holds the
         guard bit of every field of key."""
@@ -184,14 +212,17 @@ class UnipotentLabel(_LabelFields):
         dim = _dim(self.group, self.n)
         if sum(self.partition) != dim:
             raise ValueError(f"{self.partition} is not a partition of {dim}")
-        width = field_width(dim)
+        width = byte_width(dim)
         padded = self.partition + (0,) * (dim - len(self.partition))
         dominance = list(itertools.accumulate(padded))
         if self.kind == GOOD:
-            return domain, guard_bits(dim, width), pack(dominance, width), 0, 0, 0
+            return domain, guard_bits(dim, width), pack_bytes(dominance, width), 0, 0, 0
+        # the transpose has a column per size up to the largest part;
+        # past it S_k stays at dim and the transpose entries are 0, so
+        # parity needs no padding
         cols = transpose(self.partition)
-        cols += (0,) * (dim + 1 - len(cols))
-        sums = list(itertools.accumulate(cols[:dim]))
+        sums = list(itertools.accumulate(cols))
+        sums += [dim] * (dim - len(cols))
         room = [dim - s for s in sums]
         zeros = [0] * dim
         # eps(k) is omega at every k that is not a row, so only rows move
@@ -206,10 +237,10 @@ class UnipotentLabel(_LabelFields):
         return (
             domain,
             guard_bits(2 * dim, width),
-            pack(dominance + room, width),
-            pack(sums, width),
-            pack([c % 2 for c in cols[1:]], width) << (width - 1),
-            pack(zeros, width) << (width - 1),
+            pack_bytes(dominance + room, width),
+            pack_bytes(sums, width),
+            pack_bytes([c % 2 for c in cols[1:]], width) << (width - 1),
+            pack_bytes(zeros, width) << (width - 1),
         )
 
 
@@ -417,24 +448,9 @@ def format_unipotent(label: UnipotentLabel) -> str:
     """Bracket notation: good labels "[7,1]", characteristic-2 labels
     "([4,4],ε(4)=1)" with runs of equal values chained as
     "ε(4)=ε(2)=1" and "*" when no free index exists; split markers
-    append "_I" or "_II"."""
-    tail = f"_{label.split}" if label.split else ""
-    if label.kind == GOOD:
-        return format_partition(label.partition) + tail
-    pairs = label.epsilon
-    if not pairs:
-        eps_text = "*"
-    else:
-        runs: list[tuple[list[int], int]] = []
-        for idx, val in pairs:
-            if runs and runs[-1][1] == val:
-                runs[-1][0].append(idx)
-            else:
-                runs.append(([idx], val))
-        eps_text = ",".join(
-            "=".join(f"ε({i})" for i in idxs) + f"={val}" for idxs, val in runs
-        )
-    return f"({format_partition(label.partition)},{eps_text})" + tail
+    append "_I" or "_II".  The text is the label's cached _text, built
+    once per label however often it is printed."""
+    return label._text
 
 
 def label_to_json(label: UnipotentLabel) -> dict:

@@ -63,6 +63,11 @@ TARGETS = (
     ("weylgroup.py", "rep_2A"),
     ("partitions.py", "psi"),
     ("unipotent.py", "_forced_value"),
+    ("partitions.py", "transpose"),
+    ("partitions.py", "byte_width"),
+    ("partitions.py", "pack_bytes"),
+    ("unipotent.py", "UnipotentLabel._text"),
+    ("lusztig.py", "phi"),
 )
 
 COMPARE_SWAPS = {

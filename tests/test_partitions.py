@@ -9,6 +9,7 @@ from weylunip.partitions import (
     add_psi,
     append_one,
     as_partition,
+    byte_width,
     check_bound,
     dominance_leq,
     family_members,
@@ -19,6 +20,7 @@ from weylunip.partitions import (
     kappa_member,
     multiplicity,
     pack,
+    pack_bytes,
     partitions,
     psi,
     scale,
@@ -90,10 +92,18 @@ def test_dominance_is_partial_order():
 def test_transpose():
     assert transpose((4, 2, 1)) == (3, 2, 1, 1)
     assert transpose(()) == ()
+    # a zero part adds no column
+    assert transpose((3, 1, 0)) == (2, 1, 1)
+    assert transpose((3, 0, 1, 0)) == (2, 1, 1)
+    assert transpose((0,)) == ()
     for n in range(9):
         for a in partitions(n):
             assert transpose(transpose(a)) == a
             assert sum(transpose(a)) == n
+            # column i holds the parts of size at least i
+            assert transpose(a) == tuple(
+                sum(1 for p in a if p >= i) for i in range(1, (a[0] if a else 0) + 1)
+            )
 
 
 def test_transpose_reverses_dominance():
@@ -280,3 +290,43 @@ def test_packed_comparison_is_entrywise():
         pack([3, 8], field_width(7))
     with pytest.raises(ValueError, match="outside 0..7"):
         pack([-1], field_width(7))
+
+
+def test_byte_fields_are_the_fewest_whole_bytes():
+    for top, width in ((0, 8), (1, 8), (121, 8), (127, 8), (128, 16), (200, 16),
+                       (32767, 16), (32768, 24), (2**40, 48), (2**63 - 1, 64)):
+        assert byte_width(top) == width, top
+
+
+def test_byte_packing_is_pack_in_whole_bytes():
+    # pack, one entry at a time, is the reference layout
+    rng = random.Random(5)
+    for top in (1, 7, 121, 127, 128, 140, 200, 32767, 32768, 2**40, 2**63 - 1):
+        width = byte_width(top)
+        for count in (0, 1, 2, 5, 40):
+            for _ in range(10):
+                a = [rng.choice((0, top, rng.randint(0, top))) for _ in range(count)]
+                assert pack_bytes(a, width) == pack(a, width), (top, a)
+    # field 0 is the lowest byte on every host
+    assert pack_bytes([1, 2], 16).to_bytes(4, "little") == bytes([1, 0, 2, 0])
+    assert pack_bytes([1, 2, 3], 24).to_bytes(9, "little") == bytes([1, 0, 0, 2, 0, 0, 3, 0, 0])
+
+
+@pytest.mark.parametrize("width,values,top", [
+    (8, [3, 128], 127),
+    (8, [127, -1], 127),
+    (8, [5, 256, 0], 127),
+    (8, [0, 128], 127),
+    (16, [2**15, 3], 2**15 - 1),
+    (16, [-1], 2**15 - 1),
+    (24, [1, 2**23], 2**23 - 1),
+    (24, [2**24 + 1], 2**23 - 1),
+    (24, [0, 2**24 + 1], 2**23 - 1),
+    (24, [2**64], 2**23 - 1),
+    (64, [2**63], 2**63 - 1),
+    (64, [-2], 2**63 - 1),
+])
+def test_byte_packing_refuses_an_entry_at_the_guard_bit(width, values, top):
+    bad = next(v for v in values if not 0 <= v <= top)
+    with pytest.raises(ValueError, match=f"^packed entry {bad} outside 0..{top}$"):
+        pack_bytes(values, width)

@@ -368,6 +368,56 @@ def test_closure_orders_refuse_mismatched_labels(case, good, bad, either, swap):
         assert str(caught.value) == message.format(a=a, b=b), (leq.__name__, case)
 
 
+def record_width(guards):
+    """The field width of a record: its lowest guard bit is the top bit
+    of field 0."""
+    return (guards & -guards).bit_length()
+
+
+def unpack(value, width, count):
+    """The count fields of a packed value, the lowest first."""
+    return [value >> (f * width) & ((1 << width) - 1) for f in range(count)]
+
+
+LAYOUT_CASES = CLOSURE_CASES + [("GL", GOOD), ("GL", CHAR2)]
+
+
+@pytest.mark.parametrize("group,char", LAYOUT_CASES)
+def test_record_unpacks_to_the_literal_terms(group, char):
+    for n in range(least_rank(group), 5):
+        dim = _dim(group, n)
+        for u in enumerate_unipotent(group, n, char):
+            domain, guards, key, sums, parity, zeros = u._record
+            assert domain == (u.kind, group, n, u.so_component)
+            width = record_width(guards)
+            assert width == 8, u
+            count = dim if u.kind == GOOD else 2 * dim
+            assert guards == sum(1 << (f * width + width - 1) for f in range(count))
+            alpha = u.partition
+            # the prefix sums stay at dim past the last part
+            prefix = [sum(alpha[:k]) for k in range(1, dim + 1)]
+            if u.kind == GOOD:
+                assert unpack(key, width, count) == prefix, u
+                assert key >> (count * width) == 0
+                assert (sums, parity, zeros) == (0, 0, 0), u
+                continue
+            ks = range(1, dim + 1)
+            # S_k, the k-th prefix sum of the transpose, counts the boxes
+            # in the first k columns
+            s = [sum(min(p, k) for p in alpha) for k in ks]
+            column = [sum(1 for p in alpha if p >= k) for k in range(dim + 2)]
+            room = [dim - s[k - 1] + (u.epsilon_at(k) == 1) for k in ks]
+            assert unpack(key, width, count) == prefix + room, u
+            assert key >> (count * width) == 0
+            assert unpack(sums, width, dim) == s, u
+            assert sums >> (dim * width) == 0
+            top = width - 1
+            assert unpack(parity >> top, width, dim) == [column[k + 1] % 2 for k in ks], u
+            assert parity >> top >> (dim * width) == 0
+            assert unpack(zeros >> top, width, dim) == [int(u.epsilon_at(k) == 0) for k in ks], u
+            assert zeros >> top >> (dim * width) == 0
+
+
 def random_label(rng, group, n, char):
     """A random label of group at rank n, built part by part so that no
     partition of the matrix size need be listed: the rows that kappa
@@ -391,7 +441,9 @@ def random_label(rng, group, n, char):
 
 
 # (group, rank, char, the extreme labels' partitions): matrix sizes 60,
-# 61, 60 and 120, past what enumeration reaches
+# 61, 60 and 120, past what enumeration reaches; 121, the largest
+# one-byte record field a label of enumerate_unipotent or phi can need;
+# and 200 and 140, past one byte
 WIDE_CASES = [
     ("Sp", 30, GOOD, [(60,), (1,) * 60]),
     ("Sp", 30, CHAR2, [(60,), (1,) * 60, (52, 3, 3, 1, 1), (52, 4, 2, 2)]),
@@ -399,6 +451,9 @@ WIDE_CASES = [
     ("O_odd", 30, CHAR2, [(60, 1), (1,) * 61]),
     ("GLd", 60, CHAR2, [(59, 1), (1,) * 60]),
     ("GL", 120, GOOD, [(120,), (1,) * 120]),
+    ("O_odd", 60, CHAR2, [(120, 1), (1,) * 121]),
+    ("GL", 200, GOOD, [(200,), (1,) * 200]),
+    ("Sp", 70, CHAR2, [(140,), (1,) * 140, (132, 3, 3, 1, 1), (132, 4, 2, 2)]),
 ]
 
 
@@ -418,6 +473,9 @@ def test_wide_fields_match_the_literal_definitions(group, n, char, extremes):
             for a in extremes
             for v in (0, 1)
         ]
+    # one byte per field up to a matrix size of 127, then two
+    guards = labels[0]._record[1]
+    assert record_width(guards) == (8 if _dim(group, n) <= 127 else 16)
     held = 0
     for a in labels:
         for b in labels:
@@ -610,6 +668,12 @@ def test_format_unipotent():
     )
     mixed = bad_label("Sp", 6, (4, 4, 2, 2), epsilon={4: 1, 2: 0})
     assert format_unipotent(mixed) == "([4,4,2,2],ε(4)=1,ε(2)=0)"
+    # a run continues only the last run, never an earlier one of its value
+    alpha = (6, 6, 4, 4, 2, 2)
+    for values, text in (((1, 0, 1), "ε(6)=1,ε(4)=0,ε(2)=1"),
+                         ((1, 0, 0), "ε(6)=1,ε(4)=ε(2)=0")):
+        u = bad_label("Sp", 12, alpha, epsilon=dict(zip((6, 4, 2), values)))
+        assert format_unipotent(u) == str(u) == f"([6,6,4,4,2,2],{text})"
 
 
 def test_label_to_json():
