@@ -99,9 +99,9 @@ def weyl_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
     keys = [wg._count_key(ctx, w) for w in reps]
     guards = wg._count_columns(ctx)[3]
     # the count criterion is exact for A and BC (and for 2A's stored
-    # parts, which step like A); for D it is only necessary, so a walk
-    # confirms each element it lets through
-    walks = [wg.descent_walk(ctx, w) for w in reps] if ctx.family == "D" else None
+    # parts, which step like A); for D it is only necessary, so the lazy
+    # descent walk confirms each element it lets through
+    confirm = ctx.family == "D"
     rows = []
     for i, (rep, la) in enumerate(zip(reps, lengths)):
         # Bruhat order is graded by length, so x <= w with l(x) = l(w)
@@ -115,7 +115,7 @@ def weyl_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
                 j
                 for j in pending
                 if fields_leq(kx, keys[j], guards) == guards
-                and (walks is None or wg.bruhat_leq_walk(ctx, x, la, *walks[j]))
+                and (not confirm or wg._bruhat_leq(ctx, x, la, reps[j], lengths[j]))
             ]
             if found:
                 held.update(found)

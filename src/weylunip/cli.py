@@ -311,18 +311,18 @@ def run_bruhat(family: str, n: int, x_text: str, y_text: str, fmt: str) -> tuple
         if len(w) != n:
             entries = "1 entry" if len(w) == 1 else f"{len(w)} entries"
             raise UsageError(f"element {text!r} has {entries}; --rank {n} needs {n}")
-        # refuses a window that names no element of the family at rank n
-        wg.length(wg.context(family, n, wg.component_of(family, w)), w)
+        # the one check of each window: the walk and packed test below skip it
+        wg._check_element(wg.context(family, n, wg.component_of(family, w)), w)
     if wg.component_of(family, y) != ctx.component:
         raise UsageError(
             f"{format_partition(x)} and {format_partition(y)} "
             f"lie in different components of {family}({n})"
         )
-    generic = wg.bruhat_leq_generic(ctx, x, y)
+    generic = wg._bruhat_leq(ctx, x, wg._length(ctx, x), y, wg._length(ctx, y))
     counts = witness = note = None
     code = 0
     if family != "2A":
-        witness = wg.count_witness(ctx, x, y)
+        witness = wg._count_witness(ctx, x, y)
         counts = witness is None
         if family == "D":
             note = "for even-signed groups the count criterion is necessary, not sufficient"

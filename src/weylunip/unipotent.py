@@ -226,10 +226,13 @@ class UnipotentLabel(_LabelFields):
         room = [dim - s for s in sums]
         zeros = [0] * dim
         # eps(k) is omega at every k that is not a row, so only rows move
-        # the room terms or set a zero; rows ascend, so a label missing
-        # several free values names the least
-        for row, m in sorted(Counter(self.partition).items()):
-            e = self._epsilon(row, m)
+        # the room terms or set a zero; the transpose counts the parts of
+        # at least and of more than each size, and rows ascend, so a label
+        # missing several free values names the least
+        for row, (at_least, longer) in enumerate(zip(cols, cols[1:] + (0,)), 1):
+            if at_least == longer:
+                continue
+            e = self._epsilon(row, at_least - longer)
             if e == 1:
                 room[row - 1] += 1
             elif e == 0:

@@ -177,12 +177,17 @@ def delta(ctx: GroupContext) -> SignedPermutation:
 # Coxeter data and length
 
 
-def _coxeter(ctx: GroupContext) -> tuple[str, int]:
-    """The family whose step rules ctx uses (twisted A steps like A, on
-    the stored permutation part) and its number of simple reflections."""
+@lru_cache(maxsize=32)
+def _steps(ctx: GroupContext) -> tuple[tuple[int, int, int], ...]:
+    """The one per-family step rule: entry i - 1 is (a, b, s) with
+    w·s_i < w iff s·w[a] > w[b], and w·s_i sets w[a], w[b] = s·w[b],
+    s·w[a].  s_i swaps w(i), w(i+1) in A and twisted A; BC's s_1 negates
+    w(1), D's s_1 and s_2 swap w(1), w(2) plain and negated, and the other
+    s_i swap w(i-1), w(i).  So s_i changes descents i-2..i+1 only."""
     if ctx.family in ("A", "2A"):
-        return "A", ctx.n - 1
-    return ctx.family, ctx.n
+        return tuple((i - 1, i, 1) for i in range(1, ctx.n))
+    head = ((0, 0, -1),) if ctx.family == "BC" else ((0, 1, 1), (1, 0, -1))
+    return head + tuple((i - 2, i - 1, 1) for i in range(len(head) + 1, ctx.n + 1))
 
 
 def _inv_count(w: SignedPermutation) -> int:
@@ -262,6 +267,13 @@ def count_witness(
     comparison: the lowest guard bit it clears is that pair's field."""
     _check_element(ctx, x)
     _check_element(ctx, y)
+    return _count_witness(ctx, x, y)
+
+
+def _count_witness(
+    ctx: GroupContext, x: SignedPermutation, y: SignedPermutation
+) -> tuple[int, int] | None:
+    """count_witness without the membership checks."""
     idx, _, width, guards = _count_columns(ctx)
     missed = guards ^ fields_leq(_count_key(ctx, x), _count_key(ctx, y), guards)
     if not missed:
@@ -301,114 +313,39 @@ def _count_key(ctx: GroupContext, w: SignedPermutation) -> int:
     return key
 
 
-def _is_descent(fam: str, w: SignedPermutation | list[int], i: int) -> bool:
-    """Whether w·s_i < w, for w a window as a tuple or a list.  With
-    _step (w := w·s_i) these are the only per-family step rules; fam is
-    the stepping family from _coxeter.  Descent i and the step s_i read
-    and move the same window places: w(i) and w(i+1) in A; w(1) for
-    BC's i = 1; w(1) and w(2) for D's i = 1, 2; otherwise w(i-1) and
-    w(i).  So a step s_i changes descents i-1..i+1 only, except D's
-    s_3, which also changes descent 1."""
-    if fam == "BC":
-        return w[0] < 0 if i == 1 else w[i - 2] > w[i - 1]
-    if fam == "D":
-        if i == 1:
-            return w[0] > w[1]
-        if i == 2:
-            return w[0] + w[1] < 0
-        return w[i - 2] > w[i - 1]
-    return w[i - 1] > w[i]
-
-
-def _step(fam: str, v: list[int], i: int) -> None:
-    """v := v·s_i, in place on a window held as a list."""
-    if fam == "BC":
-        if i == 1:
-            v[0] = -v[0]
-        else:
-            v[i - 2], v[i - 1] = v[i - 1], v[i - 2]
-    elif fam == "D":
-        if i == 1:
-            v[0], v[1] = v[1], v[0]
-        elif i == 2:
-            v[0], v[1] = -v[1], -v[0]
-        else:
-            v[i - 2], v[i - 1] = v[i - 1], v[i - 2]
-    else:
-        v[i - 1], v[i] = v[i], v[i - 1]
-
-
-def _apply_right(fam: str, w: SignedPermutation, i: int) -> SignedPermutation:
-    v = list(w)
-    _step(fam, v, i)
-    return tuple(v)
-
-
 def bruhat_leq_generic(ctx: GroupContext, x: SignedPermutation, y: SignedPermutation) -> bool:
-    """Bruhat order by the descent recursion: pick a simple s with
-    ys < y; descend x alongside when xs < x.  Valid in every family,
-    including both components of D (delta is the unique length-zero
-    coset element) and twisted A via the stored permutation parts.
-    """
-    chain, path = descent_walk(ctx, y)
-    return bruhat_leq_walk(ctx, x, length(ctx, x), chain, path)
-
-
-def descent_walk(
-    ctx: GroupContext, y: SignedPermutation
-) -> tuple[list[int], list[SignedPermutation]]:
-    """The walk the generic recursion takes y through: the stripped
-    simple-reflection indices and the element after each strip (path[0]
-    is y itself, path[-1] has length zero).  Precomputing this lets many
-    x be compared against one y without rewalking y.
-
-    Each strip takes the leftmost descent: the scan keeps no descent
-    below it.  A strip at i changes only descents i-2..i+1 (see
-    _is_descent), so the scan resumes at max(i-2, 1), not at 1.  Each
-    strip moves the scan back at most two places and each other test
-    moves it on by one, so a walk of length l makes O(l + n) descent
-    tests.  It ends when the scan passes the last simple reflection:
-    then no descent is left, and the element has length zero."""
+    """Bruhat order by the descent recursion (_bruhat_leq) in every
+    family: on both components of D (delta is the unique length-zero coset
+    element) and on twisted A's stored parts.  Checks y, then x."""
     _check_element(ctx, y)
-    fam, top = _coxeter(ctx)
-    v = list(y)
-    chain: list[int] = []
-    path = [y]
-    i = 1
-    while i <= top:
-        if _is_descent(fam, v, i):
-            _step(fam, v, i)
-            chain.append(i)
-            path.append(tuple(v))
-            i = i - 2 if i > 2 else 1
-        else:
-            i += 1
-    return chain, path
+    _check_element(ctx, x)
+    return _bruhat_leq(ctx, x, _length(ctx, x), y, _length(ctx, y))
 
 
-def bruhat_leq_walk(
-    ctx: GroupContext,
-    x: SignedPermutation,
-    lx: int,
-    chain: list[int],
-    path: list[SignedPermutation],
+def _bruhat_leq(
+    ctx: GroupContext, x: SignedPermutation, lx: int, y: SignedPermutation, ly: int
 ) -> bool:
-    """Bruhat x <= y, where (chain, path) came from descent_walk(ctx, y).
-    lx must equal length(x).  x steps down in place on one list; it
-    stops as soon as it is as long as what is left of y's walk."""
-    fam, _ = _coxeter(ctx)
-    ly = len(chain)
-    v = list(x)
-    for t, i in enumerate(chain):
-        if lx > ly:
-            return False
-        if lx == ly:
-            return tuple(v) == path[t]
-        if _is_descent(fam, v, i):
-            _step(fam, v, i)
-            lx -= 1
-        ly -= 1
-    return tuple(v) == path[-1]
+    """Bruhat x <= y, given lx = length(x) and ly = length(y); no
+    membership check.  While x is shorter than y, strip y's leftmost
+    descent s, and x's too when s is one: by the lifting property
+    (Bjorner-Brenti, Prop. 2.2.7) x <= y iff x·s <= y·s then, else iff
+    x <= y·s.  Then x is as long as y, and x <= y iff x = y.  A strip at
+    i resumes the scan at max(i-2, 1) (see _steps)."""
+    steps = _steps(ctx)
+    u, v = list(x), list(y)
+    k = 0
+    while lx < ly:
+        a, b, s = steps[k]
+        if s * v[a] > v[b]:
+            v[a], v[b] = s * v[b], s * v[a]
+            ly -= 1
+            if s * u[a] > u[b]:
+                u[a], u[b] = s * u[b], s * u[a]
+                lx -= 1
+            k = k - 2 if k > 1 else 0
+        else:
+            k += 1
+    return lx == ly and u == v
 
 
 # ---------------------------------------------------------------------------
@@ -603,13 +540,16 @@ def _min_length_set(ctx: GroupContext, rep: SignedPermutation) -> Iterator[Signe
     mapped through a lookup holding s_i(v) at index v (negative v index
     from the end).  Each factor moves the length by one, so the shift
     keeps the length exactly when one factor is a descent: s_i of w on
-    the left (a right descent of w's inverse), s_j of s_i·w on the right."""
-    fam, top = _coxeter(ctx)
+    the left (a right descent of w's inverse), s_j of s_i·w on the right.
+    Both descent tests and the right step read the step table."""
+    steps = _steps(ctx)
     shifts = []
-    for i in range(1, top + 1):
-        s = _apply_right(fam, identity(ctx.n), i)
-        lookup = (0,) + s + tuple(-v for v in reversed(s))
-        shifts.append((i, lookup.__getitem__, top + 1 - i if ctx.family == "2A" else i))
+    for i, (a, b, s) in enumerate(steps):
+        r = list(identity(ctx.n))
+        r[a], r[b] = s * r[b], s * r[a]
+        lookup = (0,) + tuple(r) + tuple(-v for v in reversed(r))
+        j = len(steps) - 1 - i if ctx.family == "2A" else i
+        shifts.append((lookup.__getitem__, steps[i], steps[j]))
     seen = {rep}
     todo = [rep]
     while todo:
@@ -620,17 +560,19 @@ def _min_length_set(ctx: GroupContext, rep: SignedPermutation) -> Iterator[Signe
             )
         w = todo.pop()
         winv = inverse(w)
-        for i, lookup, j in shifts:
-            sw = tuple(map(lookup, w))
-            down = _is_descent(fam, winv, i)
-            if down == _is_descent(fam, sw, j):
-                if down:
-                    raise RuntimeError(
-                        f"class_rep {rep} of {ctx} is not of minimal length: "
-                        f"its cyclic shift {_apply_right(fam, sw, j)} is shorter"
-                    )
+        for lookup, (a, b, s), (c, d, t) in shifts:
+            down = s * winv[a] > winv[b]
+            v = list(map(lookup, w))
+            same = down == (t * v[c] > v[d])
+            if same and not down:
                 continue
-            v = _apply_right(fam, sw, j)
+            v[c], v[d] = t * v[d], t * v[c]
+            v = tuple(v)
+            if same:
+                raise RuntimeError(
+                    f"class_rep {rep} of {ctx} is not of minimal length: "
+                    f"its cyclic shift {v} is shorter"
+                )
             if v in seen:
                 continue
             seen.add(v)
@@ -639,14 +581,16 @@ def _min_length_set(ctx: GroupContext, rep: SignedPermutation) -> Iterator[Signe
 
 
 # ---------------------------------------------------------------------------
-# the whole-group class sweep and the literal count matrix
+# bound by the benchmark: the whole-group class sweep, the literal count
+# matrix and the two-stage descent walk
 #
-# No verb or library path reads this block; the tests and tests/oracle.py
-# check the library against it.  It stays in the library only because the
+# No verb or library path calls this block (tests/test_bindings.py checks);
+# the tests check the library against it.  It stays only because the
 # benchmark binds it by name: perfbench/tracer.py's LAYERS wraps
-# enumerate_class, class_lengths, count_matrix and the class_label calls
-# the sweep makes, and perfbench/worker.py's op_bruhat calls count_matrix.
-# It moves to tests/oracle.py once ROADMAP item 1 retires those names.
+# enumerate_class, class_lengths, count_matrix, descent_walk,
+# bruhat_leq_walk and the sweep's class_label calls, and op_bruhat calls
+# count_matrix.  It moves to tests/oracle.py once ROADMAP item 1 retires
+# those names.
 
 
 def group_order(ctx: GroupContext) -> int:
@@ -728,3 +672,56 @@ def count_matrix(ctx: GroupContext, w: SignedPermutation) -> CountMatrix:
         row = [c + (wi >= j) for c, j in zip(row, idx)]
         rows.append(tuple(row))
     return CountMatrix(ctx.n, signed, tuple(rows))
+
+
+def descent_walk(
+    ctx: GroupContext, y: SignedPermutation
+) -> tuple[list[int], list[SignedPermutation]]:
+    """The walk the descent recursion takes y through: the stripped
+    simple-reflection indices and the element after each strip (path[0]
+    is y itself, path[-1] has length zero).  Each strip takes the
+    leftmost descent, and the scan resumes at max(i-2, 1) after a strip
+    at i (see _steps), so a walk of length l makes O(l + n) descent
+    tests; it ends when the scan passes the last simple reflection."""
+    _check_element(ctx, y)
+    steps = _steps(ctx)
+    v = list(y)
+    chain: list[int] = []
+    path = [y]
+    k = 0
+    while k < len(steps):
+        a, b, s = steps[k]
+        if s * v[a] > v[b]:
+            v[a], v[b] = s * v[b], s * v[a]
+            chain.append(k + 1)
+            path.append(tuple(v))
+            k = k - 2 if k > 1 else 0
+        else:
+            k += 1
+    return chain, path
+
+
+def bruhat_leq_walk(
+    ctx: GroupContext,
+    x: SignedPermutation,
+    lx: int,
+    chain: list[int],
+    path: list[SignedPermutation],
+) -> bool:
+    """Bruhat x <= y, where (chain, path) came from descent_walk(ctx, y).
+    lx must equal length(x).  x steps down in place on one list; it
+    stops as soon as it is as long as what is left of y's walk."""
+    steps = _steps(ctx)
+    ly = len(chain)
+    v = list(x)
+    for t, i in enumerate(chain):
+        if lx > ly:
+            return False
+        if lx == ly:
+            return tuple(v) == path[t]
+        a, b, s = steps[i - 1]
+        if s * v[a] > v[b]:
+            v[a], v[b] = s * v[b], s * v[a]
+            lx -= 1
+        ly -= 1
+    return tuple(v) == path[-1]

@@ -55,7 +55,10 @@ TARGETS = (
     ("partitions.py", "_generate"),
     ("partitions.py", "family_members"),
     ("classposet.py", "hasse"),
-    ("weylgroup.py", "_step"),
+    ("weylgroup.py", "_steps"),
+    ("weylgroup.py", "_bruhat_leq"),
+    ("weylgroup.py", "_min_length_set"),
+    ("classposet.py", "weyl_relation"),
     ("weylgroup.py", "descent_walk"),
     ("weylgroup.py", "bruhat_leq_walk"),
     ("weylgroup.py", "_count_key"),

@@ -1,13 +1,15 @@
 """Brute-force cross-checks that the tests compare the library against.
 
 No verb and no library path reads these.  Each restates a rule the
-library computes another way: simple reflections as windows, the descent
-walk that rescans from s_1 after every strip, the literal count
-|{k <= i : w(k) >= j}|, the minimal-length elements of a class
-picked out of a whole-group sweep, the four quantifications whose
-agreement defines the order on elliptic classes and its closed-form
-prediction, the characteristic transfer theta2 with Spaltenstein's
-column-by-column form of it, and the transfer square of the Lusztig map.
+library computes another way: simple reflections as the windows their
+definitions name, stepped by composition, with descents decided by
+Bjorner-Brenti's length formulas; the descent walk that rescans from s_1
+after every strip; the literal count |{k <= i : w(k) >= j}|; the
+minimal-length elements of a class picked out of a whole-group sweep;
+the four quantifications whose agreement defines the order on elliptic
+classes and its closed-form prediction; the characteristic transfer
+theta2 with Spaltenstein's column-by-column form of it; and the
+transfer square of the Lusztig map.
 The whole-group class sweep itself stays in weylunip.weylgroup (see the
 comment there), and this module imports it.
 """
@@ -15,6 +17,8 @@ comment there), and this module imports it.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 from weylunip import weylgroup as wg
@@ -29,29 +33,76 @@ from weylunip.partitions import (
     transpose,
 )
 from weylunip.unipotent import CHAR2, GOOD, UnipotentLabel, check_group, good_label
-from weylunip.weylgroup import (
-    GroupContext,
-    SignedPermutation,
-    _apply_right,
-    _coxeter,
-    _is_descent,
-    identity,
-)
+from weylunip.weylgroup import GroupContext, SignedPermutation
 
 # ---------------------------------------------------------------------------
 # weylgroup
 
 
 def simple_reflection(ctx: GroupContext, i: int) -> SignedPermutation:
-    fam, top = _coxeter(ctx)
+    """s_i as the window its definition names: in A (and on twisted A's
+    stored part) the transposition of i and i+1; in BC s_1 = [-1,2,...,n]
+    and s_i the transposition of i-1 and i; in D s_1 = [2,1,3,...,n],
+    s_2 = [-2,-1,3,...,n] and s_i the transposition of i-1 and i."""
+    n = ctx.n
+    top = n - 1 if ctx.family in ("A", "2A") else n
     if not 1 <= i <= top:
         raise ValueError(f"simple reflection index {i} out of range for {ctx.family}({ctx.n})")
-    return _apply_right(fam, identity(ctx.n), i)
+    w = list(range(1, n + 1))
+    if ctx.family in ("A", "2A"):
+        w[i - 1], w[i] = i + 1, i
+    elif ctx.family == "BC" and i == 1:
+        w[0] = -1
+    elif ctx.family == "D" and i <= 2:
+        w[:2] = (2, 1) if i == 1 else (-2, -1)
+    else:
+        w[i - 2], w[i - 1] = i, i - 1
+    return tuple(w)
 
 
+@lru_cache(maxsize=None)
 def simples(ctx: GroupContext) -> tuple[SignedPermutation, ...]:
-    _, top = _coxeter(ctx)
+    top = ctx.n - 1 if ctx.family in ("A", "2A") else ctx.n
     return tuple(simple_reflection(ctx, i) for i in range(1, top + 1))
+
+
+def compose(x: SignedPermutation, y: SignedPermutation) -> SignedPermutation:
+    """The window of x·y: (x·y)(k) = x(y(k)), with x(-k) = -x(k)."""
+    return tuple(x[v - 1] if v > 0 else -x[-v - 1] for v in y)
+
+
+def bb_length(ctx: GroupContext, w: SignedPermutation) -> int:
+    """Coxeter length by Bjorner-Brenti's formulas, with inv(w) the pairs
+    i < j with w(i) > w(j), neg(w) the negative entries and nsp(w) the
+    pairs i < j with w(i) + w(j) < 0: inv in A and on twisted A's stored
+    part, inv + neg + nsp in BC (Prop. 8.1.1) and inv + nsp in D
+    (Prop. 8.2.1), which gives delta of D's twisted coset length 0."""
+    pairs = list(combinations(w, 2))
+    inv = sum(a > b for a, b in pairs)
+    if ctx.family in ("A", "2A"):
+        return inv
+    nsp = sum(a + b < 0 for a, b in pairs)
+    return inv + nsp + (sum(v < 0 for v in w) if ctx.family == "BC" else 0)
+
+
+@lru_cache(maxsize=1 << 16)
+def right_steps(
+    ctx: GroupContext, w: SignedPermutation
+) -> tuple[tuple[SignedPermutation, bool], ...]:
+    """For each simple reflection s_i of ctx, in order, w·s_i and whether
+    it is shorter than w (whether s_i is a descent of w)."""
+    lw = bb_length(ctx, w)
+    steps = (compose(w, s) for s in simples(ctx))
+    return tuple((ws, bb_length(ctx, ws) < lw) for ws in steps)
+
+
+def is_descent(ctx: GroupContext, w: SignedPermutation, i: int) -> bool:
+    return right_steps(ctx, w)[i - 1][1]
+
+
+def step(ctx: GroupContext, w: SignedPermutation, i: int) -> SignedPermutation:
+    """w·s_i."""
+    return right_steps(ctx, w)[i - 1][0]
 
 
 def leftmost_descent_walk(
@@ -60,15 +111,12 @@ def leftmost_descent_walk(
     """weylgroup.descent_walk by its definition: strip the leftmost
     descent, found by a scan from s_1, length(y) times, stepping a fresh
     tuple each time."""
-    fam, top = _coxeter(ctx)
     chain: list[int] = []
     path = [y]
-    for _ in range(wg.length(ctx, y)):
-        for i in range(1, top + 1):
-            if _is_descent(fam, y, i):
-                break
+    for _ in range(bb_length(ctx, y)):
+        i = next(i for i, (_, down) in enumerate(right_steps(ctx, y), 1) if down)
         chain.append(i)
-        y = _apply_right(fam, y, i)
+        y = step(ctx, y, i)
         path.append(y)
     return chain, path
 
@@ -78,16 +126,15 @@ def leftmost_descent_leq(ctx: GroupContext, x: SignedPermutation, y: SignedPermu
     leftmost_descent_walk(ctx, y), on tuples: x steps down with y while
     the stripped reflection is a descent of x, until x is as long as
     what is left of y."""
-    fam, _ = _coxeter(ctx)
     chain, path = leftmost_descent_walk(ctx, y)
-    lx, ly = wg.length(ctx, x), len(chain)
+    lx, ly = bb_length(ctx, x), len(chain)
     for t, i in enumerate(chain):
         if lx > ly:
             return False
         if lx == ly:
             return x == path[t]
-        if _is_descent(fam, x, i):
-            x = _apply_right(fam, x, i)
+        if is_descent(ctx, x, i):
+            x = step(ctx, x, i)
             lx -= 1
         ly -= 1
     return x == path[-1]

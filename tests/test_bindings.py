@@ -6,8 +6,9 @@ up with getattr on the weylunip module, and fails when one is missing;
 tests/mutate.py finds its target functions by name in the source; the
 package root promises every name in __all__.  The repository has no
 linter, so the scans at the end are its lint gate: no unused imports,
-no assert statements in the library, since `python -O` strips them, and
-no library import from outside the standard library.  Every command
+no assert statements in the library, since `python -O` strips them, no
+library import from outside the standard library, and no library call
+into the benchmark-bound block at the end of weylgroup.py.  Every command
 pays for the package import, so the last test keeps two slow imports out
 of it.
 """
@@ -90,6 +91,36 @@ def test_every_imported_name_is_read():
              if p.name != "__init__.py"]
     paths += sorted((ROOT / "tests").glob("*.py"))
     assert [hit for p in paths for hit in unused_imports(p)] == []
+
+
+BENCHMARK_BLOCK = "# bound by the benchmark:"
+
+
+def test_library_never_calls_the_benchmark_bound_block():
+    # the functions at the end of weylgroup.py stay only because the
+    # benchmark binds them by name; no library function outside that
+    # block may call one of them, by bare name or as an attribute
+    path = ROOT / "src" / "weylunip" / "weylgroup.py"
+    text = path.read_text(encoding="utf-8")
+    start = text.index(BENCHMARK_BLOCK)
+    start_line = text.count("\n", 0, start) + 1
+    bound = {
+        node.name
+        for node in ast.parse(text).body
+        if isinstance(node, ast.FunctionDef) and node.lineno > start_line
+    }
+    assert {"enumerate_group", "count_matrix", "descent_walk", "bruhat_leq_walk"} <= bound
+    hits = []
+    for source in sorted((ROOT / "src" / "weylunip").glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if source == path and getattr(node, "lineno", 0) > start_line:
+                continue
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in bound:
+                    hits.append(f"{source.relative_to(ROOT)}:{node.lineno}: {name}")
+    assert hits == []
 
 
 def test_library_checks_invariants_without_assert():

@@ -191,13 +191,13 @@ def test_weyl_relation_walks_only_to_confirm_D(fam, n, comp, monkeypatch):
     # walks at most once per pair that passes the length test
     ctx = wg.context(fam, n, comp)
     walks = Counter()
-    walk = wg.bruhat_leq_walk
+    walk = wg._bruhat_leq
 
     def counted(*args):
         walks["calls"] += 1
         return walk(*args)
 
-    monkeypatch.setattr(wg, "bruhat_leq_walk", counted)
+    monkeypatch.setattr(wg, "_bruhat_leq", counted)
     weyl_relation.cache_clear()
     try:
         weyl_relation(ctx)

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylunip import cli
+from weylunip import cli, weylgroup as wg
 from weylunip.lusztig import map_table, phi
 from weylunip.unipotent import GROUP_FAMILY, enumerate_unipotent, good_label
 
@@ -120,6 +120,30 @@ def test_bruhat_json():
     assert payload["generic"] is False
     assert payload["counts"] is False
     assert payload["witness"] == [-2, 2]
+
+
+@pytest.mark.parametrize(
+    "family, n, x, y",
+    [
+        ("BC", 4, "[-1,-2,3,4]", "[2,-1,4,3]"),
+        ("D", 3, "[2,1,3]", "[-2,-1,3]"),
+        ("A", 3, "[2,1,3]", "[3,2,1]"),
+        ("2A", 3, "[1,2,3]*d", "[3,2,1]*d"),
+    ],
+)
+def test_bruhat_checks_each_window_once(family, n, x, y, monkeypatch):
+    checks = []
+    check = wg._check_element
+
+    def counted(ctx, w):
+        checks.append(w)
+        return check(ctx, w)
+
+    monkeypatch.setattr(wg, "_check_element", counted)
+    for fmt in ("text", "json"):
+        checks.clear()
+        cli.run_bruhat(family, n, x, y, fmt)
+        assert checks == [cli._parse_window(x, family), cli._parse_window(y, family)]
 
 
 def test_hasse_text_and_opposite():
@@ -345,7 +369,7 @@ def test_component_flag_names_one_of_the_familys_components(capsys, verb):
     # a component the family lacks is refused, and naming the family's
     # first component prints what leaving the flag out prints; verify
     # without the flag runs every component, so a family with two differs
-    from weylunip import unipotent, weylgroup as wg
+    from weylunip import unipotent
 
     def run(argv):
         code = cli.main(argv)
@@ -406,7 +430,6 @@ def test_main_verify_range_builds_each_table_once(capsys, monkeypatch, family, c
     # each context's relation builds each class's minimal-length set once
     from collections import Counter
 
-    from weylunip import weylgroup as wg
     from weylunip.classposet import weyl_relation
 
     built = Counter()

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +10,16 @@ from weylunip.classposet import elliptic_label, weyl_relation
 from weylunip.partitions import family_members, fields_leq, partitions
 
 from oracle import (
+    bb_length,
+    compose,
     count_entry,
+    is_descent,
     leftmost_descent_leq,
     leftmost_descent_walk,
     min_length_elements,
     simple_reflection,
     simples,
+    step,
 )
 
 
@@ -29,21 +35,18 @@ def all_contexts(spec):
 
 
 def naive_length(ctx, w):
-    """Word length by greedy descent stripping, independent of the
-    inversion-count formula."""
+    """Word length by greedy descent stripping, on the oracle's
+    reflection windows and descents, independent of the library's
+    length formula and step table."""
     steps = 0
     while True:
         i = next(
-            (
-                i
-                for i in range(1, len(simples(ctx)) + 1)
-                if wg._is_descent(ctx.family, w, i)
-            ),
+            (i for i in range(1, len(simples(ctx)) + 1) if is_descent(ctx, w, i)),
             None,
         )
         if i is None:
             return steps
-        w = wg._apply_right(ctx.family, w, i)
+        w = step(ctx, w, i)
         steps += 1
 
 
@@ -164,29 +167,36 @@ def test_simples_generate_correct_lengths():
                 assert wg.length(ctx, s) == 1
         for w in wg.enumerate_group(ctx):
             lw = wg.length(ctx, w)
-            for i in range(1, len(simples(ctx)) + 1):
-                ws = wg._apply_right(ctx.family, w, i)
-                assert abs(wg.length(ctx, ws) - lw) == 1
+            for s in simples(ctx):
+                assert abs(wg.length(ctx, compose(w, s)) - lw) == 1
 
 
 def test_descent_flags_match_naive_length_drop():
+    # the step table's descent test and step against composition with
+    # the oracle's reflection windows and the drop of length
     for ctx in all_contexts(
-        [("BC", [2, 3]), ("D", [3, 4]), ("A", [3, 4]), ("2A", [3, 4, 5])]
+        [("BC", [1, 2, 3]), ("D", [2, 3, 4]), ("A", [1, 3, 4]), ("2A", [2, 3, 4, 5])]
     ):
-        rank = len(simples(ctx))
+        steps = wg._steps(ctx)
+        assert len(steps) == len(simples(ctx))
         for w in wg.enumerate_group(ctx):
             lw = wg.length(ctx, w)
-            for i in range(1, rank + 1):
-                ws = wg._apply_right(ctx.family, w, i)
-                assert wg._is_descent(ctx.family, w, i) == (wg.length(ctx, ws) < lw)
+            for (a, b, s), si in zip(steps, simples(ctx)):
+                ws = compose(w, si)
+                v = list(w)
+                v[a], v[b] = s * v[b], s * v[a]
+                assert tuple(v) == ws, (ctx, w, si)
+                assert (s * w[a] > w[b]) == (wg.length(ctx, ws) < lw), (ctx, w, si)
 
 
 def test_length_equals_word_length():
+    # and Bjorner-Brenti's inv/neg/nsp formulas, which decide the
+    # oracle's descents, give the same length
     for ctx in all_contexts(
         [("BC", [2, 3]), ("D", [3, 4]), ("A", [4]), ("2A", [4, 5])]
     ):
         for w in wg.enumerate_group(ctx):
-            assert wg.length(ctx, w) == naive_length(ctx, w)
+            assert wg.length(ctx, w) == naive_length(ctx, w) == bb_length(ctx, w)
 
 
 def test_descent_walk_shape():
@@ -265,38 +275,114 @@ def test_generic_refuses_a_foreign_y_as_length_does(family, n, component, x, y, 
     assert str(by_walk.value) == str(by_length.value) == text
 
 
-def test_walk_stops_once_x_is_as_long_as_the_rest_of_y(monkeypatch):
+class LineCounts:
+    """Calls func with line tracing on: counts the executions of the
+    lines of func that hold each fragment (each fragment must name one
+    line) and keeps func's locals at its return.  The walks step windows
+    inline on the step table, so their work shows only in their lines."""
+
+    def __init__(self, func, *fragments):
+        lines, first = inspect.getsourcelines(func)
+        self.where = {}
+        for k, fragment in enumerate(fragments):
+            hits = [first + t for t, text in enumerate(lines) if fragment in text]
+            assert len(hits) == 1, (func.__name__, fragment, hits)
+            self.where[hits[0]] = k
+        self.func = func
+        self.counts = [0] * len(fragments)
+        self.locals = {}
+
+    def _local(self, frame, event, arg):
+        if event == "line":
+            k = self.where.get(frame.f_lineno)
+            if k is not None:
+                self.counts[k] += 1
+        elif event == "return":
+            self.locals = dict(frame.f_locals)
+        return self._local
+
+    def _global(self, frame, event, arg):
+        return self._local if frame.f_code is self.func.__code__ else None
+
+    def __call__(self, *args):
+        self.counts = [0] * len(self.counts)
+        before = sys.gettrace()
+        sys.settrace(self._global)
+        try:
+            return self.func(*args)
+        finally:
+            sys.settrace(before)
+
+
+def test_walk_stops_once_x_is_as_long_as_the_rest_of_y():
     # the final comparison alone decides the answer, so a wrong length
     # count shows only in the work: while x is shorter than what is left
-    # of y, each stripped reflection costs one descent test, and a step
-    # of x keeps the gap; x longer than y costs none
-    counts = [0, 0]
-    is_descent, step = wg._is_descent, wg._step
-
-    def counted_descent(fam, w, i):
-        counts[0] += 1
-        return is_descent(fam, w, i)
-
-    def counted_step(fam, v, i):
-        counts[1] += 1
-        step(fam, v, i)
-
-    monkeypatch.setattr(wg, "_is_descent", counted_descent)
-    monkeypatch.setattr(wg, "_step", counted_step)
+    # of y, each strip of y costs one descent test of x, and a step of x
+    # keeps the gap; x longer than y costs none.  Both walks: the lazy
+    # one and the benchmark's two-stage one
+    lazy = LineCounts(wg._bruhat_leq, "if s * u[a]", "u[a], u[b] =")
+    staged = LineCounts(wg.bruhat_leq_walk, "if s * v[a]", "v[a], v[b] =")
     for ctx in all_contexts([("A", [4]), ("BC", [3]), ("D", [3, 4]), ("2A", [4])]):
         els = list(wg.enumerate_group(ctx))
         lengths = [wg.length(ctx, w) for w in els]
-        for y in els:
+        for y, ly in zip(els, lengths):
             chain, path = wg.descent_walk(ctx, y)
-            ly = len(chain)
             for x, lx in zip(els, lengths):
-                counts[:] = [0, 0]
-                leq = wg.bruhat_leq_walk(ctx, x, lx, chain, path)
-                tests, steps = counts
-                if lx > ly:
-                    assert (tests, leq) == (0, False), (ctx, x, y)
-                else:
-                    assert tests == min(ly, ly - lx + steps), (ctx, x, y)
+                walks = ((lazy, (ctx, x, lx, y, ly)), (staged, (ctx, x, lx, chain, path)))
+                for walk, args in walks:
+                    leq = walk(*args)
+                    tests, steps = walk.counts
+                    if lx > ly:
+                        assert (tests, leq) == (0, False), (ctx, x, y)
+                    else:
+                        assert tests == min(ly, ly - lx + steps), (ctx, x, y)
+
+
+def check_lazy_strips(lazy, ctx, x, y):
+    """The lazy walk on (x, y) strips y max(0, l(y) - l(x) + k) times,
+    where k counts the steps of x, and each strip takes y's leftmost
+    descent: what is left of y is the rescan's element after as many
+    strips."""
+    lx, ly = wg.length(ctx, x), wg.length(ctx, y)
+    leq = lazy(ctx, x, lx, y, ly)
+    strips, steps = lazy.counts
+    assert strips == max(0, ly - lx + steps), (ctx, x, y)
+    if lx > ly:
+        assert (strips, leq) == (0, False), (ctx, x, y)
+    else:
+        assert tuple(lazy.locals["v"]) == leftmost_descent_walk(ctx, y)[1][strips], (ctx, x, y)
+        assert lazy.locals["lx"] == lazy.locals["ly"] == lx - steps, (ctx, x, y)
+    assert leq == leftmost_descent_leq(ctx, x, y), (ctx, x, y)
+
+
+def test_lazy_walk_strips_y_only_as_far_as_the_answer_needs():
+    lazy = LineCounts(wg._bruhat_leq, "v[a], v[b] =", "u[a], u[b] =")
+    for ctx in all_contexts([("A", [4]), ("BC", [3]), ("D", [3]), ("2A", [4])]):
+        els = list(wg.enumerate_group(ctx))
+        for y in els:
+            for x in els:
+                check_lazy_strips(lazy, ctx, x, y)
+    rng = random.Random("strips")
+    for family in wg.FAMILIES:
+        components = wg.FAMILY_RULES[family].components
+        for k in range(60):
+            ctx = wg.context(family, 7 + k % 6, components[k // 6 % len(components)])
+            y = random_window(rng, ctx)
+            path = leftmost_descent_walk(ctx, y)[1]
+            for x in (random_window(rng, ctx), path[rng.randrange(len(path))]):
+                check_lazy_strips(lazy, ctx, x, y)
+
+
+@pytest.mark.parametrize(
+    "family, n, component",
+    [("A", 4, "id"), ("BC", 3, "id"), ("D", 4, "id"), ("D", 4, "twisted"), ("2A", 5, "twisted")],
+)
+def test_generic_is_the_rescan_recursion_on_every_pair(family, n, component):
+    ctx = wg.context(family, n, component)
+    els = list(wg.enumerate_group(ctx))
+    for y in els:
+        for x in els:
+            assert wg.bruhat_leq_generic(ctx, x, y) == leftmost_descent_leq(ctx, x, y), (ctx, x, y)
 
 
 def test_count_entry_literal():
@@ -436,11 +522,10 @@ def element_pair(draw):
         return ctx, element(), y, False
     chain, path = wg.descent_walk(ctx, y)
     keep = draw(st.lists(st.booleans(), min_size=len(chain), max_size=len(chain)))
-    step, _ = wg._coxeter(ctx)
     x = path[-1]
     for i, kept in zip(reversed(chain), reversed(keep)):
         if kept:
-            x = wg._apply_right(step, x, i)
+            x = compose(x, simple_reflection(ctx, i))
     return ctx, x, y, True
 
 
