@@ -189,41 +189,23 @@ def format_partition(a: Partition) -> str:
 # byte processing with full-word instructions", CACM 1975)
 
 
-def field_width(top: int) -> int:
-    """Bits per field for entries in 0..top: top's bits and a guard bit."""
-    return top.bit_length() + 1
-
-
 def guard_bits(count: int, width: int) -> int:
     """The guard bit of each of count fields of the given width."""
     return ((1 << count * width) - 1) // ((1 << width) - 1) << (width - 1)
-
-
-def pack(values: Sequence[int], width: int) -> int:
-    """values[i] in field i, the lowest field first; each value must leave
-    the field's guard bit clear."""
-    limit = 1 << (width - 1)
-    out = 0
-    for v in reversed(values):
-        if not 0 <= v < limit:
-            raise ValueError(f"packed entry {v} outside 0..{limit - 1}")
-        out = out << width | v
-    return out
 
 
 def byte_width(top: int) -> int:
     """Bits per whole-byte field for entries in 0..top: the fewest whole
     bytes that hold top's bits and a guard bit, so one byte while top is
     at most 127."""
-    return -(-field_width(top) // 8) * 8
+    return -(-(top.bit_length() + 1) // 8) * 8
 
 
 def pack_bytes(values: Sequence[int], width: int) -> int:
-    """pack for whole-byte fields, width a multiple of 8: values[i] in
-    field i, the lowest field first, little-endian on every host.  The
-    vector becomes one int in C, by int.from_bytes.  pack's refusal
-    holds, checked once per vector: no value may reach its field's guard
-    bit."""
+    """values[i] in field i of the given width, a multiple of 8, the
+    lowest field first, little-endian on every host.  The vector becomes
+    one int in C, by int.from_bytes.  Each value must leave its field's
+    guard bit clear, checked once per vector."""
     size = width // 8
     limit = 1 << (width - 1)
     try:

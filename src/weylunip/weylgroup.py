@@ -31,13 +31,13 @@ from typing import Iterator, NamedTuple
 from .partitions import (
     Partition,
     as_partition,
+    byte_width,
     check_bound,
     family_members,
-    field_width,
     fields_leq,
     format_partition,
     guard_bits,
-    pack,
+    pack_bytes,
 )
 
 SignedPermutation = tuple[int, ...]
@@ -150,7 +150,7 @@ def _check_element(ctx: GroupContext, w: SignedPermutation) -> None:
     if len(w) != ctx.n:
         raise ValueError(f"element of rank {len(w)} passed to {ctx}")
     # a refusal writes w as a window, [w(1),...,w(n)], as the CLI takes it
-    if sorted(abs(v) for v in w) != list(range(1, ctx.n + 1)):
+    if sorted(map(abs, w)) != list(range(1, ctx.n + 1)):
         raise ValueError(f"{format_partition(w)} is not a signed permutation window")
     if ctx.family in ("A", "2A") and min(w) < 0:
         raise ValueError(
@@ -286,13 +286,15 @@ def _count_witness(
 def _count_columns(ctx: GroupContext) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
     """ctx's count-matrix index set; the packed column rows, columns[v]
     holding [v >= j] in field j for each index j (a negative v indexes
-    from the end); the field width; and the guard bits of one whole
-    packed matrix."""
+    from the end); the field width, the whole bytes that hold an entry
+    up to len(idx) and a guard bit (partitions.byte_width, the layout
+    unipotent records use too); and the guard bits of one whole packed
+    matrix."""
     idx = tuple(CountMatrix(ctx.n, ctx.family not in ("A", "2A"), ()).indices())
-    width = field_width(len(idx))
+    width = byte_width(len(idx))
     columns = [0] * (len(idx) + 1)
     for v in idx:
-        columns[v] = pack([int(v >= j) for j in idx], width)
+        columns[v] = pack_bytes([int(v >= j) for j in idx], width)
     return idx, tuple(columns), width, guard_bits(len(idx) ** 2, width)
 
 
@@ -450,8 +452,8 @@ def rep_2A(n: int, alpha: Partition) -> SignedPermutation:
             u[ps[i] - 1] = qs[i - 1]
         used = set(ps) | {c} | set(qs)
         remaining = [x for x in remaining if x not in used]
-    ctx = context("2A", n)
-    return multiply(tuple(u), delta(ctx))
+    # u·delta, as delta reverses the window
+    return tuple(reversed(u))
 
 
 def class_rep(ctx: GroupContext, alpha: Partition) -> SignedPermutation:
@@ -589,8 +591,10 @@ def _min_length_set(ctx: GroupContext, rep: SignedPermutation) -> Iterator[Signe
 # benchmark binds it by name: perfbench/tracer.py's LAYERS wraps
 # enumerate_class, class_lengths, count_matrix, descent_walk,
 # bruhat_leq_walk and the sweep's class_label calls, and op_bruhat calls
-# count_matrix.  It moves to tests/oracle.py once ROADMAP item 1 retires
-# those names.
+# count_matrix.  bruhat_leq_walk keeps its name and contract for that
+# binding alone: its body is one call of _bruhat_leq, the one pair walk.
+# The block moves to tests/oracle.py once ROADMAP item 1 retires those
+# names.
 
 
 def group_order(ctx: GroupContext) -> int:
@@ -709,19 +713,7 @@ def bruhat_leq_walk(
     path: list[SignedPermutation],
 ) -> bool:
     """Bruhat x <= y, where (chain, path) came from descent_walk(ctx, y).
-    lx must equal length(x).  x steps down in place on one list; it
-    stops as soon as it is as long as what is left of y's walk."""
-    steps = _steps(ctx)
-    ly = len(chain)
-    v = list(x)
-    for t, i in enumerate(chain):
-        if lx > ly:
-            return False
-        if lx == ly:
-            return tuple(v) == path[t]
-        a, b, s = steps[i - 1]
-        if s * v[a] > v[b]:
-            v[a], v[b] = s * v[b], s * v[a]
-            lx -= 1
-        ly -= 1
-    return tuple(v) == path[-1]
+    lx must equal length(x).  path[0] is y and len(chain) its length,
+    and _bruhat_leq strips y's leftmost descents by the same rescan as
+    descent_walk, so this is that one walk."""
+    return _bruhat_leq(ctx, x, lx, path[0], len(chain))

@@ -62,6 +62,8 @@ TARGETS = (
     ("weylgroup.py", "descent_walk"),
     ("weylgroup.py", "bruhat_leq_walk"),
     ("weylgroup.py", "_count_key"),
+    ("weylgroup.py", "_count_columns"),
+    ("weylgroup.py", "_check_element"),
     ("weylgroup.py", "rep_signed"),
     ("weylgroup.py", "rep_2A"),
     ("partitions.py", "psi"),

@@ -7,7 +7,9 @@ Bjorner-Brenti's length formulas; the descent walk that rescans from s_1
 after every strip; the literal count |{k <= i : w(k) >= j}|; the
 minimal-length elements of a class picked out of a whole-group sweep;
 the four quantifications whose agreement defines the order on elliptic
-classes and its closed-form prediction; the characteristic transfer
+classes, decided along that walk, and its closed-form prediction;
+whether any pair drawn from two minimal-length sets is related, the
+pair by pair form of the order's "no"; the characteristic transfer
 theta2 with Spaltenstein's column-by-column form of it; and the
 transfer square of the Lusztig map.
 The whole-group class sweep itself stays in weylunip.weylgroup (see the
@@ -29,6 +31,7 @@ from weylunip.partitions import (
     add_psi,
     as_partition,
     dominance_leq,
+    fields_leq,
     multiplicity,
     transpose,
 )
@@ -123,11 +126,22 @@ def leftmost_descent_walk(
 
 def leftmost_descent_leq(ctx: GroupContext, x: SignedPermutation, y: SignedPermutation) -> bool:
     """Bruhat x <= y by the descent recursion along
-    leftmost_descent_walk(ctx, y), on tuples: x steps down with y while
-    the stripped reflection is a descent of x, until x is as long as
-    what is left of y."""
-    chain, path = leftmost_descent_walk(ctx, y)
-    lx, ly = bb_length(ctx, x), len(chain)
+    leftmost_descent_walk(ctx, y)."""
+    return leq_along_walk(ctx, x, bb_length(ctx, x), *leftmost_descent_walk(ctx, y))
+
+
+def leq_along_walk(
+    ctx: GroupContext,
+    x: SignedPermutation,
+    lx: int,
+    chain: list[int],
+    path: list[SignedPermutation],
+) -> bool:
+    """Bruhat x <= y, where (chain, path) is leftmost_descent_walk(ctx, y)
+    and lx the length of x, on tuples: x steps down with y while the
+    stripped reflection is a descent of x, until x is as long as what is
+    left of y."""
+    ly = len(chain)
     for t, i in enumerate(chain):
         if lx > ly:
             return False
@@ -193,15 +207,14 @@ def class_leq_W_all_variants(a: EllipticClassLabel, b: EllipticClassLabel) -> Co
     hits_min: list[bool] = []
     hits_class: list[bool] = []
     for w in upper_min:
-        lw = wg.length(ctx, w)
-        chain, path = wg.descent_walk(ctx, w)
-        cut = bisect_right(lens, lw)
+        chain, path = leftmost_descent_walk(ctx, w)
+        cut = bisect_right(lens, len(chain))
         hit_min = any(
-            wg.bruhat_leq_walk(ctx, els[pos], lens[pos], chain, path)
+            leq_along_walk(ctx, els[pos], lens[pos], chain, path)
             for pos in range(min(min_cut, cut))
         )
         hit_class = hit_min or any(
-            wg.bruhat_leq_walk(ctx, els[pos], lens[pos], chain, path)
+            leq_along_walk(ctx, els[pos], lens[pos], chain, path)
             for pos in range(min_cut, cut)
         )
         hits_min.append(hit_min)
@@ -213,6 +226,29 @@ def class_leq_W_all_variants(a: EllipticClassLabel, b: EllipticClassLabel) -> Co
         some_min_to_class=any(hits_class),
         every_min_to_class=all(hits_class),
     )
+
+
+def related_min_pair(
+    ctx: GroupContext, lower: tuple[SignedPermutation, ...], upper: tuple[SignedPermutation, ...]
+) -> tuple[SignedPermutation, SignedPermutation] | None:
+    """The first pair (x, w) in lower x upper with x <= w in Bruhat
+    order, or None: each pair of packed count keys is compared, which
+    decides A, BC and twisted A; in D the comparison only filters, and
+    leq_along_walk on w's leftmost_descent_walk decides each pair it lets
+    through."""
+    guards = wg._count_columns(ctx)[3]
+    keys = [(x, wg._count_key(ctx, x)) for x in lower]
+    for w in upper:
+        key, walk = wg._count_key(ctx, w), None
+        for x, kx in keys:
+            if fields_leq(kx, key, guards) != guards:
+                continue
+            if ctx.family != "D":
+                return x, w
+            walk = walk or leftmost_descent_walk(ctx, w)
+            if leq_along_walk(ctx, x, bb_length(ctx, x), *walk):
+                return x, w
+    return None
 
 
 def predicted_leq_W(a: EllipticClassLabel, b: EllipticClassLabel) -> bool:

@@ -17,7 +17,13 @@ from weylunip.classposet import (
 )
 from weylunip.partitions import dominance_leq, partitions
 
-from oracle import class_leq_W_all_variants, min_length_elements, predicted_leq_W
+from oracle import (
+    class_leq_W_all_variants,
+    leftmost_descent_leq,
+    min_length_elements,
+    predicted_leq_W,
+    related_min_pair,
+)
 
 
 def test_elliptic_label_validation():
@@ -267,6 +273,37 @@ def test_condition_variants_agree():
                 rec = class_leq_W_all_variants(a, b)
                 assert rec.all_agree()
                 assert rec.some_min_to_min == class_leq_W(a, b)
+
+
+@pytest.mark.parametrize("fam,n,comp,entries", [
+    ("BC", 7, None, 2),
+    ("D", 8, "id", 2),
+    ("D", 8, "twisted", 1),
+    ("2A", 10, None, 1),
+])
+def test_no_minimal_element_lies_below_an_unrelated_longer_class(fam, n, comp, entries):
+    # weyl_relation asks whether some element of C_min(a) lies below
+    # rep(b) alone.  Where it says no although a is shorter than b, no
+    # element of C_min(b) lies above any element of C_min(a), so every
+    # quantification over the two minimal-length sets says no too.  These
+    # are the least ranks at which such entries occur
+    ctx = wg.context(fam, n, comp)
+    cls = elliptic_classes(ctx)
+    rel = weyl_relation(ctx)
+    reps = [wg.class_rep(ctx, c.partition) for c in cls]
+    lengths = [wg.length(ctx, w) for w in reps]
+    longer = [(i, j) for i in range(len(cls)) for j in range(len(cls)) if lengths[i] < lengths[j]]
+    unrelated = [(i, j) for i, j in longer if not rel[i][j]]
+    assert len(unrelated) == entries
+    # a related entry shows the oracle finds a pair where there is one
+    related = next((i, j) for i, j in longer if rel[i][j])
+    for (i, j), want in [(pair, False) for pair in unrelated] + [(related, True)]:
+        lower = tuple(wg._min_length_set(ctx, reps[i]))
+        upper = tuple(wg._min_length_set(ctx, reps[j]))
+        pair = related_min_pair(ctx, lower, upper)
+        assert (pair is not None) is want, (cls[i], cls[j], pair)
+        if want:
+            assert leftmost_descent_leq(ctx, *pair), pair
 
 
 def test_hasse_of_dominance():

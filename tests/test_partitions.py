@@ -13,13 +13,11 @@ from weylunip.partitions import (
     check_bound,
     dominance_leq,
     family_members,
-    field_width,
     fields_leq,
     format_partition,
     guard_bits,
     kappa_member,
     multiplicity,
-    pack,
     pack_bytes,
     partitions,
     psi,
@@ -277,19 +275,19 @@ def test_format_partition():
 def test_packed_comparison_is_entrywise():
     rng = random.Random(3)
     for top in (1, 2, 7, 8, 60, 61, 120):
-        width = field_width(top)
+        width = byte_width(top)
         for count in (1, 2, 5, 2 * top):
             guards = guard_bits(count, width)
-            assert guards == pack([1] * count, width) << (width - 1)
+            assert guards == pack_bytes([1] * count, width) << (width - 1)
             for _ in range(20):
                 a = [rng.choice((0, top, rng.randint(0, top))) for _ in range(count)]
                 b = [rng.choice((0, top, rng.randint(0, top))) for _ in range(count)]
-                mask = fields_leq(pack(a, width), pack(b, width), guards)
-                assert mask == pack([x <= y for x, y in zip(a, b)], width) << (width - 1)
-    with pytest.raises(ValueError, match="outside 0..7"):
-        pack([3, 8], field_width(7))
-    with pytest.raises(ValueError, match="outside 0..7"):
-        pack([-1], field_width(7))
+                mask = fields_leq(pack_bytes(a, width), pack_bytes(b, width), guards)
+                assert mask == pack_bytes([x <= y for x, y in zip(a, b)], width) << (width - 1)
+    with pytest.raises(ValueError, match="outside 0..127"):
+        pack_bytes([3, 128], byte_width(7))
+    with pytest.raises(ValueError, match="outside 0..127"):
+        pack_bytes([-1], byte_width(7))
 
 
 def test_byte_fields_are_the_fewest_whole_bytes():
@@ -299,14 +297,15 @@ def test_byte_fields_are_the_fewest_whole_bytes():
 
 
 def test_byte_packing_is_pack_in_whole_bytes():
-    # pack, one entry at a time, is the reference layout
+    # the reference layout, field by field: values[i] shifted to field i
     rng = random.Random(5)
     for top in (1, 7, 121, 127, 128, 140, 200, 32767, 32768, 2**40, 2**63 - 1):
         width = byte_width(top)
         for count in (0, 1, 2, 5, 40):
             for _ in range(10):
                 a = [rng.choice((0, top, rng.randint(0, top))) for _ in range(count)]
-                assert pack_bytes(a, width) == pack(a, width), (top, a)
+                want = sum(v << (i * width) for i, v in enumerate(a))
+                assert pack_bytes(a, width) == want, (top, a)
     # field 0 is the lowest byte on every host
     assert pack_bytes([1, 2], 16).to_bytes(4, "little") == bytes([1, 0, 2, 0])
     assert pack_bytes([1, 2, 3], 24).to_bytes(9, "little") == bytes([1, 0, 0, 2, 0, 0, 3, 0, 0])
