@@ -225,6 +225,16 @@ def pack_bytes(values: Sequence[int], width: int) -> int:
     return int.from_bytes(fields, "little")
 
 
+def unpack_bytes(value: int, width: int, count: int) -> tuple[int, ...]:
+    """The count fields of the given width, a multiple of 8, that
+    pack_bytes put in value, the lowest first: its inverse, in C."""
+    size = width // 8
+    fields = value.to_bytes(count * size, "little")
+    if size == 1:
+        return tuple(fields)
+    return tuple(int.from_bytes(fields[i : i + size], "little") for i in range(0, len(fields), size))
+
+
 def fields_leq(a: int, b: int, guards: int) -> int:
     """The guard bits of the fields where a's entry is at most b's; every
     entry is at most b's when this equals guards.  A field of

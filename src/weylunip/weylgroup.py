@@ -13,20 +13,25 @@ Composition is (xy)(i) = x(y(i)).  A group is named by a GroupContext,
 a NamedTuple of family, rank and component.
 
 Bruhat comparisons of many elements go through one packed count key per
-element: its count matrix held as one int, one guard-bit field per entry
-(partitions.fields_leq), built from a small per-context table of column
-rows.  One subtraction and one AND then compare two matrices entrywise,
-which decides the order in A and BC (and on twisted A's stored parts) and
-is a necessary condition in D, where the descent walk confirms it.
+element: the first n rows of its count matrix held as one int, one
+guard-bit field per entry (partitions.fields_leq), built from a small
+per-context table of column rows.  That is every row in A, and rows
+-n..-1 of a signed matrix, which decide its other rows.  One subtraction
+and one AND then compare two matrices entrywise, which decides the order
+in A and BC (and on twisted A's stored parts) and is a necessary
+condition in D, where the descent walk confirms it.  The literal
+count_matrix sums the same column rows and splits each row into its
+entries in C.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .partitions import (
     Partition,
@@ -38,6 +43,7 @@ from .partitions import (
     format_partition,
     guard_bits,
     pack_bytes,
+    unpack_bytes,
 )
 
 SignedPermutation = tuple[int, ...]
@@ -191,14 +197,8 @@ def _steps(ctx: GroupContext) -> tuple[tuple[int, int, int], ...]:
 
 
 def _inv_count(w: SignedPermutation) -> int:
-    n = len(w)
-    c = 0
-    for i in range(n):
-        wi = w[i]
-        for j in range(i + 1, n):
-            if wi > w[j]:
-                c += 1
-    return c
+    """The pairs i < j with w[i] > w[j], counted in C."""
+    return sum(itertools.starmap(operator.gt, itertools.combinations(w, 2)))
 
 
 def length(ctx: GroupContext, w: SignedPermutation) -> int:
@@ -230,7 +230,8 @@ class CountMatrix(NamedTuple):
     For signed families the index set is {-n..-1, 1..n} in both
     coordinates; for type A it is {1..n}.  This is the literal form, which
     the tests and the benchmark read; comparisons use the packed key
-    (_count_key), which holds the same entries row by row.
+    (_count_key), which holds its first n rows: all of A's, and rows
+    -n..-1 of a signed matrix, which decide the other rows.
     """
 
     n: int
@@ -273,7 +274,9 @@ def count_witness(
 def _count_witness(
     ctx: GroupContext, x: SignedPermutation, y: SignedPermutation
 ) -> tuple[int, int] | None:
-    """count_witness without the membership checks."""
+    """count_witness without the membership checks.  The key's rows are
+    the matrix's first rows, so the first entry x exceeds y at lies in
+    them (see _count_key)."""
     idx, _, width, guards = _count_columns(ctx)
     missed = guards ^ fields_leq(_count_key(ctx, x), _count_key(ctx, y), guards)
     if not missed:
@@ -288,27 +291,39 @@ def _count_columns(ctx: GroupContext) -> tuple[tuple[int, ...], tuple[int, ...],
     holding [v >= j] in field j for each index j (a negative v indexes
     from the end); the field width, the whole bytes that hold an entry
     up to len(idx) and a guard bit (partitions.byte_width, the layout
-    unipotent records use too); and the guard bits of one whole packed
-    matrix."""
+    unipotent records use too); and the guard bits of one packed key,
+    n rows of len(idx) fields."""
     idx = tuple(CountMatrix(ctx.n, ctx.family not in ("A", "2A"), ()).indices())
     width = byte_width(len(idx))
     columns = [0] * (len(idx) + 1)
     for v in idx:
         columns[v] = pack_bytes([int(v >= j) for j in idx], width)
-    return idx, tuple(columns), width, guard_bits(len(idx) ** 2, width)
+    return idx, tuple(columns), width, guard_bits(ctx.n * len(idx), width)
+
+
+def _row_images(ctx: GroupContext, w: SignedPermutation) -> Iterable[int]:
+    """w(i) for each row i of ctx's count matrix, lowest row first: row i
+    reads w(i), a signed index set starts at -n, and w(-k) = -w(k)."""
+    if ctx.family in ("A", "2A"):
+        return w
+    return itertools.chain(map(operator.neg, reversed(w)), w)
 
 
 def _count_key(ctx: GroupContext, w: SignedPermutation) -> int:
-    """w's count matrix packed row by row, lowest row first, one field
-    per entry: row i is row i-1 plus the column row of w(i).  No
-    membership check; callers check w or built it themselves."""
+    """The first n rows of w's count matrix packed row by row, lowest row
+    first, one field per entry: row i is row i-1 plus the column row of
+    w(i).  No membership check; callers check w or built it themselves.
+
+    That is every row in A, and rows -n..-1 of a signed matrix, which
+    decide the rest: for 1 <= i < n, w[i,j] = w[-i-1, 1-j] + N(j) - n + i,
+    with N(j) the indices at least j and no w in the other terms (column
+    0 reads as column 1 and column n+1 as zeros), and row n is N for
+    every w.  So x's matrix lies below y's iff its first n rows do, and
+    the first entry, row by row, where x's exceeds y's lies in them."""
     idx, columns, width, _ = _count_columns(ctx)
     step = len(idx) * width
-    # the rows run over the index set: a signed one starts at -n, and
-    # w(-k) = -w(k)
-    images = [-v for v in reversed(w)] + list(w) if idx[0] < 0 else w
     key = row = shift = 0
-    for v in images:
+    for v in itertools.islice(_row_images(ctx, w), ctx.n):
         row += columns[v]
         key |= row << shift
         shift += step
@@ -584,7 +599,8 @@ def _min_length_set(ctx: GroupContext, rep: SignedPermutation) -> Iterator[Signe
 
 # ---------------------------------------------------------------------------
 # bound by the benchmark: the whole-group class sweep, the literal count
-# matrix and the two-stage descent walk
+# matrix (every row, summed from _count_key's column rows and images) and
+# the two-stage descent walk
 #
 # No verb or library path calls this block (tests/test_bindings.py checks);
 # the tests check the library against it.  It stays only because the
@@ -664,18 +680,12 @@ def class_lengths(ctx: GroupContext, alpha: Partition) -> tuple[int, ...]:
 
 
 def count_matrix(ctx: GroupContext, w: SignedPermutation) -> CountMatrix:
-    """Prefix sums down the index set: row i is row i-1 plus the
-    indicator [w(i) >= j] for each column j."""
+    """Prefix sums down the index set, each row packed as in _count_key:
+    row i is row i-1 plus the column row of w(i)."""
     _check_element(ctx, w)
-    signed = ctx.family not in ("A", "2A")
-    idx = CountMatrix(ctx.n, signed, ()).indices()
-    row = [0] * len(idx)
-    rows = []
-    for i in idx:
-        wi = apply(w, i)
-        row = [c + (wi >= j) for c, j in zip(row, idx)]
-        rows.append(tuple(row))
-    return CountMatrix(ctx.n, signed, tuple(rows))
+    idx, columns, width, _ = _count_columns(ctx)
+    rows = itertools.accumulate(map(columns.__getitem__, _row_images(ctx, w)))
+    return CountMatrix(ctx.n, idx[0] < 0, tuple(unpack_bytes(r, width, len(idx)) for r in rows))
 
 
 def descent_walk(

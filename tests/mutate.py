@@ -63,6 +63,10 @@ TARGETS = (
     ("weylgroup.py", "bruhat_leq_walk"),
     ("weylgroup.py", "_count_key"),
     ("weylgroup.py", "_count_columns"),
+    ("weylgroup.py", "_row_images"),
+    ("weylgroup.py", "_count_witness"),
+    ("weylgroup.py", "count_matrix"),
+    ("weylgroup.py", "_inv_count"),
     ("weylgroup.py", "_check_element"),
     ("weylgroup.py", "rep_signed"),
     ("weylgroup.py", "rep_2A"),
@@ -71,6 +75,7 @@ TARGETS = (
     ("partitions.py", "transpose"),
     ("partitions.py", "byte_width"),
     ("partitions.py", "pack_bytes"),
+    ("partitions.py", "unpack_bytes"),
     ("unipotent.py", "UnipotentLabel._text"),
     ("lusztig.py", "phi"),
 )

@@ -8,8 +8,9 @@ after every strip; the literal count |{k <= i : w(k) >= j}|; the
 minimal-length elements of a class picked out of a whole-group sweep;
 the four quantifications whose agreement defines the order on elliptic
 classes, decided along that walk, and its closed-form prediction;
-whether any pair drawn from two minimal-length sets is related, the
-pair by pair form of the order's "no"; the characteristic transfer
+for each element of one minimal-length set, the first element of
+another below it, which gives the order's "no" pair by pair and its
+"every" element by element; the characteristic transfer
 theta2 with Spaltenstein's column-by-column form of it; and the
 transfer square of the Lusztig map.
 The whole-group class sweep itself stays in weylunip.weylgroup (see the
@@ -21,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from weylunip import weylgroup as wg
 from weylunip.classposet import EllipticClassLabel, _require_same_ctx, elliptic_label
@@ -228,27 +229,38 @@ def class_leq_W_all_variants(a: EllipticClassLabel, b: EllipticClassLabel) -> Co
     )
 
 
+def first_below(
+    ctx: GroupContext, lower: tuple[SignedPermutation, ...], upper: tuple[SignedPermutation, ...]
+) -> Iterator[SignedPermutation | None]:
+    """For each w in upper, lazily, the first x in lower with x <= w in
+    Bruhat order, or None: each pair of packed count keys is compared,
+    which decides A, BC and twisted A; in D the comparison only filters,
+    and leq_along_walk on w's leftmost_descent_walk decides each pair it
+    lets through."""
+    guards = wg._count_columns(ctx)[3]
+    keys = [(x, wg._count_key(ctx, x)) for x in lower]
+    for w in upper:
+        key, walk, found = wg._count_key(ctx, w), None, None
+        for x, kx in keys:
+            if fields_leq(kx, key, guards) != guards:
+                continue
+            if ctx.family == "D":
+                walk = walk or leftmost_descent_walk(ctx, w)
+                if not leq_along_walk(ctx, x, bb_length(ctx, x), *walk):
+                    continue
+            found = x
+            break
+        yield found
+
+
 def related_min_pair(
     ctx: GroupContext, lower: tuple[SignedPermutation, ...], upper: tuple[SignedPermutation, ...]
 ) -> tuple[SignedPermutation, SignedPermutation] | None:
     """The first pair (x, w) in lower x upper with x <= w in Bruhat
-    order, or None: each pair of packed count keys is compared, which
-    decides A, BC and twisted A; in D the comparison only filters, and
-    leq_along_walk on w's leftmost_descent_walk decides each pair it lets
-    through."""
-    guards = wg._count_columns(ctx)[3]
-    keys = [(x, wg._count_key(ctx, x)) for x in lower]
-    for w in upper:
-        key, walk = wg._count_key(ctx, w), None
-        for x, kx in keys:
-            if fields_leq(kx, key, guards) != guards:
-                continue
-            if ctx.family != "D":
-                return x, w
-            walk = walk or leftmost_descent_walk(ctx, w)
-            if leq_along_walk(ctx, x, bb_length(ctx, x), *walk):
-                return x, w
-    return None
+    order, w first, or None (first_below decides each w)."""
+    return next(
+        ((x, w) for w, x in zip(upper, first_below(ctx, lower, upper)) if x is not None), None
+    )
 
 
 def predicted_leq_W(a: EllipticClassLabel, b: EllipticClassLabel) -> bool:

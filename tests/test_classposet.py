@@ -19,6 +19,7 @@ from weylunip.partitions import dominance_leq, partitions
 
 from oracle import (
     class_leq_W_all_variants,
+    first_below,
     leftmost_descent_leq,
     min_length_elements,
     predicted_leq_W,
@@ -304,6 +305,31 @@ def test_no_minimal_element_lies_below_an_unrelated_longer_class(fam, n, comp, e
         assert (pair is not None) is want, (cls[i], cls[j], pair)
         if want:
             assert leftmost_descent_leq(ctx, *pair), pair
+
+
+@pytest.mark.parametrize("fam,n,entries,uppers", [("BC", 7, 101, 13530), ("2A", 10, 43, 13731)])
+def test_every_minimal_element_of_a_related_longer_class_lies_above_one(fam, n, entries, uppers):
+    # weyl_relation asks whether some element of C_min(a) lies below
+    # rep(b) alone.  Where it says yes and a is shorter than b, every
+    # element of C_min(b) lies above some element of C_min(a): the
+    # "every" quantification agrees.  D 8's 108 such entries take
+    # several seconds through the oracle's walk, so they are not here
+    ctx = wg.context(fam, n)
+    cls = elliptic_classes(ctx)
+    rel = weyl_relation(ctx)
+    reps = [wg.class_rep(ctx, c.partition) for c in cls]
+    lengths = [wg.length(ctx, w) for w in reps]
+    sets = [tuple(wg._min_length_set(ctx, w)) for w in reps]
+    related = [
+        (i, j)
+        for i in range(len(cls))
+        for j in range(len(cls))
+        if lengths[i] < lengths[j] and rel[i][j]
+    ]
+    assert (len(related), sum(len(sets[j]) for _, j in related)) == (entries, uppers)
+    for i, j in related:
+        below = list(first_below(ctx, sets[i], sets[j]))
+        assert None not in below, (cls[i], cls[j], sets[j][below.index(None)])
 
 
 def test_hasse_of_dominance():

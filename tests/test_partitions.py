@@ -23,6 +23,7 @@ from weylunip.partitions import (
     psi,
     scale,
     transpose,
+    unpack_bytes,
 )
 
 # number of partitions of 0..13
@@ -309,6 +310,19 @@ def test_byte_packing_is_pack_in_whole_bytes():
     # field 0 is the lowest byte on every host
     assert pack_bytes([1, 2], 16).to_bytes(4, "little") == bytes([1, 0, 2, 0])
     assert pack_bytes([1, 2, 3], 24).to_bytes(9, "little") == bytes([1, 0, 0, 2, 0, 0, 3, 0, 0])
+
+
+def test_unpack_bytes_inverts_pack_bytes():
+    rng = random.Random(8)
+    # at 64 bits a mistaken byte count per field shows too (64 // 7 is 9)
+    for width in (8, 16, 24, 64):
+        top = (1 << (width - 1)) - 1
+        for count in (0, 1, 2, 5, 40):
+            for _ in range(10):
+                a = [rng.choice((0, top, rng.randint(0, top))) for _ in range(count)]
+                assert unpack_bytes(pack_bytes(a, width), width, count) == tuple(a), (width, a)
+    # the fields above the top one read as zeros
+    assert unpack_bytes(pack_bytes([1, 2], 16), 16, 3) == (1, 2, 0)
 
 
 @pytest.mark.parametrize("width,values,top", [

@@ -393,17 +393,39 @@ def test_count_entry_literal():
                 assert count_entry(w, i, j) == brute(w, i, j), (w, i, j)
 
 
+def literal_rows(ctx, w):
+    """The count matrix of w entry by entry: count_entry for BC and D,
+    the positive rows and columns for plain permutations."""
+    if ctx.family in ("A", "2A"):
+        idx = range(1, ctx.n + 1)
+        return [[sum(1 for k in range(1, i + 1) if w[k - 1] >= j) for j in idx] for i in idx]
+    idx = [k for k in range(-ctx.n, ctx.n + 1) if k]
+    return [[count_entry(w, i, j) for j in idx] for i in idx]
+
+
 def test_count_matrix_rows_are_literal_counts():
-    for ctx in all_contexts([("A", [4]), ("BC", [3]), ("D", [3])]):
+    for ctx in all_contexts(PACKED_CONTEXTS):
         for w in wg.enumerate_group(ctx):
             m = wg.count_matrix(ctx, w)
-            idx = m.indices()
-            for i, row in zip(idx, m.rows):
-                if ctx.family == "A":
-                    want = [sum(1 for k in range(1, i + 1) if w[k - 1] >= j) for j in idx]
-                else:
-                    want = [count_entry(w, i, j) for j in idx]
-                assert list(row) == want, (ctx, w, i)
+            assert m.signed == (ctx.family in ("BC", "D")) and m.n == ctx.n, ctx
+            assert [list(row) for row in m.rows] == literal_rows(ctx, w), (ctx, w)
+    # seeded windows at rank 12, past every context enumerated above
+    rng = random.Random(12)
+    for ctx in all_contexts([("A", [12]), ("BC", [12]), ("D", [12]), ("2A", [12])]):
+        for _ in range(5):
+            w = random_window(rng, ctx)
+            assert [list(row) for row in wg.count_matrix(ctx, w).rows] == literal_rows(ctx, w)
+
+
+def test_count_matrix_past_one_byte_fields():
+    # at BC 64 an entry reaches 128, so each field takes two bytes
+    ctx = wg.context("BC", 64)
+    assert wg._count_columns(ctx)[2] == 16
+    w = random_window(random.Random(64), ctx)
+    m = wg.count_matrix(ctx, w)
+    idx = m.indices()
+    assert m.rows == tuple(tuple(count_entry(w, i, j) for j in idx) for i in idx)
+    assert max(map(max, m.rows)) == 128
 
 
 def test_bruhat_counts_matches_generic_A_and_BC():
@@ -460,16 +482,37 @@ def literal_witness(mx, my):
 def test_count_key_unpacks_to_the_count_matrix():
     for ctx in all_contexts(PACKED_CONTEXTS):
         idx, _, width, guards = wg._count_columns(ctx)
-        fields = len(idx) ** 2
+        # the key packs n rows: all of A's, rows -n..-1 of a signed matrix
+        rows = list(range(-ctx.n, 0)) if ctx.family in ("BC", "D") else list(idx)
+        fields = len(rows) * len(idx)
         # whole-byte fields, and a guard bit on top of each field of one
-        # matrix and nowhere else
+        # key and nowhere else
         assert width == 8, ctx
         assert guards == sum(1 << (f * width + width - 1) for f in range(fields)), ctx
         for w in wg.enumerate_group(ctx):
             key = wg._count_key(ctx, w)
+            m = wg.count_matrix(ctx, w)
             unpacked = [key >> (f * width) & ((1 << width) - 1) for f in range(fields)]
-            assert unpacked == [e for row in wg.count_matrix(ctx, w).rows for e in row]
+            assert unpacked == [m.entry(i, j) for i in rows for j in idx], (ctx, w)
             assert key >> (fields * width) == 0, (ctx, w)
+
+
+def test_the_lower_rows_decide_a_signed_count_matrix():
+    # for 1 <= i < n, w[i, j] = w[-i-1, 1-j] + N(j) - n + i, where N(j)
+    # counts the indices at least j, column 0 reads as column 1 and
+    # column n+1 as zeros; row n is N for every w
+    for ctx in all_contexts([("BC", range(1, 5)), ("D", range(2, 5))]):
+        n = ctx.n
+        idx = [k for k in range(-n, n + 1) if k]
+        total = {j: sum(1 for k in idx if k >= j) for j in idx}
+        for w in wg.enumerate_group(ctx):
+            m = wg.count_matrix(ctx, w)
+            for j in idx:
+                assert m.entry(n, j) == total[j], (ctx, w, j)
+                mirror = 1 - j or 1
+                for i in range(1, n):
+                    lower = m.entry(-i - 1, mirror) if mirror <= n else 0
+                    assert m.entry(i, j) == lower + total[j] - n + i, (ctx, w, i, j)
 
 
 def test_count_witness_is_the_first_entry_row_by_row():
