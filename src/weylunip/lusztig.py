@@ -15,7 +15,10 @@ verify_theorem and the map and hasse verbs all read it.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .partitions import (
+    Partition,
     add_psi,
     append_one,
     dominance_leq,
@@ -56,8 +59,13 @@ def phi(group: str, char: str, c: EllipticClassLabel) -> UnipotentLabel:
     if group in GROUP_FAMILY and GROUP_FAMILY[group] != ctx.family:
         raise ValueError(f"class {c} does not belong to the Weyl side of {group}")
     check_group(group, ctx.n, char, ctx.component)
-    alpha = wg.check_elliptic(ctx, c.partition)
-    n = ctx.n
+    return _phi(group, char, ctx.n, wg.check_elliptic(ctx, c.partition))
+
+
+def _phi(group: str, char: str, n: int, alpha: Partition) -> UnipotentLabel:
+    """phi without its refusals: the image of the elliptic class alpha of
+    group's Weyl side at rank n, for a (group, char) pair that has that
+    class.  The label constructors still check the label they build."""
     if group == "GL":
         return good_label("GL", n, (n,))
     if group == "GLd":
@@ -85,7 +93,18 @@ def map_table(
     and their images under phi, images[i] that of classes[i]."""
     ctx = check_group(group, n, char, component)
     classes = elliptic_classes(ctx)
-    return ctx, classes, [phi(group, char, c) for c in classes]
+    # check_group refused what phi would: each class passes phi's checks
+    return ctx, classes, [_phi(group, char, n, c.partition) for c in classes]
+
+
+# 32, as for classposet.weyl_relation
+@lru_cache(maxsize=32)
+def dominance_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
+    """Dominance among ctx's elliptic partitions as a matrix, computed
+    once per ctx: dom[i][j] says whether alphas[i] <= alphas[j], with
+    alphas = elliptic_partitions(ctx)."""
+    alphas = wg.elliptic_partitions(ctx)
+    return tuple(tuple(dominance_leq(a, b) for b in alphas) for a in alphas)
 
 
 def verify_theorem(
@@ -105,17 +124,19 @@ def verify_theorem(
     (plus "component" for O_even).  A nonempty failures list would
     falsify the theorem or the implementation.
 
-    Only the third order depends on the Weyl context alone, not on the
-    group or the characteristic: it is read from weyl_relation, which
-    computes it once per context and shares it among every combination
-    verify runs on that context.
+    The second and third orders depend on the Weyl context alone, not on
+    the group or the characteristic: they are read from
+    dominance_relation and weyl_relation, which compute each once per
+    context and share it among every combination verify runs on that
+    context.
     """
     ctx, classes, images = map_table(group, n, char, component)
     rel = weyl_relation(ctx)
+    doms = dominance_relation(ctx)
     failures = []
     for i, ca in enumerate(classes):
         for j, cb in enumerate(classes):
-            dom = dominance_leq(ca.partition, cb.partition)
+            dom = doms[i][j]
             u_leq = unipotent_leq(images[i], images[j])
             w_leq = rel[j][i]
             if not (dom == u_leq == w_leq):

@@ -31,7 +31,7 @@ import operator
 from collections import Counter
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .partitions import (
     Partition,
@@ -42,7 +42,6 @@ from .partitions import (
     fields_leq,
     format_partition,
     guard_bits,
-    pack_bytes,
     unpack_bytes,
 )
 
@@ -53,7 +52,9 @@ SignedPermutation = tuple[int, ...]
 # built so far), and the largest group the brute-force oracle enumerates.
 # Read at call time, so a test can lower it; the lru caches of
 # weyl_relation and _class_table, filled under another value, must then
-# be cleared.
+# be cleared.  The other per-context caches (_steps, _shifts,
+# _count_columns, _elliptic_partitions and lusztig.dominance_relation)
+# do not depend on it.
 MAX_HELD = 10**6
 
 IDENTITY_COMPONENT = "id"
@@ -295,9 +296,12 @@ def _count_columns(ctx: GroupContext) -> tuple[tuple[int, ...], tuple[int, ...],
     n rows of len(idx) fields."""
     idx = tuple(CountMatrix(ctx.n, ctx.family not in ("A", "2A"), ()).indices())
     width = byte_width(len(idx))
+    # idx rises, so v >= j holds at the first p indices j, p being v's
+    # place in idx plus 1: the low p fields of a word with 1 in each field
+    ones = guard_bits(len(idx), width) >> (width - 1)
     columns = [0] * (len(idx) + 1)
-    for v in idx:
-        columns[v] = pack_bytes([int(v >= j) for j in idx], width)
+    for p, v in enumerate(idx, 1):
+        columns[v] = ones & ((1 << p * width) - 1)
     return idx, tuple(columns), width, guard_bits(ctx.n * len(idx), width)
 
 
@@ -514,13 +518,19 @@ def check_elliptic(ctx: GroupContext, alpha) -> Partition:
 
 
 def elliptic_partitions(ctx: GroupContext) -> list[Partition]:
-    """The partitions is_elliptic accepts, reverse-lexicographically.
-    Every family, A included, refuses n above the partition bound before
-    anything of size n is built."""
+    """The partitions is_elliptic accepts, reverse-lexicographically, as
+    a fresh list.  Every family, A included, refuses n above the
+    partition bound before anything of size n is built."""
+    return list(_elliptic_partitions(ctx))
+
+
+@lru_cache(maxsize=32)
+def _elliptic_partitions(ctx: GroupContext) -> tuple[Partition, ...]:
+    """elliptic_partitions, generated once per ctx."""
     if ctx.family == "A":
         check_bound(ctx.n)
-        return [(ctx.n,)]
-    return [a for a in family_members(ctx.n) if is_elliptic(ctx, a)]
+        return ((ctx.n,),)
+    return tuple(a for a in family_members(ctx.n) if is_elliptic(ctx, a))
 
 
 def class_size(ctx: GroupContext, alpha: Partition) -> int:
@@ -539,6 +549,28 @@ def class_size(ctx: GroupContext, alpha: Partition) -> int:
     return factorial(ctx.n) * (2**ctx.n if signed else 1) // z
 
 
+@lru_cache(maxsize=32)
+def _shifts(
+    ctx: GroupContext,
+) -> tuple[tuple[Callable[[int], int], tuple[int, int, int], tuple[int, int, int]], ...]:
+    """The cyclic shifts w -> s_i·w·s_j of _min_length_set, built once per
+    ctx from the step table: for each simple reflection i, a lookup whose
+    __getitem__ maps v to s_i(v) (a negative v indexes from the end), so
+    that s_i·w is w's window mapped through it, then the steps of s_i and
+    s_j (see _steps).  j = i, except in the twisted A coset: conjugating
+    w·delta by s_i steps the stored part u to s_i·u·s_{n-i}, as
+    delta s_i delta = s_{n-i}, so j = n - i there."""
+    steps = _steps(ctx)
+    shifts = []
+    for i, (a, b, s) in enumerate(steps):
+        r = list(identity(ctx.n))
+        r[a], r[b] = s * r[b], s * r[a]
+        lookup = (0,) + tuple(r) + tuple(-v for v in reversed(r))
+        j = len(steps) - 1 - i if ctx.family == "2A" else i
+        shifts.append((lookup.__getitem__, steps[i], steps[j]))
+    return tuple(shifts)
+
+
 def _min_length_set(ctx: GroupContext, rep: SignedPermutation) -> Iterator[SignedPermutation]:
     """The closure of rep under length-preserving cyclic shifts.  For an
     elliptic class with minimal-length rep this is the whole set of
@@ -551,22 +583,11 @@ def _min_length_set(ctx: GroupContext, rep: SignedPermutation) -> Iterator[Signe
     it is built and a row that is settled never builds the rest.
     Refused once the elements found so far pass MAX_HELD.
 
-    The shifts are w -> s_i·w·s_j with j = i.  Conjugating w·delta by s_i
-    in the twisted A coset steps the stored part u to s_i·u·s_{n-i}, as
-    delta s_i delta = s_{n-i}, so j = n - i there.  s_i·w is w's window
-    mapped through a lookup holding s_i(v) at index v (negative v index
-    from the end).  Each factor moves the length by one, so the shift
-    keeps the length exactly when one factor is a descent: s_i of w on
-    the left (a right descent of w's inverse), s_j of s_i·w on the right.
-    Both descent tests and the right step read the step table."""
-    steps = _steps(ctx)
-    shifts = []
-    for i, (a, b, s) in enumerate(steps):
-        r = list(identity(ctx.n))
-        r[a], r[b] = s * r[b], s * r[a]
-        lookup = (0,) + tuple(r) + tuple(-v for v in reversed(r))
-        j = len(steps) - 1 - i if ctx.family == "2A" else i
-        shifts.append((lookup.__getitem__, steps[i], steps[j]))
+    The shifts are w -> s_i·w·s_j (see _shifts).  Each factor moves the
+    length by one, so the shift keeps the length exactly when one factor
+    is a descent: s_i of w on the left (a right descent of w's inverse),
+    s_j of s_i·w on the right."""
+    shifts = _shifts(ctx)
     seen = {rep}
     todo = [rep]
     while todo:

@@ -1,14 +1,17 @@
 """Mutation testing of chosen library functions, standard library only.
 
-    python tests/mutate.py
+    python tests/mutate.py [NAME...]
 
 Run from anywhere; paths are taken relative to the repository.  The
-functions mutated are those named in TARGETS; widening the scope means
-editing that tuple.  A mutant changes one thing in one target function:
+functions mutated are those named in TARGETS, or with NAMEs only the
+targets of those qualified names (say `_shifts UnipotentLabel._record`),
+so a change can re-run just the functions it rewrote; widening the scope
+means editing that tuple.  A mutant changes one thing in one target function:
 a comparison operator to its neighbour (< and <=, > and >=, == and !=,
 is and is not, in and not in), a bitwise operator (|, & and ^) to each
 of the others, an arithmetic operator (+ and -, * and //, // and %), a
-shift to the other one, or an integer constant c to c + 1 and c - 1.
+shift to the other one, an integer constant c to c + 1 and c - 1, or two
+adjacent positional arguments of a call to each other.
 Only the target function's lines of the module change: its mutated
 syntax tree is unparsed in their place.
 
@@ -18,7 +21,8 @@ the run exceeds TIMEOUT seconds, and survives when every test passes.
 The unmutated copy is run first and must pass.  JOBS test processes run
 at a time, each under a 1 GB address-space limit that the child sets on
 itself before it imports pytest.  Exit code 0 when no mutant survived, 1
-when one did, 2 when the unmutated copy fails.
+when one did, 2 when a NAME is not in TARGETS or the unmutated copy
+fails.
 """
 
 from __future__ import annotations
@@ -78,6 +82,11 @@ TARGETS = (
     ("partitions.py", "unpack_bytes"),
     ("unipotent.py", "UnipotentLabel._text"),
     ("lusztig.py", "phi"),
+    ("lusztig.py", "_phi"),
+    ("lusztig.py", "map_table"),
+    ("lusztig.py", "verify_theorem"),
+    ("weylgroup.py", "_shifts"),
+    ("weylgroup.py", "_elliptic_partitions"),
 )
 
 COMPARE_SWAPS = {
@@ -124,7 +133,8 @@ def find_function(tree: ast.AST, qualname: str) -> ast.FunctionDef:
 def sites(func: ast.FunctionDef) -> list[tuple[ast.AST, list]]:
     """The mutable nodes of func in a fixed order, each with its
     replacements: (position in node.ops or None, new op) for operators,
-    a new value for a constant."""
+    a new value for a constant, the first of two differing adjacent
+    positional arguments to swap for a call."""
     # annotations are never evaluated (the modules import annotations
     # from __future__), so a mutant there could not be killed
     notes = [a.annotation for a in ast.walk(func.args) if isinstance(a, ast.arg) and a.annotation]
@@ -141,12 +151,22 @@ def sites(func: ast.FunctionDef) -> list[tuple[ast.AST, list]]:
             out.append((node, [(None, new) for new in BINOP_SWAPS[type(node.op)]]))
         elif isinstance(node, ast.Constant) and type(node.value) is int:
             out.append((node, [node.value + 1, node.value - 1]))
+        elif isinstance(node, ast.Call):
+            args = node.args
+            swaps = [k for k in range(len(args) - 1)
+                     if not isinstance(args[k], ast.Starred)
+                     and not isinstance(args[k + 1], ast.Starred)
+                     and ast.dump(args[k]) != ast.dump(args[k + 1])]
+            if swaps:
+                out.append((node, swaps))
     return out
 
 
 def describe(node: ast.AST, replacement) -> str:
     if isinstance(node, ast.Constant):
         return f"{node.value} -> {replacement}"
+    if isinstance(node, ast.Call):
+        return f"{ast.unparse(node.func)}: arguments {replacement + 1} and {replacement + 2} swapped"
     k, new = replacement
     old = node.ops[k] if k is not None else node.op
     return f"{SYMBOL[type(old)]} -> {SYMBOL[new]}"
@@ -173,6 +193,9 @@ def mutated_source(m: Mutant | None, module: str) -> str:
     replacement = replacements[m.choice]
     if isinstance(node, ast.Constant):
         node.value = replacement
+    elif isinstance(node, ast.Call):
+        k = replacement
+        node.args[k], node.args[k + 1] = node.args[k + 1], node.args[k]
     elif replacement[0] is None:
         node.op = replacement[1]()
     else:
@@ -205,8 +228,22 @@ def run(m: Mutant | None) -> tuple[str, str]:
     return "killed", failed.group(1) if failed else f"exit {done.returncode}"
 
 
-def main() -> int:
-    todo = mutants(TARGETS)
+def select(names: list[str]) -> tuple[tuple[str, str], ...]:
+    """The TARGETS whose qualified names are among names, in TARGETS'
+    order; all of them when names is empty.  Raises KeyError naming the
+    names that are not in TARGETS."""
+    unknown = [name for name in names if name not in {q for _, q in TARGETS}]
+    if unknown:
+        raise KeyError(", ".join(unknown))
+    return tuple(t for t in TARGETS if not names or t[1] in names)
+
+
+def main(argv: list[str]) -> int:
+    try:
+        todo = mutants(select(argv))
+    except KeyError as exc:
+        print(f"error: not in TARGETS: {exc.args[0]}", file=sys.stderr)
+        return 2
     outcome, detail = run(None)
     if outcome != "survived":
         print(f"error: the unmutated copy fails: {detail}", file=sys.stderr)
@@ -223,4 +260,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

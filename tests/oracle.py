@@ -89,40 +89,53 @@ def bb_length(ctx: GroupContext, w: SignedPermutation) -> int:
     return inv + nsp + (sum(v < 0 for v in w) if ctx.family == "BC" else 0)
 
 
-@lru_cache(maxsize=1 << 16)
-def right_steps(
-    ctx: GroupContext, w: SignedPermutation
-) -> tuple[tuple[SignedPermutation, bool], ...]:
-    """For each simple reflection s_i of ctx, in order, w·s_i and whether
-    it is shorter than w (whether s_i is a descent of w)."""
-    lw = bb_length(ctx, w)
-    steps = (compose(w, s) for s in simples(ctx))
-    return tuple((ws, bb_length(ctx, ws) < lw) for ws in steps)
+@lru_cache(maxsize=1 << 17)
+def right_step(ctx: GroupContext, w: SignedPermutation, i: int) -> tuple[SignedPermutation, int]:
+    """w·s_i and its bb_length.  s_i is a descent of w when that length
+    is below w's; a walk that knows w's length tests only the
+    reflections it reads."""
+    ws = compose(w, simples(ctx)[i - 1])
+    return ws, bb_length(ctx, ws)
 
 
 def is_descent(ctx: GroupContext, w: SignedPermutation, i: int) -> bool:
-    return right_steps(ctx, w)[i - 1][1]
+    return right_step(ctx, w, i)[1] < bb_length(ctx, w)
 
 
 def step(ctx: GroupContext, w: SignedPermutation, i: int) -> SignedPermutation:
     """w·s_i."""
-    return right_steps(ctx, w)[i - 1][0]
+    return right_step(ctx, w, i)[0]
 
 
 def leftmost_descent_walk(
     ctx: GroupContext, y: SignedPermutation
 ) -> tuple[list[int], list[SignedPermutation]]:
     """weylgroup.descent_walk by its definition: strip the leftmost
-    descent, found by a scan from s_1, length(y) times, stepping a fresh
-    tuple each time."""
+    descent, found by a scan from s_1, until y has length zero, stepping
+    a fresh tuple each time."""
+    chain, path = leftmost_walk(ctx, y)
+    return list(chain), list(path)
+
+
+@lru_cache(maxsize=1 << 13)
+def leftmost_walk(
+    ctx: GroupContext, y: SignedPermutation
+) -> tuple[tuple[int, ...], tuple[SignedPermutation, ...]]:
+    """leftmost_descent_walk as tuples, taken once per y: first_below
+    walks each upper element again for every lower class it is asked
+    about.  Each strip reads the new element's length off its step, so
+    only y's own length is counted afresh."""
     chain: list[int] = []
     path = [y]
-    for _ in range(bb_length(ctx, y)):
-        i = next(i for i, (_, down) in enumerate(right_steps(ctx, y), 1) if down)
+    ly = bb_length(ctx, y)
+    while ly:
+        i = 1
+        while right_step(ctx, y, i)[1] >= ly:
+            i += 1
         chain.append(i)
-        y = step(ctx, y, i)
+        y, ly = right_step(ctx, y, i)
         path.append(y)
-    return chain, path
+    return tuple(chain), tuple(path)
 
 
 def leftmost_descent_leq(ctx: GroupContext, x: SignedPermutation, y: SignedPermutation) -> bool:
@@ -148,9 +161,9 @@ def leq_along_walk(
             return False
         if lx == ly:
             return x == path[t]
-        if is_descent(ctx, x, i):
-            x = step(ctx, x, i)
-            lx -= 1
+        xs, ls = right_step(ctx, x, i)
+        if ls < lx:
+            x, lx = xs, ls
         ly -= 1
     return x == path[-1]
 
@@ -235,18 +248,19 @@ def first_below(
     """For each w in upper, lazily, the first x in lower with x <= w in
     Bruhat order, or None: each pair of packed count keys is compared,
     which decides A, BC and twisted A; in D the comparison only filters,
-    and leq_along_walk on w's leftmost_descent_walk decides each pair it
-    lets through."""
+    and leq_along_walk on w's leftmost_walk decides each pair it lets
+    through, with each lower element's length taken once."""
     guards = wg._count_columns(ctx)[3]
-    keys = [(x, wg._count_key(ctx, x)) for x in lower]
+    confirm = ctx.family == "D"
+    keys = [(x, wg._count_key(ctx, x), bb_length(ctx, x) if confirm else 0) for x in lower]
     for w in upper:
         key, walk, found = wg._count_key(ctx, w), None, None
-        for x, kx in keys:
+        for x, kx, lx in keys:
             if fields_leq(kx, key, guards) != guards:
                 continue
-            if ctx.family == "D":
-                walk = walk or leftmost_descent_walk(ctx, w)
-                if not leq_along_walk(ctx, x, bb_length(ctx, x), *walk):
+            if confirm:
+                walk = walk or leftmost_walk(ctx, w)
+                if not leq_along_walk(ctx, x, lx, *walk):
                     continue
             found = x
             break

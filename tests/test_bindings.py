@@ -45,17 +45,49 @@ def test_tracer_layers_resolve():
     assert missing == []
 
 
+def load_mutate():
+    spec = importlib.util.spec_from_file_location("mutate", ROOT / "tests" / "mutate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_mutation_targets_resolve():
     # tests/mutate.py names library functions by module and qualified
     # name; each must still exist, and its first mutant must compile
-    spec = importlib.util.spec_from_file_location("mutate", ROOT / "tests" / "mutate.py")
-    mutate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mutate)
+    mutate = load_mutate()
     for target in mutate.TARGETS:
         first = mutate.mutants([target])[0]
         source = mutate.mutated_source(first, first.module)
         assert source != mutate.mutated_source(None, first.module), target
         compile(source, first.module, "exec")
+
+
+def test_mutation_run_takes_only_the_named_targets(monkeypatch, capsys):
+    # every test run is replaced, so no pytest process starts
+    mutate = load_mutate()
+    ran = []
+
+    def fake_run(m):
+        ran.append(m)
+        return ("survived", "") if m is None else ("killed", "fake")
+
+    monkeypatch.setattr(mutate, "run", fake_run)
+    assert mutate.select([]) == mutate.TARGETS
+    assert mutate.select(["_shifts", "phi"]) == (
+        ("lusztig.py", "phi"),
+        ("weylgroup.py", "_shifts"),
+    )
+    assert mutate.main(["_shifts", "nosuch", "_phi", "other"]) == 2
+    assert ran == []
+    assert capsys.readouterr().err == "error: not in TARGETS: nosuch, other\n"
+
+    assert mutate.main(["_count_columns"]) == 0
+    assert ran[0] is None
+    assert ran[1:] == mutate.mutants([("weylgroup.py", "_count_columns")])
+    assert len(ran) > 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == f"{len(ran) - 1} mutants, {len(ran) - 1} killed, 0 survived"
 
 
 def test_package_exports_resolve():

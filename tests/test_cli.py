@@ -426,10 +426,13 @@ def test_main_verify_reaches_rank_eight(capsys):
 @pytest.mark.parametrize("family, contexts", [("BC", 5), ("D", 10)])
 def test_main_verify_range_builds_each_table_once(capsys, monkeypatch, family, contexts):
     # run_verify loops over (group, char, component) outside the ranks, so
-    # the relation cache must hold every context of the range at once, and
-    # each context's relation builds each class's minimal-length set once
+    # the per-context caches must hold every context of the range at once:
+    # each context's relation, shift table, elliptic partitions and
+    # dominance relation are built once, and its relation builds each
+    # class's minimal-length set once
     from collections import Counter
 
+    from weylunip import lusztig
     from weylunip.classposet import weyl_relation
 
     built = Counter()
@@ -440,11 +443,13 @@ def test_main_verify_range_builds_each_table_once(capsys, monkeypatch, family, c
         return real(ctx, rep)
 
     monkeypatch.setattr(wg, "_min_length_set", counted)
-    weyl_relation.cache_clear()
+    caches = (weyl_relation, wg._shifts, wg._elliptic_partitions, lusztig.dominance_relation)
+    for cache in caches:
+        cache.cache_clear()
     try:
         assert cli.main(["verify", "--family", family, "--rank", "2..6"]) == 0
         capsys.readouterr()
-        assert weyl_relation.cache_info().misses == contexts
+        assert [cache.cache_info().misses for cache in caches] == [contexts] * len(caches)
     finally:
         weyl_relation.cache_clear()
     seen = {ctx for ctx, _ in built}
@@ -590,6 +595,40 @@ def test_main_verify_checks_the_weyl_relation(capsys, monkeypatch):
         assert failure["alpha"] == list(labels[j].partition)
         assert failure["beta"] == list(labels[i].partition)
         assert failure["class_leq_W"] is flipped
+
+
+def test_main_verify_checks_the_dominance_relation(capsys, monkeypatch):
+    # a dominance relation with one wrong entry must surface as a
+    # counterexample in every combination that reads it
+    from weylunip import lusztig
+    from weylunip.classposet import elliptic_classes
+
+    ctx = wg.context("BC", 4)
+    labels = elliptic_classes(ctx)
+    real = lusztig.dominance_relation
+    # dom[i][j] is verify's dominance answer for alpha = labels[i], beta = labels[j]
+    i, j = 1, 0
+    flipped = not real(ctx)[i][j]
+
+    def corrupted(c):
+        dom = [list(row) for row in real(c)]
+        dom[i][j] = flipped
+        return tuple(map(tuple, dom))
+
+    monkeypatch.setattr(lusztig, "dominance_relation", corrupted)
+    assert cli.main(["verify", "--family", "BC", "--rank", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == ["FAIL"] * 4
+    assert lines[-1] == "counterexamples found in 4 run(s)"
+
+    assert cli.main(["verify", "--family", "BC", "--rank", "4", "--format", "json"]) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert len(reports) == 4
+    for report in reports:
+        [failure] = report["failures"]
+        assert failure["alpha"] == list(labels[i].partition)
+        assert failure["beta"] == list(labels[j].partition)
+        assert failure["dominance"] is flipped
 
 
 @pytest.mark.parametrize("family", ["BC", "D"])

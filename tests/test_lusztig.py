@@ -2,12 +2,13 @@ import pytest
 
 from weylunip.classposet import EllipticClassLabel, elliptic_classes, elliptic_label
 from weylunip.lusztig import (
+    dominance_relation,
     map_table,
     phi,
     verify_combinations,
     verify_theorem,
 )
-from weylunip.partitions import family_members
+from weylunip.partitions import dominance_leq, family_members
 from weylunip.unipotent import GROUP_FAMILY, check_group, format_unipotent
 from weylunip import weylgroup as wg
 
@@ -256,3 +257,21 @@ def test_map_table_pairs_each_class_with_its_image(family):
             assert ctx == wg.context(family, n, component)
             assert classes == elliptic_classes(ctx)
             assert images == [phi(group, char, c) for c in classes]
+
+
+DOMINANCE_CONTEXTS = (
+    [("A", n, "id") for n in range(1, 10)]
+    + [("BC", n, "id") for n in range(1, 11)]
+    + [("D", n, comp) for n in range(2, 11) for comp in ("id", "twisted")]
+    + [("2A", n, "twisted") for n in range(2, 12)]
+)
+
+
+@pytest.mark.parametrize("fam,n,comp", DOMINANCE_CONTEXTS)
+def test_dominance_relation_is_pairwise_dominance(fam, n, comp):
+    ctx = wg.context(fam, n, comp)
+    alphas = [c.partition for c in elliptic_classes(ctx)]
+    dom = dominance_relation(ctx)
+    # tuples all the way down: the cached value cannot be changed by a caller
+    assert type(dom) is tuple and all(type(row) is tuple for row in dom)
+    assert dom == tuple(tuple(dominance_leq(a, b) for b in alphas) for a in alphas)

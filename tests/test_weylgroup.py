@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylunip import weylgroup as wg
 from weylunip.classposet import elliptic_label, weyl_relation
-from weylunip.partitions import family_members, fields_leq, partitions
+from weylunip.partitions import family_members, fields_leq, partitions, unpack_bytes
 
 from oracle import (
     bb_length,
@@ -477,6 +477,18 @@ def literal_witness(mx, my):
             if a > b:
                 return i, j
     return None
+
+
+def test_count_columns_hold_the_literal_indicator_rows():
+    # column v holds [v >= j] in field j of idx and nothing above; entry
+    # 0, which no image reads, is empty.  BC 64 takes two-byte fields
+    contexts = list(all_contexts(PACKED_CONTEXTS)) + [wg.context("A", 9), wg.context("BC", 64)]
+    for ctx in contexts:
+        idx, columns, width, _ = wg._count_columns(ctx)
+        assert len(columns) == len(idx) + 1 and columns[0] == 0, ctx
+        for v in idx:
+            literal = tuple(int(v >= j) for j in idx)
+            assert unpack_bytes(columns[v], width, len(idx)) == literal, (ctx, v)
 
 
 def test_count_key_unpacks_to_the_count_matrix():
