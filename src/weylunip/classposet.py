@@ -1,30 +1,23 @@
-"""The partial order on elliptic conjugacy classes induced by Bruhat
-comparison of minimal-length elements, plus Hasse-diagram construction.
-A class is named by an EllipticClassLabel and a diagram is a
+"""Elliptic class labels, the order on them pair by pair, and Hasse
+diagrams.  A class is named by an EllipticClassLabel and a diagram is a
 HasseDiagram, both NamedTuples.
 
 For classes C' and C the relation C' <= C holds when some minimal-length
 element of C dominates an element of C' in the Bruhat order.  Four
 a-priori different quantifications of that sentence agree (checked
-exhaustively by the test suite).  weyl_relation is the one path that
-computes it, row by row.  Row C' scans the minimal-length elements of C'
-as weylgroup builds them by cyclic shifts, and compares each element's
-packed count key with that of the closed-form representative of every
-C still open.  That comparison decides A, BC and twisted A; in D it is
-a filter, and a descent walk confirms each element it lets through.
-The row stops once C' itself and every class longer than C' is
-settled, so the rest of the set is never built; the elements a row
-holds while it scans are bounded (CapExceeded past the bound).
+exhaustively by the test suite).  weylgroup.weyl_relation is the one
+path that computes it, as a whole matrix per context, beside the
+minimal-length sets and count keys it reads; class_leq_W reads one
+entry of it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-from .partitions import Partition, fields_leq, format_partition
+from .partitions import Partition, format_partition
 from . import weylgroup as wg
-from .weylgroup import GroupContext
+from .weylgroup import GroupContext, weyl_relation
 
 
 class PosetError(ValueError):
@@ -69,61 +62,6 @@ def class_leq_W(a: EllipticClassLabel, b: EllipticClassLabel) -> bool:
         if c.partition not in alphas:
             raise ValueError(f"{c.partition} is not an elliptic class of {ctx}")
     return weyl_relation(ctx)[alphas.index(a.partition)][alphas.index(b.partition)]
-
-
-# 32 because verify loops over its (group, char, component) combinations
-# outside the ranks, so a rank range cycles through all of its contexts
-# once per combination.
-@lru_cache(maxsize=32)
-def weyl_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
-    """The order on ctx's elliptic classes as a matrix, computed once per
-    ctx: rel[i][j] says whether labels[i] <= labels[j], with
-    labels = elliptic_classes(ctx).  Rows are tuples, so callers share the
-    cached value without being able to change it.
-
-    Row i scans the minimal-length elements of labels[i] as weylgroup
-    builds them from the closed-form representative, for one below the
-    representative w of labels[j].  The entry is False at once when they
-    are longer than w, and also when they are as long and j != i: an
-    element as long as w lies below w only if it is w, which lies in
-    another class.  Each element is packed once and compared with every
-    w still open, and the row stops, leaving the rest of the set unbuilt,
-    once none is.  Checking that set rather than the whole class gives
-    the same answer (acceptance criterion 8).  Only one row's elements
-    are in memory at a time; weylgroup raises CapExceeded once a row
-    holds more than MAX_HELD.
-    """
-    alphas = wg.elliptic_partitions(ctx)
-    reps = [wg.class_rep(ctx, a) for a in alphas]
-    lengths = [wg._length(ctx, w) for w in reps]
-    keys = [wg._count_key(ctx, w) for w in reps]
-    guards = wg._count_columns(ctx)[3]
-    # the count criterion is exact for A and BC (and for 2A's stored
-    # parts, which step like A); for D it is only necessary, so the lazy
-    # descent walk confirms each element it lets through
-    confirm = ctx.family == "D"
-    rows = []
-    for i, (rep, la) in enumerate(zip(reps, lengths)):
-        # Bruhat order is graded by length, so x <= w with l(x) = l(w)
-        # forces x = w, and classes are disjoint: of the classes no longer
-        # than labels[i], only labels[i] itself can lie above it
-        pending = [j for j, lb in enumerate(lengths) if la < lb or j == i]
-        held = set()
-        for x in wg._min_length_set(ctx, rep):
-            kx = wg._count_key(ctx, x)
-            found = [
-                j
-                for j in pending
-                if fields_leq(kx, keys[j], guards) == guards
-                and (not confirm or wg._bruhat_leq(ctx, x, la, reps[j], lengths[j]))
-            ]
-            if found:
-                held.update(found)
-                pending = [j for j in pending if j not in held]
-                if not pending:
-                    break  # the rest of the set is never built
-        rows.append(tuple(j in held for j in range(len(reps))))
-    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

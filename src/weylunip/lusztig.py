@@ -25,12 +25,8 @@ from .partitions import (
     scale,
 )
 from . import weylgroup as wg
-from .weylgroup import GroupContext
-from .classposet import (
-    EllipticClassLabel,
-    elliptic_classes,
-    weyl_relation,
-)
+from .weylgroup import GroupContext, weyl_relation
+from .classposet import EllipticClassLabel, elliptic_classes
 from .unipotent import (
     CHAR2,
     GOOD,
@@ -97,7 +93,7 @@ def map_table(
     return ctx, classes, [_phi(group, char, n, c.partition) for c in classes]
 
 
-# 32, as for classposet.weyl_relation
+# 32, as for weylgroup.weyl_relation
 @lru_cache(maxsize=32)
 def dominance_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
     """Dominance among ctx's elliptic partitions as a matrix, computed

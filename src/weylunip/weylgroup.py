@@ -1,4 +1,5 @@
-"""Classical Weyl groups as (signed) permutations.
+"""Classical Weyl groups as (signed) permutations, and the order on
+their elliptic classes.
 
 Elements are tuples of images: ``w[i-1] = w(i)`` for i = 1..n, extended
 to negative arguments by w(-i) = -w(i).  Types BC and D use signed
@@ -17,11 +18,13 @@ element: the first n rows of its count matrix held as one int, one
 guard-bit field per entry (partitions.fields_leq), built from a small
 per-context table of column rows.  That is every row in A, and rows
 -n..-1 of a signed matrix, which decide its other rows.  One subtraction
-and one AND then compare two matrices entrywise, which decides the order
-in A and BC (and on twisted A's stored parts) and is a necessary
-condition in D, where the descent walk confirms it.  The literal
-count_matrix sums the same column rows and splits each row into its
-entries in C.
+and one AND then compare two matrices entrywise.  Where that decides
+the order is one rule, _counts_exact; elsewhere (D) it is a necessary
+condition and the descent walk confirms it.  The literal count_matrix
+sums the same column rows and splits each row into its entries in C.
+
+weyl_relation, the order on elliptic classes, lives beside the
+minimal-length sets, count keys and walk it reads.
 """
 
 from __future__ import annotations
@@ -47,12 +50,12 @@ from .partitions import (
 
 SignedPermutation = tuple[int, ...]
 
-# The most elements one row of classposet.weyl_relation may hold while it
-# scans a minimal-length set (a row that settles early holds only what it
-# built so far), and the largest group the brute-force oracle enumerates.
-# Read at call time, so a test can lower it; the lru caches of
-# weyl_relation and _class_table, filled under another value, must then
-# be cleared.  The other per-context caches (_steps, _shifts,
+# The most elements one row of weyl_relation may hold while it scans a
+# minimal-length set (a row that settles early holds only what it built
+# so far), and the largest group the brute-force oracle enumerates.
+# Read at call time, so a test can lower it; the lru caches of this
+# module's weyl_relation and _class_table, filled under another value,
+# must then be cleared.  The other per-context caches (_steps, _shifts,
 # _count_columns, _elliptic_partitions and lusztig.dominance_relation)
 # do not depend on it.
 MAX_HELD = 10**6
@@ -249,14 +252,19 @@ class CountMatrix(NamedTuple):
         return self.rows[idx.index(i)][idx.index(j)]
 
 
+def _counts_exact(ctx: GroupContext) -> bool:
+    """Whether the count-matrix comparison is Bruhat order in ctx: in A,
+    BC and on twisted A's stored parts, which step like A (Bjorner-Brenti,
+    ch. 2 and 8).  In D it is only a necessary condition."""
+    return ctx.family != "D"
+
+
 def bruhat_leq_counts(ctx: GroupContext, x: SignedPermutation, y: SignedPermutation) -> bool:
-    """Entrywise count-matrix comparison.  Exact Bruhat order for A and
-    BC only; for D it is a necessary condition, so this op refuses and
-    bruhat_leq_generic must be used there."""
-    if ctx.family not in ("A", "BC"):
+    """Entrywise count-matrix comparison, refused where it is not exact
+    (_counts_exact), so bruhat_leq_generic must be used in D."""
+    if not _counts_exact(ctx):
         raise ValueError(
-            f"count-matrix criterion is exact only for A and BC, not {ctx.family}; "
-            "use bruhat_leq_generic"
+            f"count-matrix criterion is not exact for {ctx.family}; use bruhat_leq_generic"
         )
     return count_witness(ctx, x, y) is None
 
@@ -616,6 +624,63 @@ def _min_length_set(ctx: GroupContext, rep: SignedPermutation) -> Iterator[Signe
             seen.add(v)
             todo.append(v)
         yield w
+
+
+# ---------------------------------------------------------------------------
+# the order on elliptic classes
+
+
+# 32 contexts: verify runs a rank range rank by rank, so each context's
+# relation is built once whatever the range.
+@lru_cache(maxsize=32)
+def weyl_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
+    """The order on ctx's elliptic classes as a matrix, computed once per
+    ctx: rel[i][j] says whether labels[i] <= labels[j], with
+    labels = elliptic_classes(ctx).  Rows are tuples, so callers share the
+    cached value without being able to change it.
+
+    Row i scans the minimal-length elements of labels[i] as weylgroup
+    builds them from the closed-form representative, for one below the
+    representative w of labels[j].  The entry is False at once when they
+    are longer than w, and also when they are as long and j != i: an
+    element as long as w lies below w only if it is w, which lies in
+    another class.  Each element is packed once and compared with every
+    w still open, and the row stops, leaving the rest of the set unbuilt,
+    once none is.  Checking that set rather than the whole class gives
+    the same answer (acceptance criterion 8).  Only one row's elements
+    are in memory at a time; weylgroup raises CapExceeded once a row
+    holds more than MAX_HELD.
+    """
+    alphas = elliptic_partitions(ctx)
+    reps = [class_rep(ctx, a) for a in alphas]
+    lengths = [_length(ctx, w) for w in reps]
+    keys = [_count_key(ctx, w) for w in reps]
+    guards = _count_columns(ctx)[3]
+    # where the count criterion is only necessary, the lazy descent walk
+    # confirms each element it lets through
+    confirm = not _counts_exact(ctx)
+    rows = []
+    for i, (rep, la) in enumerate(zip(reps, lengths)):
+        # Bruhat order is graded by length, so x <= w with l(x) = l(w)
+        # forces x = w, and classes are disjoint: of the classes no longer
+        # than labels[i], only labels[i] itself can lie above it
+        pending = [j for j, lb in enumerate(lengths) if la < lb or j == i]
+        held = set()
+        for x in _min_length_set(ctx, rep):
+            kx = _count_key(ctx, x)
+            found = [
+                j
+                for j in pending
+                if fields_leq(kx, keys[j], guards) == guards
+                and (not confirm or _bruhat_leq(ctx, x, la, reps[j], lengths[j]))
+            ]
+            if found:
+                held.update(found)
+                pending = [j for j in pending if j not in held]
+                if not pending:
+                    break  # the rest of the set is never built
+        rows.append(tuple(j in held for j in range(len(reps))))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ TARGETS = (
     ("weylgroup.py", "_steps"),
     ("weylgroup.py", "_bruhat_leq"),
     ("weylgroup.py", "_min_length_set"),
-    ("classposet.py", "weyl_relation"),
+    ("weylgroup.py", "weyl_relation"),
     ("weylgroup.py", "descent_walk"),
     ("weylgroup.py", "bruhat_leq_walk"),
     ("weylgroup.py", "_count_key"),
@@ -87,6 +87,9 @@ TARGETS = (
     ("lusztig.py", "verify_theorem"),
     ("weylgroup.py", "_shifts"),
     ("weylgroup.py", "_elliptic_partitions"),
+    ("weylgroup.py", "bruhat_leq_counts"),
+    ("weylgroup.py", "_counts_exact"),
+    ("cli.py", "run_verify"),
 )
 
 COMPARE_SWAPS = {

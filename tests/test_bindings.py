@@ -7,10 +7,11 @@ tests/mutate.py finds its target functions by name in the source; the
 package root promises every name in __all__.  The repository has no
 linter, so the scans at the end are its lint gate: no unused imports,
 no assert statements in the library, since `python -O` strips them, no
-library import from outside the standard library, and no library call
-into the benchmark-bound block at the end of weylgroup.py.  Every command
-pays for the package import, so the last test keeps two slow imports out
-of it.
+library import from outside the standard library, no library call into
+the benchmark-bound block at the end of weylgroup.py, and no library
+module reading another's underscore-private names beyond one allowlist.
+Every command pays for the package import, so the last test keeps two
+slow imports out of it.
 """
 
 import ast
@@ -153,6 +154,57 @@ def test_library_never_calls_the_benchmark_bound_block():
                 if name in bound:
                     hits.append(f"{source.relative_to(ROOT)}:{node.lineno}: {name}")
     assert hits == []
+
+
+# the bruhat verb checks each window once, then takes the unchecked
+# length, walk and witness (test_bruhat_checks_each_window_once), and
+# says where the count criterion is exact by the rule the library reads
+PRIVATE_READS = {
+    ("cli.py", "run_bruhat"): {
+        "_check_element", "_length", "_bruhat_leq", "_count_witness", "_counts_exact",
+    },
+}
+
+
+def private_reads(path: Path) -> list[tuple[str, str]]:
+    """(function, name) for each underscore-private name path reads from
+    another library module, by `from .m import _name` or as an attribute
+    of a module it bound by `from . import m`; function is the top-level
+    function or class the read lies in, or "" at module level."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+        for alias in node.names
+    }
+    out = []
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", "")
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                names = [node.attr]
+            else:
+                continue
+            out += [(owner, name) for name in names
+                    if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+def test_library_reads_no_private_name_of_another_module():
+    hits = [
+        f"{path.name}: {owner or '<module>'} reads {name}"
+        for path in sorted((ROOT / "src" / "weylunip").glob("*.py"))
+        for owner, name in private_reads(path)
+        if name not in PRIVATE_READS.get((path.name, owner), ())
+    ]
+    assert hits == []
+    # the allowlist names only reads that still happen
+    cli = set(private_reads(ROOT / "src" / "weylunip" / "cli.py"))
+    assert cli == {("run_bruhat", name) for name in PRIVATE_READS["cli.py", "run_bruhat"]}
 
 
 def test_library_checks_invariants_without_assert():

@@ -423,13 +423,18 @@ def test_main_verify_reaches_rank_eight(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "all checks passed"
 
 
-@pytest.mark.parametrize("family, contexts", [("BC", 5), ("D", 10)])
-def test_main_verify_range_builds_each_table_once(capsys, monkeypatch, family, contexts):
-    # run_verify loops over (group, char, component) outside the ranks, so
-    # the per-context caches must hold every context of the range at once:
-    # each context's relation, shift table, elliptic partitions and
-    # dominance relation are built once, and its relation builds each
-    # class's minimal-length set once
+@pytest.mark.parametrize(
+    "family, ranks, contexts",
+    [("BC", "2..6", 5), ("D", "2..6", 10), ("A", "1..40", 40)],
+    ids=["BC-5", "D-10", "A-40"],
+)
+def test_main_verify_range_builds_each_table_once(capsys, monkeypatch, family, ranks, contexts):
+    # run_verify runs every (group, char, component) combination of one
+    # rank before the next rank, so a range of more contexts than the
+    # per-context caches hold (32; A 1..40 has 40) still builds each
+    # context's relation, shift table, elliptic partitions and dominance
+    # relation once, and its relation builds each class's minimal-length
+    # set once
     from collections import Counter
 
     from weylunip import lusztig
@@ -447,7 +452,7 @@ def test_main_verify_range_builds_each_table_once(capsys, monkeypatch, family, c
     for cache in caches:
         cache.cache_clear()
     try:
-        assert cli.main(["verify", "--family", family, "--rank", "2..6"]) == 0
+        assert cli.main(["verify", "--family", family, "--rank", ranks]) == 0
         capsys.readouterr()
         assert [cache.cache_info().misses for cache in caches] == [contexts] * len(caches)
     finally:

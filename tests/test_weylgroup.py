@@ -429,7 +429,8 @@ def test_count_matrix_past_one_byte_fields():
 
 
 def test_bruhat_counts_matches_generic_A_and_BC():
-    for fam, n in [("A", 3), ("BC", 2)]:
+    # exact on twisted A's stored parts too, which step like A
+    for fam, n in [("A", 3), ("BC", 2), ("2A", 3), ("2A", 4)]:
         ctx = wg.context(fam, n)
         els = list(wg.enumerate_group(ctx))
         for x in els:
@@ -556,15 +557,15 @@ def test_packed_counts_decide_the_order_at_small_rank():
 
 @st.composite
 def element_pair(draw):
-    """(ctx, x, y, related) in A, BC or D up to rank 10.  A related pair
-    takes x as a subword of y's descent walk, so x <= y."""
-    fam = draw(st.sampled_from(["A", "BC", "D"]))
+    """(ctx, x, y, related) in A, BC, D or 2A up to rank 10.  A related
+    pair takes x as a subword of y's descent walk, so x <= y."""
+    fam = draw(st.sampled_from(["A", "BC", "D", "2A"]))
     n = draw(st.integers(wg.FAMILY_RULES[fam].min_rank, 10))
     ctx = wg.context(fam, n, draw(st.sampled_from(wg.FAMILY_RULES[fam].components)))
 
     def element():
         w = list(draw(st.permutations(range(1, n + 1))))
-        if fam != "A":
+        if fam in ("BC", "D"):
             w = [-v if draw(st.booleans()) else v for v in w]
             if wg.component_of(fam, w) != ctx.component:
                 w[0] = -w[0]
