@@ -25,7 +25,7 @@ from .partitions import (
     scale,
 )
 from . import weylgroup as wg
-from .weylgroup import GroupContext, weyl_relation
+from .weylgroup import CONTEXT_CACHE, GroupContext, weyl_relation
 from .classposet import EllipticClassLabel, elliptic_classes
 from .unipotent import (
     CHAR2,
@@ -93,8 +93,7 @@ def map_table(
     return ctx, classes, [_phi(group, char, n, c.partition) for c in classes]
 
 
-# 32, as for weylgroup.weyl_relation
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=CONTEXT_CACHE)
 def dominance_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
     """Dominance among ctx's elliptic partitions as a matrix, computed
     once per ctx: dom[i][j] says whether alphas[i] <= alphas[j], with

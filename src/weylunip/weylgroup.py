@@ -3,12 +3,12 @@ their elliptic classes.
 
 Elements are tuples of images: ``w[i-1] = w(i)`` for i = 1..n, extended
 to negative arguments by w(-i) = -w(i).  Types BC and D use signed
-images; types A and twisted A use plain permutations.  For the twisted
-A family an element tuple stores the permutation part w, and the group
-element it names is w composed with delta, the longest element; for the
-twisted component of the even orthogonal model the coset elements are
-honest signed permutations with an odd number of sign changes, so no
-extra bookkeeping is needed.
+images, types A and twisted A plain permutations: one rule,
+GroupContext.signed.  For the twisted A family an element tuple stores
+the permutation part w, and the group element it names is w composed
+with delta, the longest element; for the twisted component of the even
+orthogonal model the coset elements are honest signed permutations with
+an odd number of sign changes, so no extra bookkeeping is needed.
 
 Composition is (xy)(i) = x(y(i)).  A group is named by a GroupContext,
 a NamedTuple of family, rank and component.
@@ -18,10 +18,10 @@ element: the first n rows of its count matrix held as one int, one
 guard-bit field per entry (partitions.fields_leq), built from a small
 per-context table of column rows.  That is every row in A, and rows
 -n..-1 of a signed matrix, which decide its other rows.  One subtraction
-and one AND then compare two matrices entrywise.  Where that decides
-the order is one rule, _counts_exact; elsewhere (D) it is a necessary
-condition and the descent walk confirms it.  The literal count_matrix
-sums the same column rows and splits each row into its entries in C.
+and one AND then compare two matrices entrywise.  That decides the
+order where GroupContext.counts_exact says; elsewhere (D) it is a
+necessary condition and the descent walk confirms it.  The literal
+count_matrix sums the same column rows and splits rows in C.
 
 weyl_relation, the order on elliptic classes, lives beside the
 minimal-length sets, count keys and walk it reads.
@@ -55,10 +55,12 @@ SignedPermutation = tuple[int, ...]
 # so far), and the largest group the brute-force oracle enumerates.
 # Read at call time, so a test can lower it; the lru caches of this
 # module's weyl_relation and _class_table, filled under another value,
-# must then be cleared.  The other per-context caches (_steps, _shifts,
-# _count_columns, _elliptic_partitions and lusztig.dominance_relation)
-# do not depend on it.
+# must then be cleared.  The other per-context caches do not depend on it.
 MAX_HELD = 10**6
+
+# The contexts every per-context cache keeps, here and in lusztig: verify
+# runs a range rank by rank, so each context's tables are built once.
+CONTEXT_CACHE = 32
 
 IDENTITY_COMPONENT = "id"
 TWISTED_COMPONENT = "twisted"
@@ -99,6 +101,18 @@ class GroupContext(NamedTuple):
     family: str
     n: int
     component: str
+
+    @property
+    def signed(self) -> bool:
+        """Whether elements are signed windows: in BC and D, not A or 2A."""
+        return self.family in ("BC", "D")
+
+    @property
+    def counts_exact(self) -> bool:
+        """Whether the count-matrix comparison is Bruhat order: in A, BC and
+        on twisted A's stored parts, which step like A; in D it is only
+        necessary (Bjorner-Brenti, ch. 2 and 8)."""
+        return self.family != "D"
 
 
 def context(family: str, n: int, component: str | None = None) -> GroupContext:
@@ -162,7 +176,7 @@ def _check_element(ctx: GroupContext, w: SignedPermutation) -> None:
     # a refusal writes w as a window, [w(1),...,w(n)], as the CLI takes it
     if sorted(map(abs, w)) != list(range(1, ctx.n + 1)):
         raise ValueError(f"{format_partition(w)} is not a signed permutation window")
-    if ctx.family in ("A", "2A") and min(w) < 0:
+    if not ctx.signed and min(w) < 0:
         raise ValueError(
             f"{format_partition(w)} has signs; family {ctx.family} stores plain permutations"
         )
@@ -187,14 +201,14 @@ def delta(ctx: GroupContext) -> SignedPermutation:
 # Coxeter data and length
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=CONTEXT_CACHE)
 def _steps(ctx: GroupContext) -> tuple[tuple[int, int, int], ...]:
     """The one per-family step rule: entry i - 1 is (a, b, s) with
     w·s_i < w iff s·w[a] > w[b], and w·s_i sets w[a], w[b] = s·w[b],
     s·w[a].  s_i swaps w(i), w(i+1) in A and twisted A; BC's s_1 negates
     w(1), D's s_1 and s_2 swap w(1), w(2) plain and negated, and the other
     s_i swap w(i-1), w(i).  So s_i changes descents i-2..i+1 only."""
-    if ctx.family in ("A", "2A"):
+    if not ctx.signed:
         return tuple((i - 1, i, 1) for i in range(1, ctx.n))
     head = ((0, 0, -1),) if ctx.family == "BC" else ((0, 1, 1), (1, 0, -1))
     return head + tuple((i - 2, i - 1, 1) for i in range(len(head) + 1, ctx.n + 1))
@@ -216,7 +230,7 @@ def length(ctx: GroupContext, w: SignedPermutation) -> int:
 def _length(ctx: GroupContext, w: SignedPermutation) -> int:
     """length without the membership check, for elements the library
     built itself."""
-    if ctx.family in ("A", "2A"):
+    if not ctx.signed:
         return _inv_count(w)
     if ctx.family == "BC":
         return _inv_count(w) + sum(-v for v in w if v < 0)
@@ -252,17 +266,10 @@ class CountMatrix(NamedTuple):
         return self.rows[idx.index(i)][idx.index(j)]
 
 
-def _counts_exact(ctx: GroupContext) -> bool:
-    """Whether the count-matrix comparison is Bruhat order in ctx: in A,
-    BC and on twisted A's stored parts, which step like A (Bjorner-Brenti,
-    ch. 2 and 8).  In D it is only a necessary condition."""
-    return ctx.family != "D"
-
-
 def bruhat_leq_counts(ctx: GroupContext, x: SignedPermutation, y: SignedPermutation) -> bool:
     """Entrywise count-matrix comparison, refused where it is not exact
-    (_counts_exact), so bruhat_leq_generic must be used in D."""
-    if not _counts_exact(ctx):
+    (GroupContext.counts_exact), so bruhat_leq_generic must be used in D."""
+    if not ctx.counts_exact:
         raise ValueError(
             f"count-matrix criterion is not exact for {ctx.family}; use bruhat_leq_generic"
         )
@@ -294,7 +301,7 @@ def _count_witness(
     return idx[row], idx[col]
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=CONTEXT_CACHE)
 def _count_columns(ctx: GroupContext) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
     """ctx's count-matrix index set; the packed column rows, columns[v]
     holding [v >= j] in field j for each index j (a negative v indexes
@@ -302,7 +309,7 @@ def _count_columns(ctx: GroupContext) -> tuple[tuple[int, ...], tuple[int, ...],
     up to len(idx) and a guard bit (partitions.byte_width, the layout
     unipotent records use too); and the guard bits of one packed key,
     n rows of len(idx) fields."""
-    idx = tuple(CountMatrix(ctx.n, ctx.family not in ("A", "2A"), ()).indices())
+    idx = tuple(CountMatrix(ctx.n, ctx.signed, ()).indices())
     width = byte_width(len(idx))
     # idx rises, so v >= j holds at the first p indices j, p being v's
     # place in idx plus 1: the low p fields of a word with 1 in each field
@@ -316,7 +323,7 @@ def _count_columns(ctx: GroupContext) -> tuple[tuple[int, ...], tuple[int, ...],
 def _row_images(ctx: GroupContext, w: SignedPermutation) -> Iterable[int]:
     """w(i) for each row i of ctx's count matrix, lowest row first: row i
     reads w(i), a signed index set starts at -n, and w(-k) = -w(k)."""
-    if ctx.family in ("A", "2A"):
+    if not ctx.signed:
         return w
     return itertools.chain(map(operator.neg, reversed(w)), w)
 
@@ -414,7 +421,7 @@ def class_label(ctx: GroupContext, w: SignedPermutation) -> Partition | None:
     names a class when is_elliptic accepts it.
     """
     _check_element(ctx, w)
-    if ctx.family in ("A", "2A"):
+    if not ctx.signed:
         # a plain permutation has positive cycles only
         parts = signed_cycle_type(multiply(w, delta(ctx)) if ctx.family == "2A" else w)[1]
     else:
@@ -532,7 +539,7 @@ def elliptic_partitions(ctx: GroupContext) -> list[Partition]:
     return list(_elliptic_partitions(ctx))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=CONTEXT_CACHE)
 def _elliptic_partitions(ctx: GroupContext) -> tuple[Partition, ...]:
     """elliptic_partitions, generated once per ctx."""
     if ctx.family == "A":
@@ -550,14 +557,13 @@ def class_size(ctx: GroupContext, alpha: Partition) -> int:
     prod (2a)^m_a m_a!.  D: the same count, because a class of negative
     cycles does not split in the even-signed group."""
     alpha = check_elliptic(ctx, alpha)
-    signed = ctx.family in ("BC", "D")
     z = 1
     for a, m in Counter(alpha).items():
-        z *= (2 * a if signed else a) ** m * factorial(m)
-    return factorial(ctx.n) * (2**ctx.n if signed else 1) // z
+        z *= (2 * a if ctx.signed else a) ** m * factorial(m)
+    return factorial(ctx.n) * (2**ctx.n if ctx.signed else 1) // z
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=CONTEXT_CACHE)
 def _shifts(
     ctx: GroupContext,
 ) -> tuple[tuple[Callable[[int], int], tuple[int, int, int], tuple[int, int, int]], ...]:
@@ -630,9 +636,7 @@ def _min_length_set(ctx: GroupContext, rep: SignedPermutation) -> Iterator[Signe
 # the order on elliptic classes
 
 
-# 32 contexts: verify runs a rank range rank by rank, so each context's
-# relation is built once whatever the range.
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=CONTEXT_CACHE)
 def weyl_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
     """The order on ctx's elliptic classes as a matrix, computed once per
     ctx: rel[i][j] says whether labels[i] <= labels[j], with
@@ -658,7 +662,7 @@ def weyl_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
     guards = _count_columns(ctx)[3]
     # where the count criterion is only necessary, the lazy descent walk
     # confirms each element it lets through
-    confirm = not _counts_exact(ctx)
+    confirm = not ctx.counts_exact
     rows = []
     for i, (rep, la) in enumerate(zip(reps, lengths)):
         # Bruhat order is graded by length, so x <= w with l(x) = l(w)
@@ -701,7 +705,7 @@ def weyl_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
 
 def group_order(ctx: GroupContext) -> int:
     n = ctx.n
-    if ctx.family in ("A", "2A"):
+    if not ctx.signed:
         return factorial(n)
     if ctx.family == "BC":
         return factorial(n) * 2**n
@@ -716,7 +720,7 @@ def enumerate_group(ctx: GroupContext) -> Iterator[SignedPermutation]:
             f"|{ctx.family}({ctx.n}) component| = {group_order(ctx)} exceeds {MAX_HELD}"
         )
     n = ctx.n
-    if ctx.family in ("A", "2A"):
+    if not ctx.signed:
         yield from itertools.permutations(range(1, n + 1))
         return
     for perm in itertools.permutations(range(1, n + 1)):
@@ -726,7 +730,7 @@ def enumerate_group(ctx: GroupContext) -> Iterator[SignedPermutation]:
                 yield w
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=CONTEXT_CACHE)
 def _class_table(
     ctx: GroupContext,
 ) -> dict[Partition, tuple[tuple[SignedPermutation, ...], tuple[int, ...]]]:
@@ -771,7 +775,7 @@ def count_matrix(ctx: GroupContext, w: SignedPermutation) -> CountMatrix:
     _check_element(ctx, w)
     idx, columns, width, _ = _count_columns(ctx)
     rows = itertools.accumulate(map(columns.__getitem__, _row_images(ctx, w)))
-    return CountMatrix(ctx.n, idx[0] < 0, tuple(unpack_bytes(r, width, len(idx)) for r in rows))
+    return CountMatrix(ctx.n, ctx.signed, tuple(unpack_bytes(r, width, len(idx)) for r in rows))
 
 
 def descent_walk(

@@ -88,8 +88,10 @@ TARGETS = (
     ("weylgroup.py", "_shifts"),
     ("weylgroup.py", "_elliptic_partitions"),
     ("weylgroup.py", "bruhat_leq_counts"),
-    ("weylgroup.py", "_counts_exact"),
+    ("weylgroup.py", "GroupContext.counts_exact"),
+    ("weylgroup.py", "GroupContext.signed"),
     ("cli.py", "run_verify"),
+    ("cli.py", "run_bruhat"),
 )
 
 COMPARE_SWAPS = {

@@ -110,9 +110,32 @@ def test_bruhat_even_signed_note():
 def test_bruhat_twisted_windows():
     text, code = cli.run_bruhat("2A", 3, "[1,2,3]*d", "[3,2,1]*d", "text")
     assert code == 0
-    assert text == "x <= y in Bruhat order: True\n"
+    assert text == (
+        "x <= y in Bruhat order: True\n"
+        "count-matrix criterion: True\n"
+    )
     text, _ = cli.run_bruhat("2A", 3, "[3,2,1]*d", "[1,2,3]*d", "text")
-    assert text == "x <= y in Bruhat order: False\n"
+    assert text == (
+        "x <= y in Bruhat order: False\n"
+        "count-matrix criterion: False\n"
+        "witness entry (i,j)=(1,2): x > y there\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "family, n, x, y, note",
+    [
+        ("BC", 2, "[1,2]", "[2,-1]", "count criterion disagrees with the recursive order"),
+        ("2A", 3, "[1,2,3]", "[3,2,1]", "count criterion disagrees with the recursive order"),
+        ("D", 3, "[1,2,3]", "[-2,-1,3]", "count criterion violated the necessity direction"),
+    ],
+)
+def test_bruhat_reports_a_count_criterion_bug(family, n, x, y, note, monkeypatch):
+    # x <= y, so a witness against x <= y contradicts the walk: exit 1
+    monkeypatch.setattr(wg, "_count_witness", lambda ctx, x, y: (1, 1))
+    for fmt in ("text", "json"):
+        text, code = cli.run_bruhat(family, n, x, y, fmt)
+        assert code == 1 and f"{note}; this is a bug" in text, (fmt, text)
 
 
 def test_bruhat_json():

@@ -89,6 +89,9 @@ def test_enumerate_group_cap(monkeypatch):
             list(wg.enumerate_group(wg.context("BC", 4)))
         with pytest.raises(wg.CapExceeded):
             wg.enumerate_class(wg.context("BC", 4), (4,))
+        # a group of exactly MAX_HELD elements is enumerated
+        monkeypatch.setattr(wg, "MAX_HELD", 384)
+        assert len(list(wg.enumerate_group(wg.context("BC", 4)))) == 384
     finally:
         wg._class_table.cache_clear()
 
@@ -465,6 +468,37 @@ def test_bruhat_generic_implies_counts_on_D():
                 converse_fails += 1
     # the count criterion is strictly weaker here
     assert converse_fails == 17
+
+
+@pytest.mark.parametrize(
+    "family, n, component, disagreements",
+    [
+        ("A", 3, None, 0),
+        ("A", 4, None, 0),
+        ("BC", 2, None, 0),
+        ("BC", 3, None, 0),
+        ("D", 3, "id", 17),
+        ("D", 3, "twisted", 17),
+        ("D", 4, "id", 754),
+        ("D", 4, "twisted", 873),
+        ("2A", 3, None, 0),
+        ("2A", 4, None, 0),
+    ],
+)
+def test_context_properties_follow_the_evidence(family, n, component, disagreements):
+    # counts_exact holds exactly where the count criterion agrees with
+    # the oracle's descent recursion on every pair, and signed exactly
+    # where some element has a negative entry
+    ctx = wg.context(family, n, component)
+    els = list(wg.enumerate_group(ctx))
+    wrong = sum(
+        (wg.count_witness(ctx, x, y) is None) != leftmost_descent_leq(ctx, x, y)
+        for x in els
+        for y in els
+    )
+    assert wrong == disagreements
+    assert ctx.counts_exact == (wrong == 0)
+    assert ctx.signed == any(min(w) < 0 for w in els)
 
 
 PACKED_CONTEXTS = [("A", range(1, 5)), ("BC", range(1, 4)), ("D", range(2, 5)), ("2A", range(2, 5))]
