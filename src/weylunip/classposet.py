@@ -13,6 +13,7 @@ entry of it.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, NamedTuple, Sequence
 
 from .partitions import Partition, format_partition
@@ -86,13 +87,27 @@ def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagra
     row-major order, that is related both ways.  Since the whole row is
     asked first, an exception raised by leq itself later in a row comes
     before the antisymmetry refusal of an earlier pair in that row.
+
+    A predicate with a relation attribute (unipotent.unipotent_leq) is
+    not asked pair by pair: leq.relation(nodes) gives the whole matrix,
+    rel[i][j] for leq(nodes[i], nodes[j]), before any row is checked, so
+    every exception it raises comes before any refusal here.  The
+    antisymmetry and transitivity refusals and the covers are the same
+    on both paths.
     """
     nodes = list(nodes)
+    relation = getattr(leq, "relation", None)
+    if relation is None:
+        rows = ([j for j, y in enumerate(nodes) if j != i and leq(x, y)]
+                for i, x in enumerate(nodes))
+    else:
+        rows = ([j for j in compress(range(len(nodes)), rel) if j != i]
+                for i, rel in enumerate(relation(nodes)))
     # up[i] is the bitmask of the nodes strictly above i, ups[i] lists them
     up = [0] * len(nodes)
     ups = []
-    for i, x in enumerate(nodes):
-        row = [j for j, y in enumerate(nodes) if j != i and leq(x, y)]
+    for i, row in enumerate(rows):
+        x = nodes[i]
         above = 0
         for j in row:
             # only an earlier row is filled in: the first pair of the

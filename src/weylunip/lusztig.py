@@ -36,7 +36,7 @@ from .unipotent import (
     check_group,
     good_label,
     has_unipotents,
-    unipotent_leq,
+    unipotent_relation,
 )
 
 
@@ -123,16 +123,17 @@ def verify_theorem(
     the group or the characteristic: they are read from
     dominance_relation and weyl_relation, which compute each once per
     context and share it among every combination verify runs on that
-    context.
+    context.  The first is read from unipotent_relation of the images.
     """
     ctx, classes, images = map_table(group, n, char, component)
     rel = weyl_relation(ctx)
     doms = dominance_relation(ctx)
+    unips = unipotent_relation(images)
     failures = []
     for i, ca in enumerate(classes):
         for j, cb in enumerate(classes):
             dom = doms[i][j]
-            u_leq = unipotent_leq(images[i], images[j])
+            u_leq = unips[i][j]
             w_leq = rel[j][i]
             if not (dom == u_leq == w_leq):
                 failures.append(

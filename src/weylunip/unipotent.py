@@ -387,6 +387,44 @@ def unipotent_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
     return not clash or not clash & ((sums_b | guards) - sums_a) & guards
 
 
+def unipotent_relation(labels) -> tuple[tuple[bool, ...], ...]:
+    """The closure order among labels as a matrix: rel[i][j] says
+    whether unipotent_leq(labels[i], labels[j]).
+
+    Row 0 is asked pair by pair through unipotent_leq and touches every
+    label, so a refusal is the one a pairwise scan in row-major order
+    meets first, and fewer than two labels ask nothing.  Every label then
+    shares row 0's domain and guards, and the other rows run
+    unipotent_leq's packed test inline, the parity test only against
+    labels with an epsilon value 0."""
+    labels = list(labels)
+    if len(labels) < 2:
+        return ((True,),) * len(labels)
+    first = labels[0]
+    rows = [tuple(j == 0 or unipotent_leq(first, b) for j, b in enumerate(labels))]
+    records = [u._record for u in labels]
+    guards = first._record[1]
+    tops = [key | guards for _, _, key, *_ in records]
+    # the parity test can fail only where the upper label's epsilon is 0
+    zeroed = [
+        (j, sums | guards, parity, zeros)
+        for j, (_, _, _, sums, parity, zeros) in enumerate(records)
+        if zeros
+    ]
+    for _, _, key_a, sums_a, parity_a, _ in records[1:]:
+        row = [(top - key_a) & guards == guards for top in tops]
+        for j, top_b, parity_b, zeros_b in zeroed:
+            clash = (parity_a ^ parity_b) & zeros_b
+            if row[j] and clash and clash & (top_b - sums_a) & guards:
+                row[j] = False
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+# hasse (classposet) reads a whole predicate's matrix from here at once
+unipotent_leq.relation = unipotent_relation
+
+
 def good_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
     """Closure order in good characteristic: dominance of partitions.
     Split markers are ignored (the two members of a split pair sit at

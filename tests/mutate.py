@@ -56,6 +56,7 @@ PYTEST = (
 TARGETS = (
     ("unipotent.py", "UnipotentLabel._record"),
     ("unipotent.py", "unipotent_leq"),
+    ("unipotent.py", "unipotent_relation"),
     ("partitions.py", "_generate"),
     ("partitions.py", "family_members"),
     ("classposet.py", "hasse"),
@@ -75,6 +76,8 @@ TARGETS = (
     ("weylgroup.py", "rep_signed"),
     ("weylgroup.py", "rep_2A"),
     ("partitions.py", "psi"),
+    ("partitions.py", "add_psi"),
+    ("partitions.py", "append_one"),
     ("unipotent.py", "_forced_value"),
     ("partitions.py", "transpose"),
     ("partitions.py", "byte_width"),

@@ -11,8 +11,9 @@ classes, decided along that walk, and its closed-form prediction;
 for each element of one minimal-length set, the first element of
 another below it, which gives the order's "no" pair by pair and its
 "every" element by element; the characteristic transfer
-theta2 with Spaltenstein's column-by-column form of it; and the
-transfer square of the Lusztig map.
+theta2 with Spaltenstein's column-by-column form of it; the
+transfer square of the Lusztig map; and the centraliser dimension of a
+good-characteristic unipotent class in closed form.
 The whole-group class sweep itself stays in weylunip.weylgroup (see the
 comment there), and this module imports it.
 """
@@ -362,3 +363,18 @@ def phi_good_char_equals_theta2_of_phi_char2(group: str, n: int, alpha) -> bool:
     c = elliptic_label(check_group(group, n, GOOD), alpha)
     transferred = theta2(phi(group, CHAR2, c))
     return transferred == phi(group, GOOD, c)
+
+
+def centraliser_dim(label: UnipotentLabel) -> int:
+    """dim Z_G(u) for u in the good-characteristic class label of G, from
+    its Jordan partition lambda and the transpose lambda*
+    (Collingwood-McGovern 1993, section 6.1): sum (lambda*_i)^2 for GL_n,
+    with the centre counted; half of that plus half the number of odd
+    parts lambda_j for Sp_2n; half of it minus that half for O_N."""
+    if label.kind != GOOD:
+        raise ValueError("centraliser_dim reads good-characteristic labels")
+    squares = sum(c * c for c in transpose(label.partition))
+    if label.group == "GL":
+        return squares
+    odd = sum(p % 2 for p in label.partition)
+    return (squares + odd) // 2 if label.group == "Sp" else (squares - odd) // 2

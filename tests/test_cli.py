@@ -659,6 +659,41 @@ def test_main_verify_checks_the_dominance_relation(capsys, monkeypatch):
         assert failure["dominance"] is flipped
 
 
+def test_main_verify_checks_the_unipotent_relation(capsys, monkeypatch):
+    # a closure relation with one wrong entry must surface as a
+    # counterexample in every combination that reads it
+    from weylunip import lusztig
+    from weylunip.classposet import elliptic_classes
+
+    labels = elliptic_classes(wg.context("BC", 4))
+    real = lusztig.unipotent_relation
+    # rel[i][j] is verify's closure answer for alpha = labels[i], beta = labels[j]
+    i, j = 1, 0
+    flips = {}
+
+    def corrupted(images):
+        rel = [list(row) for row in real(images)]
+        rel[i][j] = flips[tuple(images)] = not rel[i][j]
+        return tuple(map(tuple, rel))
+
+    monkeypatch.setattr(lusztig, "unipotent_relation", corrupted)
+    assert cli.main(["verify", "--family", "BC", "--rank", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == ["FAIL"] * 4
+    assert lines[-1] == "counterexamples found in 4 run(s)"
+    assert len(flips) == 4
+
+    assert cli.main(["verify", "--family", "BC", "--rank", "4", "--format", "json"]) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert len(reports) == 4
+    for report in reports:
+        [failure] = report["failures"]
+        assert failure["alpha"] == list(labels[i].partition)
+        assert failure["beta"] == list(labels[j].partition)
+        _, _, images = map_table(report["group"], 4, report["char"])
+        assert failure["unipotent_leq"] is flips[tuple(images)]
+
+
 @pytest.mark.parametrize("family", ["BC", "D"])
 def test_verify_is_unchanged_under_optimize(capsys, family):
     # python -O strips assert statements; no check verify relies on may be one

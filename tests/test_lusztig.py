@@ -9,10 +9,10 @@ from weylunip.lusztig import (
     verify_theorem,
 )
 from weylunip.partitions import dominance_leq, family_members
-from weylunip.unipotent import GROUP_FAMILY, check_group, format_unipotent
+from weylunip.unipotent import GOOD, GROUP_FAMILY, check_group, format_unipotent
 from weylunip import weylgroup as wg
 
-from oracle import phi_good_char_equals_theta2_of_phi_char2
+from oracle import centraliser_dim, phi_good_char_equals_theta2_of_phi_char2
 
 
 def _rows(group, n, char, component="id"):
@@ -153,6 +153,26 @@ def test_transfer_square_commutes():
     for n in range(2, 6):
         for alpha in wg.elliptic_partitions(wg.context("D", n)):
             assert phi_good_char_equals_theta2_of_phi_char2("O_even", n, alpha)
+
+
+# GL's one elliptic class at every rank; the others up to rank 28, about
+# 1.5 s in all, far past the ranks verify reaches
+CENTRALISER_RANKS = [("GL", range(1, 61))] + [
+    (group, range(wg.FAMILY_RULES[GROUP_FAMILY[group]].min_rank, 29))
+    for group in ("Sp", "O_odd", "O_even")
+]
+
+
+@pytest.mark.parametrize("group,ranks", CENTRALISER_RANKS, ids=[g for g, _ in CENTRALISER_RANKS])
+def test_phi_image_centraliser_has_the_class_length(group, ranks):
+    # dim Z_G(u) = l(w) for u in phi(C) and w minimal in C (Lusztig 2011,
+    # Represent. Theory 15), G semisimple: GL drops its 1-dimensional centre
+    centre = 1 if group == "GL" else 0
+    for n in ranks:
+        ctx, classes, images = map_table(group, n, GOOD)
+        for c, u in zip(classes, images):
+            want = wg.length(ctx, wg.class_rep(ctx, c.partition))
+            assert centraliser_dim(u) - centre == want, (group, n, c.partition, str(u))
 
 
 def test_verify_theorem_reports():

@@ -29,7 +29,10 @@ from weylunip.unipotent import (
     kappa,
     label_to_json,
     unipotent_leq,
+    unipotent_relation,
 )
+from weylunip import unipotent
+from weylunip.classposet import PosetError, hasse
 from weylunip.weylgroup import FAMILY_RULES, context
 
 from oracle import theta2, theta2_column_recipe, theta2_columns
@@ -488,6 +491,144 @@ def test_wide_fields_match_the_literal_definitions(group, n, char, extremes):
             assert unipotent_leq(a, b) == want, (a, b)
             held += want
     assert len(labels) < held < len(labels) ** 2
+
+
+def pairwise_relation(labels):
+    """unipotent_leq asked of every ordered pair of distinct positions in
+    row-major order, as hasse's pairwise scan asks, with the diagonal
+    True; or the (type, text) of the first refusal."""
+    try:
+        return tuple(
+            tuple(i == j or unipotent_leq(a, b) for j, b in enumerate(labels))
+            for i, a in enumerate(labels)
+        )
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def whole_relation(labels):
+    """unipotent_relation(labels), or the (type, text) of its refusal."""
+    try:
+        return unipotent_relation(labels)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def unipotent_blocks():
+    """Every group, characteristic and SO component that
+    enumerate_unipotent lists, at every rank up to 8 (GLd up to 16)."""
+    for group, char in LAYOUT_CASES:
+        for n in range(least_rank(group), 17 if group == "GLd" else 9):
+            blocks = defaultdict(list)
+            for u in enumerate_unipotent(group, n, char):
+                blocks[u.so_component].append(u)
+            yield from ((group, n, char, block) for block in blocks.values())
+
+
+# the unipotent_order benchmark cases: one diagram per SO component, the
+# second member of each split pair left out
+BENCH_CASES = [
+    (group, n, char, component)
+    for n in (7, 8)
+    for group, char, component in (
+        ("Sp", GOOD, None), ("Sp", CHAR2, None), ("O_odd", GOOD, None),
+        ("O_odd", CHAR2, None), ("O_even", GOOD, "SO"), ("O_even", CHAR2, "SO"),
+        ("O_even", CHAR2, "O\\SO"),
+    )
+] + [("GLd", n, CHAR2, None) for n in (14, 15, 16)]
+
+
+def bench_labels(group, n, char, component):
+    return [
+        u for u in enumerate_unipotent(group, n, char)
+        if u.split != "II" and u.so_component == component
+    ]
+
+
+def test_unipotent_relation_is_the_pairwise_order():
+    blocks = list(unipotent_blocks())
+    blocks += [(*case[:3], bench_labels(*case)) for case in BENCH_CASES]
+    assert len(blocks) == 101
+    for group, n, char, labels in blocks:
+        rel = unipotent_relation(labels)
+        assert rel == pairwise_relation(labels), (group, n, char)
+        assert all(type(x) is bool for row in rel for x in row)
+
+
+def test_unipotent_relation_asks_only_its_first_row(monkeypatch):
+    asked = []
+
+    def counted(a, b, leq=unipotent_leq):
+        asked.append((a, b))
+        return leq(a, b)
+
+    monkeypatch.setattr(unipotent, "unipotent_leq", counted)
+    for case in BENCH_CASES:
+        labels = bench_labels(*case)
+        asked.clear()
+        unipotent_relation(labels)
+        assert asked == [(labels[0], b) for b in labels[1:]], case
+
+
+def foreign_labels():
+    """Labels that a block of O_even rank 4 characteristic-2 labels in the
+    SO component refuses: of another kind, group, rank or component, or
+    with a partition of the wrong size."""
+    return [
+        good_label("O_even", 4, (5, 3)),
+        bad_label("Sp", 4, (8,)),
+        bad_label("O_even", 3, (6,)),
+        bad_label("O_even", 4, (8,)),
+        UnipotentLabel("O_even", 4, CHAR2, (4, 2), ()),
+        UnipotentLabel("O_even", 4, CHAR2, (4, 4), ()),
+    ]
+
+
+def test_unipotent_relation_refuses_as_the_pairwise_scan():
+    cases = [[], [bad_label("Sp", 2, (4,))], [UnipotentLabel("GL", 4, GOOD, (3,))]]
+    for case, *_ in REFUSALS:
+        pair = list(refused_pair(case))
+        cases += [pair, pair[::-1]]
+    block = bench_labels("O_even", 4, CHAR2, "SO")
+    for odd in foreign_labels():
+        cases += [block[:k] + [odd] + block[k:] for k in (0, 1, 3, len(block))]
+    for first, second in itertools.permutations(foreign_labels(), 2):
+        cases += [block[:1] + [first] + block[1:3] + [second] + block[3:]]
+        cases += [[first] + block + [second]]
+    refused = 0
+    for labels in cases:
+        want = pairwise_relation(labels)
+        assert whole_relation(labels) == want, labels
+        refused += bool(want) and isinstance(want[0], type)
+    assert refused == len(cases) - 3
+    # fewer than two labels ask nothing, so a malformed label alone passes
+    assert unipotent_relation([]) == ()
+    assert unipotent_relation(cases[2]) == ((True,),)
+
+
+@pytest.mark.parametrize("n,char", [(4, GOOD), (4, CHAR2), (6, GOOD), (6, CHAR2)])
+def test_hasse_reads_the_relation_as_it_would_ask_each_pair(n, char):
+    # a plain wrapper has no relation attribute and takes the pairwise path
+    def plain(a, b):
+        return unipotent_leq(a, b)
+
+    labels = enumerate_unipotent("O_even", n, char)
+    blocks = defaultdict(list)
+    for u in labels:
+        if u.split != "II":
+            blocks[u.so_component].append(u)
+    assert unipotent_leq.relation is unipotent_relation
+    for block in blocks.values():
+        assert hasse(block, unipotent_leq) == hasse(block, plain)
+    # split twins compare both ways, and both paths name the same pair
+    twins = [u for u in labels if u.split is not None and u.so_component == "SO"]
+    texts = set()
+    for leq in (unipotent_leq, plain):
+        with pytest.raises(PosetError, match="antisymmetry violated") as caught:
+            hasse([u for u in labels if u.so_component == "SO"], leq)
+        texts.add(str(caught.value))
+    [text] = texts
+    assert repr(twins[1]) in text and repr(twins[0]) in text
 
 
 def test_library_refuses_ranks_below_the_least_rank():
