@@ -496,20 +496,17 @@ def test_wide_fields_match_the_literal_definitions(group, n, char, extremes):
 def pairwise_relation(labels):
     """unipotent_leq asked of every ordered pair of distinct positions in
     row-major order, as hasse's pairwise scan asks, with the diagonal
-    True; or the (type, text) of the first refusal."""
-    try:
-        return tuple(
-            tuple(i == j or unipotent_leq(a, b) for j, b in enumerate(labels))
-            for i, a in enumerate(labels)
-        )
-    except Exception as exc:
-        return type(exc), str(exc)
+    True."""
+    return tuple(
+        tuple(i == j or unipotent_leq(a, b) for j, b in enumerate(labels))
+        for i, a in enumerate(labels)
+    )
 
 
-def whole_relation(labels):
-    """unipotent_relation(labels), or the (type, text) of its refusal."""
+def outcome(relation, labels):
+    """relation(labels), or the (type, text) of its refusal."""
     try:
-        return unipotent_relation(labels)
+        return relation(labels)
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -572,8 +569,8 @@ def test_unipotent_relation_asks_only_its_first_row(monkeypatch):
 
 def foreign_labels():
     """Labels that a block of O_even rank 4 characteristic-2 labels in the
-    SO component refuses: of another kind, group, rank or component, or
-    with a partition of the wrong size."""
+    SO component refuses: of another kind, group, rank or component, with
+    a partition of the wrong size, or missing a free epsilon value."""
     return [
         good_label("O_even", 4, (5, 3)),
         bad_label("Sp", 4, (8,)),
@@ -597,8 +594,8 @@ def test_unipotent_relation_refuses_as_the_pairwise_scan():
         cases += [[first] + block + [second]]
     refused = 0
     for labels in cases:
-        want = pairwise_relation(labels)
-        assert whole_relation(labels) == want, labels
+        want = outcome(pairwise_relation, labels)
+        assert outcome(unipotent_relation, labels) == want, labels
         refused += bool(want) and isinstance(want[0], type)
     assert refused == len(cases) - 3
     # fewer than two labels ask nothing, so a malformed label alone passes
