@@ -13,7 +13,8 @@ entry of it.
 
 from __future__ import annotations
 
-from itertools import compress
+from functools import reduce
+from operator import itemgetter, or_
 from typing import Callable, NamedTuple, Sequence
 
 from .partitions import Partition, format_partition
@@ -82,11 +83,12 @@ def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagra
     with nothing strictly between, and covers come sorted.
 
     Row i is one pass that asks leq(nodes[i], y) of every other node y
-    once, in index order.  The antisymmetry check follows the row and
-    scans it in the same order, so a refusal names the first pair, in
-    row-major order, that is related both ways.  Since the whole row is
-    asked first, an exception raised by leq itself later in a row comes
-    before the antisymmetry refusal of an earlier pair in that row.
+    once, in index order.  The antisymmetry check follows the row, before
+    row i + 1 is asked, and scans it in the same order, so a refusal
+    names the first pair, in row-major order, that is related both ways.
+    Since the whole row is asked first, an exception raised by leq itself
+    later in a row comes before the antisymmetry refusal of an earlier
+    pair in that row.
 
     A predicate with a relation attribute (unipotent.unipotent_leq) is
     not asked pair by pair: leq.relation(nodes) gives the whole matrix,
@@ -94,48 +96,78 @@ def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagra
     every exception it raises comes before any refusal here.  The
     antisymmetry and transitivity refusals and the covers are the same
     on both paths.
+
+    Each row becomes one integer, the up-set of its node, with node j at
+    bit 8j.  The covers of node i are the minimal elements of its up-set,
+    found one at a time: a minimal element c, whose up-set must lie in
+    i's, is recorded and removed together with everything above it.  When
+    every up-set lies before its node (enumerate_unipotent's order, and
+    phi's images in class order) the highest set bit is minimal; when
+    every up-set lies after its node (weyl_relation's class order) the
+    lowest.  Any other order is laid out again by up-set size, largest
+    first, a linear extension of any partial order, and takes the lowest.
+    If every check passes the relation is a partial order (by induction
+    on up-set size); otherwise a scan of the rows in order names the
+    refusal.
     """
     nodes = list(nodes)
+    m = len(nodes)
     relation = getattr(leq, "relation", None)
     if relation is None:
-        rows = ([j for j, y in enumerate(nodes) if j != i and leq(x, y)]
+        rows = ([j != i and bool(leq(x, y)) for j, y in enumerate(nodes)]
                 for i, x in enumerate(nodes))
     else:
-        rows = ([j for j in compress(range(len(nodes)), rel) if j != i]
-                for i, rel in enumerate(relation(nodes)))
-    # up[i] is the bitmask of the nodes strictly above i, ups[i] lists them
-    up = [0] * len(nodes)
-    ups = []
+        rows = relation(nodes)
+    up = []
     for i, row in enumerate(rows):
-        x = nodes[i]
-        above = 0
-        for j in row:
-            # only an earlier row is filled in: the first pair of the
-            # scan that is related both ways is named
-            if up[j] >> i & 1:
-                raise PosetError(
-                    f"antisymmetry violated between {x!r} and {nodes[j]!r}"
-                )
-            above |= 1 << j
-        up[i] = above
-        ups.append(row)
-    # reach is everything above some node of up[i]: transitivity says it
-    # lies inside up[i], and the covers of i are the nodes of up[i] outside it
+        up.append(int.from_bytes(bytes(row), "little") & ~(1 << 8 * i))
+        if relation is None and _both_ways(up, i) is not None:
+            raise _refusal(nodes, up)
+    # lay is up with node order[p] at position p
+    lay, order = up, range(m)
+    top = all(u >> 8 * i == 0 for i, u in enumerate(up))
+    if not top and any(u & (1 << 8 * i) - 1 for i, u in enumerate(up)):
+        order = sorted(order, key=lambda i: -up[i].bit_count())
+        pick = itemgetter(*order)
+        lay = [int.from_bytes(bytes(pick(up[i].to_bytes(m, "little"))), "little")
+               for i in order]
     covers = []
-    for i, above in enumerate(up):
-        reach = 0
-        for j in ups[i]:
-            reach |= up[j]
-        beyond = reach & ~above
+    for p, u in enumerate(lay):
+        cand = u
+        while cand:
+            b = cand.bit_length() - 1 if top else (cand & -cand).bit_length() - 1
+            c = b >> 3
+            if lay[c] & ~u:
+                raise _refusal(nodes, up)
+            covers.append((order[p], order[c]))
+            cand = cand & ~lay[c] ^ 1 << b
+    return HasseDiagram(tuple(nodes), tuple(sorted(covers)))
+
+
+def _both_ways(up: list[int], i: int) -> int | None:
+    """The first node before node i that is related to it both ways."""
+    return next((j for j in range(i) if up[i] >> 8 * j & up[j] >> 8 * i & 1), None)
+
+
+def _refusal(nodes: list, up: list[int]) -> PosetError:
+    """The refusal of the up-sets up[0], up[1], ..., scanned in row
+    order: the first pair related both ways, else the first node i, the
+    lowest k above a node above i but not above i, and the first such
+    node j."""
+    for i in range(len(up)):
+        j = _both_ways(up, i)
+        if j is not None:
+            return PosetError(f"antisymmetry violated between {nodes[i]!r} and {nodes[j]!r}")
+    for i, u in enumerate(up):
+        above = [j for j in range(len(up)) if u >> 8 * j & 1]
+        beyond = reduce(or_, (up[j] for j in above), 0) & ~u
         if beyond:
-            k = (beyond & -beyond).bit_length() - 1
-            j = next(j for j in ups[i] if up[j] >> k & 1)
-            raise PosetError(
+            k = next(k for k in range(len(up)) if beyond >> 8 * k & 1)
+            j = next(j for j in above if up[j] >> 8 * k & 1)
+            return PosetError(
                 f"transitivity violated: {nodes[i]!r} <= {nodes[j]!r} <= "
                 f"{nodes[k]!r} but not {nodes[i]!r} <= {nodes[k]!r}"
             )
-        covers += ((i, j) for j in ups[i] if not reach >> j & 1)
-    return HasseDiagram(tuple(nodes), tuple(covers))
 
 
 def hasse_to_json(diagram: HasseDiagram) -> dict:

@@ -60,6 +60,8 @@ TARGETS = (
     ("partitions.py", "_generate"),
     ("partitions.py", "family_members"),
     ("classposet.py", "hasse"),
+    ("classposet.py", "_both_ways"),
+    ("classposet.py", "_refusal"),
     ("weylgroup.py", "_steps"),
     ("weylgroup.py", "_bruhat_leq"),
     ("weylgroup.py", "_min_length_set"),

@@ -381,6 +381,28 @@ def random_order(rng, m, density):
     return rng.sample(range(m), m), lambda x, y: x == y or y in above[x]
 
 
+def with_relation(leq):
+    """leq with a relation attribute, so that hasse reads the whole
+    matrix at once instead of asking pair by pair."""
+    def read(x, y):
+        return leq(x, y)
+
+    read.relation = lambda nodes: tuple(tuple(bool(leq(x, y)) for y in nodes) for x in nodes)
+    return read
+
+
+def refusal(nodes, leq):
+    """The text of hasse's refusal of leq, which must be the same on
+    both paths."""
+    texts = set()
+    for path in (leq, with_relation(leq)):
+        with pytest.raises(PosetError) as exc:
+            hasse(nodes, path)
+        texts.add(str(exc.value))
+    [text] = texts
+    return text
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_hasse_matches_cubic_definition_on_random_orders(seed):
     rng = random.Random(seed)
@@ -390,6 +412,24 @@ def test_hasse_matches_cubic_definition_on_random_orders(seed):
             diagram = hasse(nodes, leq)
             assert list(diagram.covers) == cubic_covers(nodes, leq)
             assert diagram.nodes == tuple(nodes)
+            # the whole matrix at once, with the nodes in a linear
+            # extension, in its reverse and shuffled
+            for order in (sorted(nodes), sorted(nodes, reverse=True), nodes):
+                covers = hasse(order, with_relation(leq)).covers
+                assert list(covers) == cubic_covers(order, leq)
+
+
+def test_hasse_lays_out_again_an_order_that_is_nearly_sorted():
+    # a chain listed upward or downward with one run of three reversed:
+    # its first or last bit is no longer minimal, wherever the run lies
+    m = 40
+    for chain in (list(range(m)), list(range(m))[::-1]):
+        for k in range(m - 2):
+            nodes = chain[:k] + chain[k:k + 3][::-1] + chain[k + 3:]
+            where = {x: i for i, x in enumerate(nodes)}
+            want = sorted((where[x], where[x + 1]) for x in range(m - 1))
+            for leq in (int.__le__, with_relation(int.__le__)):
+                assert list(hasse(nodes, leq).covers) == want
 
 
 def test_hasse_matches_cubic_definition_on_dominance():
@@ -421,9 +461,8 @@ def test_hasse_rejects_non_antisymmetric():
 ])
 def test_hasse_names_the_first_pair_related_both_ways(nodes, both_ways, first):
     # the first such pair of the row-major scan, by its exact message
-    with pytest.raises(PosetError) as exc:
-        hasse(list(nodes), lambda x, y: x == y or (x, y) in both_ways)
-    assert str(exc.value) == "antisymmetry violated between {!r} and {!r}".format(*first)
+    text = refusal(list(nodes), lambda x, y: x == y or (x, y) in both_ways)
+    assert text == "antisymmetry violated between {!r} and {!r}".format(*first)
 
 
 def test_hasse_asks_every_ordered_pair_once():
@@ -450,30 +489,55 @@ def test_hasse_asks_every_ordered_pair_once():
             hasse(nodes, lambda x, y: leq(x, y) or (x, y) == (hi, lo))
 
 
+def test_hasse_refuses_a_row_before_asking_the_next():
+    # row b relates b and a both ways, so row c is never asked
+    def leq(x, y):
+        assert x != "c", "row c asked"
+        return True
+
+    with pytest.raises(PosetError, match="between 'b' and 'a'"):
+        hasse(["a", "b", "c"], leq)
+
+    # but an exception of leq itself later in row b comes first
+    def raising(x, y):
+        if (x, y) == ("b", "c"):
+            raise KeyError(y)
+        return True
+
+    with pytest.raises(KeyError):
+        hasse(["a", "b", "c"], raising)
+
+
 def test_hasse_ends_on_a_predicate_that_is_not_transitive():
     # a 3-cycle relates no pair both ways; refused or not, it must not
     # keep the covers step walking round the cycle
     rel = {("a", "b"), ("b", "c"), ("c", "a")}
-    try:
-        hasse(["a", "b", "c"], lambda x, y: (x, y) in rel)
-    except PosetError:
-        pass
+
+    def leq(x, y):
+        return (x, y) in rel
+
+    ends = set()
+    for path in (leq, with_relation(leq)):
+        try:
+            ends.add(hasse(["a", "b", "c"], path))
+        except PosetError as exc:
+            ends.add(str(exc))
+    # and both paths end the same way
+    assert len(ends) == 1
 
 
 def test_hasse_rejects_a_predicate_that_is_not_transitive():
     rel = {("a", "b"), ("b", "c"), ("c", "a")}
-    with pytest.raises(PosetError) as exc:
-        hasse(["a", "b", "c"], lambda x, y: (x, y) in rel)
-    assert str(exc.value) == "transitivity violated: 'a' <= 'b' <= 'c' but not 'a' <= 'c'"
+    text = refusal(["a", "b", "c"], lambda x, y: (x, y) in rel)
+    assert text == "transitivity violated: 'a' <= 'b' <= 'c' but not 'a' <= 'c'"
     # the middle node named is one that lies above a and below d, not
     # merely the first node above a
     rel = {("a", "b"), ("a", "c"), ("c", "d")}
-    with pytest.raises(PosetError) as exc:
-        hasse(["a", "b", "c", "d"], lambda x, y: x == y or (x, y) in rel)
-    assert str(exc.value) == "transitivity violated: 'a' <= 'c' <= 'd' but not 'a' <= 'd'"
+    text = refusal(["a", "b", "c", "d"], lambda x, y: x == y or (x, y) in rel)
+    assert text == "transitivity violated: 'a' <= 'c' <= 'd' but not 'a' <= 'd'"
     # a chain with its long edge missing has no cycle at all
-    with pytest.raises(PosetError, match="transitivity violated"):
-        hasse(["a", "b", "c"], lambda x, y: (x, y) in {("a", "b"), ("b", "c")})
+    text = refusal(["a", "b", "c"], lambda x, y: (x, y) in {("a", "b"), ("b", "c")})
+    assert "transitivity violated" in text
     # any one edge implied by two others, dropped from a valid order
     nodes, leq = random_order(random.Random(3), 12, 0.3)
     implied = {
@@ -485,8 +549,8 @@ def test_hasse_rejects_a_predicate_that_is_not_transitive():
     }
     assert implied
     for lo, hi in sorted(implied):
-        with pytest.raises(PosetError, match="transitivity violated"):
-            hasse(nodes, lambda x, y: leq(x, y) and (x, y) != (lo, hi))
+        text = refusal(nodes, lambda x, y: leq(x, y) and (x, y) != (lo, hi))
+        assert "transitivity violated" in text
 
 
 def test_hasse_covers_exclude_transitive_edges():

@@ -31,7 +31,7 @@ from weylunip.unipotent import (
     unipotent_leq,
     unipotent_relation,
 )
-from weylunip import unipotent
+from weylunip import classposet, unipotent
 from weylunip.classposet import PosetError, hasse
 from weylunip.weylgroup import FAMILY_RULES, context
 
@@ -603,22 +603,36 @@ def test_unipotent_relation_refuses_as_the_pairwise_scan():
     assert unipotent_relation(cases[2]) == ((True,),)
 
 
-@pytest.mark.parametrize("n,char", [(4, GOOD), (4, CHAR2), (6, GOOD), (6, CHAR2)])
-def test_hasse_reads_the_relation_as_it_would_ask_each_pair(n, char):
+@pytest.mark.parametrize("group,n,char", [
+    # every group, characteristic and SO component of the benchmark's
+    # unipotent_order workload, at lower ranks
+    *((group, n, char) for group in ("Sp", "O_odd", "O_even")
+      for n in (4, 5, 6) for char in (GOOD, CHAR2)),
+    *(("GLd", n, CHAR2) for n in range(8, 13)),
+])
+def test_hasse_reads_the_relation_as_it_would_ask_each_pair(group, n, char, monkeypatch):
     # a plain wrapper has no relation attribute and takes the pairwise path
     def plain(a, b):
         return unipotent_leq(a, b)
 
-    labels = enumerate_unipotent("O_even", n, char)
+    labels = enumerate_unipotent(group, n, char)
     blocks = defaultdict(list)
     for u in labels:
         if u.split != "II":
             blocks[u.so_component].append(u)
     assert unipotent_leq.relation is unipotent_relation
+    # enumeration order puts every up-set before its node and the reverse
+    # puts it after, so neither is laid out again
+    monkeypatch.delattr(classposet, "itemgetter")
     for block in blocks.values():
-        assert hasse(block, unipotent_leq) == hasse(block, plain)
+        for nodes in (block, block[::-1]):
+            assert hasse(nodes, unipotent_leq) == hasse(nodes, plain)
+    monkeypatch.undo()
     # split twins compare both ways, and both paths name the same pair
     twins = [u for u in labels if u.split is not None and u.so_component == "SO"]
+    assert bool(twins) == (group == "O_even" and n % 2 == 0)
+    if not twins:
+        return
     texts = set()
     for leq in (unipotent_leq, plain):
         with pytest.raises(PosetError, match="antisymmetry violated") as caught:
