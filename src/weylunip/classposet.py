@@ -14,6 +14,7 @@ entry of it.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress
 from operator import itemgetter, or_
 from typing import Callable, NamedTuple, Sequence
 
@@ -121,7 +122,7 @@ def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagra
     up = []
     for i, row in enumerate(rows):
         up.append(int.from_bytes(bytes(row), "little") & ~(1 << 8 * i))
-        if relation is None and _both_ways(up, i) is not None:
+        if relation is None and _both_ways(up, i, m) is not None:
             raise _refusal(nodes, up)
     # lay is up with node order[p] at position p
     lay, order = up, range(m)
@@ -144,9 +145,11 @@ def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagra
     return HasseDiagram(tuple(nodes), tuple(sorted(covers)))
 
 
-def _both_ways(up: list[int], i: int) -> int | None:
-    """The first node before node i that is related to it both ways."""
-    return next((j for j in range(i) if up[i] >> 8 * j & up[j] >> 8 * i & 1), None)
+def _both_ways(up: list[int], i: int, m: int) -> int | None:
+    """The first node before node i that is related to it both ways,
+    among m nodes."""
+    above = compress(range(i), up[i].to_bytes(m, "little"))
+    return next((j for j in above if up[j] >> 8 * i & 1), None)
 
 
 def _refusal(nodes: list, up: list[int]) -> PosetError:
@@ -155,7 +158,7 @@ def _refusal(nodes: list, up: list[int]) -> PosetError:
     lowest k above a node above i but not above i, and the first such
     node j."""
     for i in range(len(up)):
-        j = _both_ways(up, i)
+        j = _both_ways(up, i, len(nodes))
         if j is not None:
             return PosetError(f"antisymmetry violated between {nodes[i]!r} and {nodes[j]!r}")
     for i, u in enumerate(up):
