@@ -146,8 +146,8 @@ def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagra
 
 
 def _both_ways(up: list[int], i: int, m: int) -> int | None:
-    """The first node before node i that is related to it both ways,
-    among m nodes."""
+    """The first node before node i that is related to it both ways;
+    m is the number of nodes."""
     above = compress(range(i), up[i].to_bytes(m, "little"))
     return next((j for j in above if up[j] >> 8 * i & 1), None)
 
