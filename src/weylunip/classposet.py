@@ -83,20 +83,12 @@ def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagra
     predicate is not transitive; a cover (i, j) means nodes[i] < nodes[j]
     with nothing strictly between, and covers come sorted.
 
-    Row i is one pass that asks leq(nodes[i], y) of every other node y
-    once, in index order.  The antisymmetry check follows the row, before
-    row i + 1 is asked, and scans it in the same order, so a refusal
-    names the first pair, in row-major order, that is related both ways.
-    Since the whole row is asked first, an exception raised by leq itself
-    later in a row comes before the antisymmetry refusal of an earlier
-    pair in that row.
-
-    A predicate with a relation attribute (unipotent.unipotent_leq) is
-    not asked pair by pair: leq.relation(nodes) gives the whole matrix,
-    rel[i][j] for leq(nodes[i], nodes[j]), before any row is checked, so
-    every exception it raises comes before any refusal here.  The
-    antisymmetry and transitivity refusals and the covers are the same
-    on both paths.
+    The whole relation is read before anything is checked: as
+    leq.relation(nodes), rel[i][j] for leq(nodes[i], nodes[j]), when leq
+    has that attribute (unipotent.unipotent_leq), and otherwise by asking
+    leq of every ordered pair of distinct nodes once, row by row.  So
+    every exception leq raises comes before any refusal, and the refusal
+    texts and covers do not depend on which way the relation is read.
 
     Each row becomes one integer, the up-set of its node, with node j at
     bit 8j.  The covers of node i are the minimal elements of its up-set,
@@ -115,15 +107,12 @@ def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagra
     m = len(nodes)
     relation = getattr(leq, "relation", None)
     if relation is None:
-        rows = ([j != i and bool(leq(x, y)) for j, y in enumerate(nodes)]
-                for i, x in enumerate(nodes))
+        rows = [[j != i and bool(leq(x, y)) for j, y in enumerate(nodes)]
+                for i, x in enumerate(nodes)]
     else:
         rows = relation(nodes)
-    up = []
-    for i, row in enumerate(rows):
-        up.append(int.from_bytes(bytes(row), "little") & ~(1 << 8 * i))
-        if relation is None and _both_ways(up, i, m) is not None:
-            raise _refusal(nodes, up)
+    up = [int.from_bytes(bytes(row), "little") & ~(1 << 8 * i)
+          for i, row in enumerate(rows)]
     # lay is up with node order[p] at position p
     lay, order = up, range(m)
     top = all(u >> 8 * i == 0 for i, u in enumerate(up))
@@ -145,27 +134,21 @@ def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagra
     return HasseDiagram(tuple(nodes), tuple(sorted(covers)))
 
 
-def _both_ways(up: list[int], i: int, m: int) -> int | None:
-    """The first node before node i that is related to it both ways;
-    m is the number of nodes."""
-    above = compress(range(i), up[i].to_bytes(m, "little"))
-    return next((j for j in above if up[j] >> 8 * i & 1), None)
-
-
 def _refusal(nodes: list, up: list[int]) -> PosetError:
     """The refusal of the up-sets up[0], up[1], ..., scanned in row
     order: the first pair related both ways, else the first node i, the
     lowest k above a node above i but not above i, and the first such
     node j."""
-    for i in range(len(up)):
-        j = _both_ways(up, i, len(nodes))
-        if j is not None:
-            return PosetError(f"antisymmetry violated between {nodes[i]!r} and {nodes[j]!r}")
+    m = len(up)
     for i, u in enumerate(up):
-        above = [j for j in range(len(up)) if u >> 8 * j & 1]
+        for j in compress(range(i), u.to_bytes(m, "little")):
+            if up[j] >> 8 * i & 1:
+                return PosetError(f"antisymmetry violated between {nodes[i]!r} and {nodes[j]!r}")
+    for i, u in enumerate(up):
+        above = [j for j in range(m) if u >> 8 * j & 1]
         beyond = reduce(or_, (up[j] for j in above), 0) & ~u
         if beyond:
-            k = next(k for k in range(len(up)) if beyond >> 8 * k & 1)
+            k = next(k for k in range(m) if beyond >> 8 * k & 1)
             j = next(j for j in above if up[j] >> 8 * k & 1)
             return PosetError(
                 f"transitivity violated: {nodes[i]!r} <= {nodes[j]!r} <= "

@@ -60,7 +60,6 @@ TARGETS = (
     ("partitions.py", "_generate"),
     ("partitions.py", "family_members"),
     ("classposet.py", "hasse"),
-    ("classposet.py", "_both_ways"),
     ("classposet.py", "_refusal"),
     ("weylgroup.py", "_steps"),
     ("weylgroup.py", "_bruhat_leq"),

@@ -489,23 +489,31 @@ def test_hasse_asks_every_ordered_pair_once():
             hasse(nodes, lambda x, y: leq(x, y) or (x, y) == (hi, lo))
 
 
-def test_hasse_refuses_a_row_before_asking_the_next():
-    # row b relates b and a both ways, so row c is never asked
-    def leq(x, y):
-        assert x != "c", "row c asked"
-        return True
-
-    with pytest.raises(PosetError, match="between 'b' and 'a'"):
-        hasse(["a", "b", "c"], leq)
-
-    # but an exception of leq itself later in row b comes first
+def test_hasse_reads_the_whole_relation_before_any_refusal():
+    # a and b are related both ways, and leq raises in row c, after
+    # that pair: the exception comes first on both inputs
     def raising(x, y):
-        if (x, y) == ("b", "c"):
+        if (x, y) == ("c", "a"):
             raise KeyError(y)
         return True
 
-    with pytest.raises(KeyError):
-        hasse(["a", "b", "c"], raising)
+    for path in (raising, with_relation(raising)):
+        with pytest.raises(KeyError):
+            hasse(["a", "b", "c"], path)
+    # without the raise, every ordered pair of distinct nodes is asked
+    # once before the refusal, whose text is unchanged
+    distinct = {(x, y): 1 for x in "abc" for y in "abc" if x != y}
+    for read in (lambda leq: leq, with_relation):
+        asked = Counter()
+
+        def leq(x, y):
+            asked[x, y] += 1
+            return True
+
+        with pytest.raises(PosetError) as exc:
+            hasse(["a", "b", "c"], read(leq))
+        assert str(exc.value) == "antisymmetry violated between 'b' and 'a'"
+        assert {p: k for p, k in asked.items() if p[0] != p[1]} == distinct
 
 
 def test_hasse_ends_on_a_predicate_that_is_not_transitive():
