@@ -273,26 +273,19 @@ def bruhat_leq_counts(ctx: GroupContext, x: SignedPermutation, y: SignedPermutat
         raise ValueError(
             f"count-matrix criterion is not exact for {ctx.family}; use bruhat_leq_generic"
         )
-    return count_witness(ctx, x, y) is None
-
-
-def count_witness(
-    ctx: GroupContext, x: SignedPermutation, y: SignedPermutation
-) -> tuple[int, int] | None:
-    """The first index pair (i, j), row by row, where x's count matrix
-    exceeds y's, or None when x's lies entrywise below y's.  One packed
-    comparison: the lowest guard bit it clears is that pair's field."""
     _check_element(ctx, x)
     _check_element(ctx, y)
-    return _count_witness(ctx, x, y)
+    return _count_witness(ctx, x, y) is None
 
 
 def _count_witness(
     ctx: GroupContext, x: SignedPermutation, y: SignedPermutation
 ) -> tuple[int, int] | None:
-    """count_witness without the membership checks.  The key's rows are
-    the matrix's first rows, so the first entry x exceeds y at lies in
-    them (see _count_key)."""
+    """The first index pair (i, j), row by row, where x's count matrix
+    exceeds y's, or None when x's lies entrywise below y's; x and y are
+    not checked.  One packed comparison: the lowest guard bit it clears
+    is that pair's field.  The key's rows are the matrix's first rows, so
+    the first entry x exceeds y at lies in them (see _count_key)."""
     idx, _, width, guards = _count_columns(ctx)
     missed = guards ^ fields_leq(_count_key(ctx, x), _count_key(ctx, y), guards)
     if not missed:

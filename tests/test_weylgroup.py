@@ -492,7 +492,7 @@ def test_context_properties_follow_the_evidence(family, n, component, disagreeme
     ctx = wg.context(family, n, component)
     els = list(wg.enumerate_group(ctx))
     wrong = sum(
-        (wg.count_witness(ctx, x, y) is None) != leftmost_descent_leq(ctx, x, y)
+        (wg._count_witness(ctx, x, y) is None) != leftmost_descent_leq(ctx, x, y)
         for x in els
         for y in els
     )
@@ -568,7 +568,7 @@ def test_count_witness_is_the_first_entry_row_by_row():
         mats = [wg.count_matrix(ctx, w) for w in els]
         for x, mx in zip(els, mats):
             for y, my in zip(els, mats):
-                assert wg.count_witness(ctx, x, y) == literal_witness(mx, my), (ctx, x, y)
+                assert wg._count_witness(ctx, x, y) == literal_witness(mx, my), (ctx, x, y)
 
 
 def test_packed_counts_decide_the_order_at_small_rank():
@@ -624,7 +624,7 @@ def test_packed_counts_agree_with_the_descent_recursion(case):
     ctx, x, y, related = case
     generic = wg.bruhat_leq_generic(ctx, x, y)
     assert generic or not related
-    packed = wg.count_witness(ctx, x, y) is None
+    packed = wg._count_witness(ctx, x, y) is None
     if ctx.family == "D":
         assert packed or not generic
     else:
