@@ -393,7 +393,7 @@ def with_relation(leq):
 
 def refusal(nodes, leq):
     """The text of hasse's refusal of leq, which must be the same on
-    both paths."""
+    both inputs."""
     texts = set()
     for path in (leq, with_relation(leq)):
         with pytest.raises(PosetError) as exc:
@@ -530,7 +530,7 @@ def test_hasse_ends_on_a_predicate_that_is_not_transitive():
             ends.add(hasse(["a", "b", "c"], path))
         except PosetError as exc:
             ends.add(str(exc))
-    # and both paths end the same way
+    # and both inputs end the same way
     assert len(ends) == 1
 
 

@@ -612,7 +612,7 @@ def test_unipotent_relation_refuses_as_the_pairwise_scan():
     *(("GLd", n, CHAR2) for n in range(8, 13)),
 ])
 def test_hasse_reads_the_relation_as_it_would_ask_each_pair(group, n, char, monkeypatch):
-    # a plain wrapper has no relation attribute and takes the pairwise path
+    # a plain wrapper has no relation attribute and is asked pair by pair
     def plain(a, b):
         return unipotent_leq(a, b)
 
@@ -629,7 +629,7 @@ def test_hasse_reads_the_relation_as_it_would_ask_each_pair(group, n, char, monk
         for nodes in (block, block[::-1]):
             assert hasse(nodes, unipotent_leq) == hasse(nodes, plain)
     monkeypatch.undo()
-    # split twins compare both ways, and both paths name the same pair
+    # split twins compare both ways, and both inputs name the same pair
     twins = [u for u in labels if u.split is not None and u.so_component == "SO"]
     assert bool(twins) == (group == "O_even" and n % 2 == 0)
     if not twins:
