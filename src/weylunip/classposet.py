@@ -93,15 +93,14 @@ def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagra
     Each row becomes one integer, the up-set of its node, with node j at
     bit 8j.  The covers of node i are the minimal elements of its up-set,
     found one at a time: a minimal element c, whose up-set must lie in
-    i's, is recorded and removed together with everything above it.  When
-    every up-set lies before its node (enumerate_unipotent's order, and
-    phi's images in class order) the highest set bit is minimal; when
-    every up-set lies after its node (weyl_relation's class order) the
-    lowest.  Any other order is laid out again by up-set size, largest
-    first, a linear extension of any partial order, and takes the lowest.
-    If every check passes the relation is a partial order (by induction
-    on up-set size); otherwise a scan of the rows in order names the
-    refusal.
+    i's, is recorded and removed together with everything above it.  The
+    highest set bit is minimal when every up-set lies before its node
+    (enumerate_unipotent's order, and phi's images in class order); any
+    other order (weyl_relation's class order among them) is laid out
+    once by up-set size, smallest first, which puts every up-set of a
+    partial order before its node.  If every check passes the relation
+    is a partial order (by induction on up-set size); otherwise a scan of
+    the rows in order names the refusal.
     """
     nodes = list(nodes)
     m = len(nodes)
@@ -115,9 +114,8 @@ def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagra
           for i, row in enumerate(rows)]
     # lay is up with node order[p] at position p
     lay, order = up, range(m)
-    top = all(u >> 8 * i == 0 for i, u in enumerate(up))
-    if not top and any(u & (1 << 8 * i) - 1 for i, u in enumerate(up)):
-        order = sorted(order, key=lambda i: -up[i].bit_count())
+    if any(u >> 8 * i for i, u in enumerate(up)):
+        order = sorted(order, key=lambda i: up[i].bit_count())
         pick = itemgetter(*order)
         lay = [int.from_bytes(bytes(pick(up[i].to_bytes(m, "little"))), "little")
                for i in order]
@@ -125,7 +123,7 @@ def hasse(nodes: Sequence, leq: Callable[[object, object], bool]) -> HasseDiagra
     for p, u in enumerate(lay):
         cand = u
         while cand:
-            b = cand.bit_length() - 1 if top else (cand & -cand).bit_length() - 1
+            b = cand.bit_length() - 1
             c = b >> 3
             if lay[c] & ~u:
                 raise _refusal(nodes, up)

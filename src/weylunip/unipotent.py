@@ -132,9 +132,9 @@ class UnipotentLabel(_LabelFields):
 
     The subclass declares no __slots__, so each label has an instance
     __dict__, where cached_property keeps what is derived from the fields
-    once per label: _record, the one comparison record unipotent_leq
-    reads, and _text, the bracket notation format_unipotent and str
-    return.
+    once per label: _record, the one comparison record
+    unipotent_relation reads, and _text, the bracket notation
+    format_unipotent and str return.
     """
 
     @property
@@ -206,8 +206,8 @@ class UnipotentLabel(_LabelFields):
         of the transpose, which sums holds; parity has the guard bit of
         field k - 1 set when transpose entry k + 1 is odd, and zeros when
         eps(k) = 0.  A good label has 0 for sums, parity and zeros, which
-        makes the parity test of unipotent_leq pass.  guards holds the
-        guard bit of every field of key."""
+        makes the parity test of unipotent_relation pass.  guards holds
+        the guard bit of every field of key."""
         domain = (self.kind, self.group, self.n, self.so_component)
         dim = _dim(self.group, self.n)
         if sum(self.partition) != dim:
@@ -362,47 +362,37 @@ def _check_domains(a: UnipotentLabel, b: UnipotentLabel) -> None:
 
 def unipotent_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
     """The closure order on labels of one kind: good_leq for good
-    labels, bad_leq for characteristic-2 ones.
-
-    Each label's _record is built once; a comparison reads one record
-    per label, refuses a pair whose domains differ (before any fault in
-    building a record is reported) and runs the packed test inline.
-    partitions.fields_leq says why ((y | guards) - x) & guards holds the
-    guard bits of the fields where x's entry is at most y's.  A good
-    label's zeros are 0, so its pairs pass the parity test.
-    """
-    try:
-        domain, guards, key_a, sums_a, parity_a, _ = a._record
-        domain_b, _, key_b, sums_b, parity_b, zeros_b = b._record
-    except Exception:
-        _check_domains(a, b)
-        raise
-    if domain != domain_b:
-        _check_domains(a, b)
-    if ((key_b | guards) - key_a) & guards != guards:
-        return False
-    clash = (parity_a ^ parity_b) & zeros_b
-    # alpha <= beta in dominance gives S_k(beta) <= S_k(alpha) for every
-    # k, so the fields where S_k(alpha) <= S_k(beta) are where they agree
-    return not clash or not clash & ((sums_b | guards) - sums_a) & guards
+    labels, bad_leq for characteristic-2 ones.  It is the one entry of
+    unipotent_relation((a, b)) for the pair, and refuses what that
+    refuses."""
+    return unipotent_relation((a, b))[0][1]
 
 
 def unipotent_relation(labels) -> tuple[tuple[bool, ...], ...]:
     """The closure order among labels as a matrix: rel[i][j] says
-    whether unipotent_leq(labels[i], labels[j]).
+    whether labels[i] <= labels[j].
 
-    Row 0 is asked pair by pair through unipotent_leq and touches every
-    label, so a refusal is the one a pairwise scan in row-major order
-    meets first, and fewer than two labels ask nothing.  Every label then
-    shares row 0's domain and guards, and the other rows run
-    unipotent_leq's packed test inline, the parity test only against
-    labels with an epsilon value 0."""
+    A refusal is the one a pairwise scan in row-major order meets first:
+    each label in turn is checked against the first, a domain that
+    differs refused (_check_domains) before a fault in building either
+    label's _record.  Fewer than two labels ask nothing.  Every label
+    then shares the first's domain and guards, and every row runs the
+    packed test inline, the parity test only against labels with an
+    epsilon value 0.  partitions.fields_leq says why
+    ((y | guards) - x) & guards holds the guard bits of the fields where
+    x's entry is at most y's; a good label's zeros are 0, so its pairs
+    pass the parity test."""
     labels = list(labels)
     if len(labels) < 2:
         return ((True,),) * len(labels)
     first = labels[0]
-    rows = [tuple(j == 0 or unipotent_leq(first, b) for j, b in enumerate(labels))]
-    records = [u._record for u in labels]
+    records = [None]
+    for b in labels[1:]:
+        # as the pair (first, b) would be: domains, then first's record,
+        # then b's
+        _check_domains(first, b)
+        records[0] = first._record
+        records.append(b._record)
     guards = first._record[1]
     tops = [key | guards for _, _, key, *_ in records]
     # the parity test can fail only where the upper label's epsilon is 0
@@ -411,10 +401,14 @@ def unipotent_relation(labels) -> tuple[tuple[bool, ...], ...]:
         for j, (_, _, _, sums, parity, zeros) in enumerate(records)
         if zeros
     ]
-    for _, _, key_a, sums_a, parity_a, _ in records[1:]:
+    rows = []
+    for _, _, key_a, sums_a, parity_a, _ in records:
         row = [(top - key_a) & guards == guards for top in tops]
         for j, top_b, parity_b, zeros_b in zeroed:
             clash = (parity_a ^ parity_b) & zeros_b
+            # alpha <= beta in dominance gives S_k(beta) <= S_k(alpha)
+            # for every k, so the fields where S_k(alpha) <= S_k(beta)
+            # are where they agree
             if row[j] and clash and clash & (top_b - sums_a) & guards:
                 row[j] = False
         rows.append(tuple(row))
@@ -449,8 +443,8 @@ def bad_leq(a: UnipotentLabel, b: UnipotentLabel) -> bool:
     complemented so that both inequalities become one entrywise
     comparison; the padding is exact, since past a label's largest part
     eps is forced to omega and S_k is the total, so those k pass every
-    test.  Refuses a label of another kind, then compares as
-    unipotent_leq does, which runs that test.
+    test.  Refuses a label of another kind, then reads the pair's entry
+    of unipotent_relation, which runs that test, as unipotent_leq does.
 
     Even orthogonal labels compare only within the same component of the
     group.

@@ -3,8 +3,9 @@
 Every fenced block that opens with a ``$ weylunip ...`` line is run
 through cli.main; it must exit 0 and print the lines the block shows,
 whitespace normalised, where a ``...`` line stands for any run of lines.
-The Python library block is executed.  The repository has no CI config,
-so this is what catches README drift.
+The Python library block is executed.  The tier-1 workflow in
+.github/workflows runs this file with the rest of the suite, so README
+drift fails it.
 """
 
 import contextlib

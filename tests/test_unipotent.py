@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import defaultdict
+from operator import itemgetter
 
 import pytest
 
@@ -543,16 +544,25 @@ def bench_labels(group, n, char, component):
 
 
 def test_unipotent_relation_is_the_pairwise_order():
+    # every entry against the literal definition, chosen by label kind:
+    # GL labels are good in characteristic 2 too
     blocks = list(unipotent_blocks())
     blocks += [(*case[:3], bench_labels(*case)) for case in BENCH_CASES]
     assert len(blocks) == 101
     for group, n, char, labels in blocks:
         rel = unipotent_relation(labels)
-        assert rel == pairwise_relation(labels), (group, n, char)
+        for a, row in zip(labels, rel):
+            for b, x in zip(labels, row):
+                if a.kind == GOOD:
+                    want = dominance_leq(a.partition, b.partition)
+                else:
+                    want = literal_bad_leq(a, b)
+                assert x == want, (group, n, char, a, b)
         assert all(type(x) is bool for row in rel for x in row)
 
 
-def test_unipotent_relation_asks_only_its_first_row(monkeypatch):
+def test_unipotent_leq_reads_its_entry_of_the_relation(monkeypatch):
+    # the relation asks no pair of unipotent_leq
     asked = []
 
     def counted(a, b, leq=unipotent_leq):
@@ -561,10 +571,20 @@ def test_unipotent_relation_asks_only_its_first_row(monkeypatch):
 
     monkeypatch.setattr(unipotent, "unipotent_leq", counted)
     for case in BENCH_CASES:
-        labels = bench_labels(*case)
-        asked.clear()
-        unipotent_relation(labels)
-        assert asked == [(labels[0], b) for b in labels[1:]], case
+        unipotent_relation(bench_labels(*case))
+    assert asked == []
+    monkeypatch.undo()
+    # and unipotent_leq answers with the pair's entry of the relation
+    read = []
+
+    def fake(labels):
+        read.append(labels)
+        return ((None, "entry"), (None, None))
+
+    a, b = bench_labels("Sp", 7, CHAR2, None)[:2]
+    monkeypatch.setattr(unipotent, "unipotent_relation", fake)
+    assert unipotent_leq(a, b) == "entry"
+    assert read == [(a, b)]
 
 
 def foreign_labels():
@@ -622,12 +642,29 @@ def test_hasse_reads_the_relation_as_it_would_ask_each_pair(group, n, char, monk
         if u.split != "II":
             blocks[u.so_component].append(u)
     assert unipotent_leq.relation is unipotent_relation
-    # enumeration order puts every up-set before its node and the reverse
-    # puts it after, so neither is laid out again
+    # enumeration order puts every up-set before its node, so it is not
+    # laid out again
     monkeypatch.delattr(classposet, "itemgetter")
-    for block in blocks.values():
-        for nodes in (block, block[::-1]):
-            assert hasse(nodes, unipotent_leq) == hasse(nodes, plain)
+    diagrams = [hasse(block, unipotent_leq) for block in blocks.values()]
+    for block, diagram in zip(blocks.values(), diagrams):
+        assert hasse(block, plain) == diagram
+    monkeypatch.undo()
+    # the reverse puts every up-set after its node, so it is laid out
+    # again, once, and gives the same covers
+    laid = []
+
+    def counted(*items):
+        laid.append(items)
+        return itemgetter(*items)
+
+    monkeypatch.setattr(classposet, "itemgetter", counted)
+    for block, diagram in zip(blocks.values(), diagrams):
+        last = len(block) - 1
+        want = sorted((last - i, last - j) for i, j in diagram.covers)
+        for leq in (unipotent_leq, plain):
+            laid.clear()
+            assert list(hasse(block[::-1], leq).covers) == want
+            assert len(laid) == 1 and len(block) > 1
     monkeypatch.undo()
     # split twins compare both ways, and both inputs name the same pair
     twins = [u for u in labels if u.split is not None and u.so_component == "SO"]
