@@ -57,14 +57,12 @@ def _require_same_ctx(a: EllipticClassLabel, b: EllipticClassLabel) -> GroupCont
 
 def class_leq_W(a: EllipticClassLabel, b: EllipticClassLabel) -> bool:
     """Whether a <= b in the order on elliptic classes: the entry of
-    weyl_relation(a.ctx) for the pair.  Both labels are checked before
-    the relation is built."""
+    weyl_relation(a.ctx) for the pair.  a's partition, then b's, passes
+    weylgroup.check_elliptic, as in elliptic_label, before it is built."""
     ctx = _require_same_ctx(a, b)
     alphas = wg.elliptic_partitions(ctx)
-    for c in (a, b):
-        if c.partition not in alphas:
-            raise ValueError(f"{c.partition} is not an elliptic class of {ctx}")
-    return weyl_relation(ctx)[alphas.index(a.partition)][alphas.index(b.partition)]
+    i, j = (alphas.index(wg.check_elliptic(ctx, c.partition)) for c in (a, b))
+    return weyl_relation(ctx)[i][j]
 
 
 # ---------------------------------------------------------------------------

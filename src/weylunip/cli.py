@@ -46,10 +46,6 @@ FAMILY_CHOICES = wg.FAMILIES + tuple(FAMILY_ALIAS)
 GROUP_FLAG = {"GL": "GL", "GLd": "GLd", "Sp": "Sp", "SOodd": "O_odd", "SOeven": "O_even"}
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _target(args) -> tuple[str, str]:
     """The (family, group) that --family and --group name: --family alone
     gives the family's first group, --group alone that group's family,
@@ -58,11 +54,11 @@ def _target(args) -> tuple[str, str]:
     flag = getattr(args, "group", None)
     if flag is None:
         if family is None:
-            raise UsageError("pass --family or --group")
+            raise ValueError("pass --family or --group")
         return family, verify_combinations(family)[0][0]
     group = GROUP_FLAG[flag]
     if family not in (None, GROUP_FAMILY[group]):
-        raise UsageError(
+        raise ValueError(
             f"--family {args.family} and --group {flag} disagree: "
             f"{flag} is a group of family {GROUP_FAMILY[group]}"
         )
@@ -82,18 +78,18 @@ def _ranks(args) -> list[int]:
     text = args.rank
     lo, dots, hi = text.partition("..")
     if dots and args.verb != "verify":
-        raise UsageError("rank ranges are only accepted by the verify verb")
+        raise ValueError("rank ranges are only accepted by the verify verb")
     try:
         lo, hi = _integer(lo), _integer(hi if dots else lo)
     except ValueError:
         expects = "an integer or A..B" if args.verb == "verify" else "an integer"
-        raise UsageError(f"--rank expects {expects}, got {text!r}") from None
+        raise ValueError(f"--rank expects {expects}, got {text!r}") from None
     # every rank above the bound is refused later anyway; refusing it
     # here keeps the list of ranks small
     if dots and not (1 <= lo <= PARTITION_BOUND and 1 <= hi <= PARTITION_BOUND):
-        raise UsageError(f"rank range {text!r} must lie within 1..{PARTITION_BOUND}")
+        raise ValueError(f"rank range {text!r} must lie within 1..{PARTITION_BOUND}")
     if lo > hi:
-        raise UsageError(f"empty rank range {text!r}")
+        raise ValueError(f"empty rank range {text!r}")
     return list(range(lo, hi + 1))
 
 
@@ -108,7 +104,7 @@ def _parse_window(text: str, family: str) -> tuple[int, ...]:
     try:
         return tuple(_integer(p) for p in body.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse element {text!r}") from None
+        raise ValueError(f"cannot parse element {text!r}") from None
 
 
 def _json(payload: dict) -> str:
@@ -147,7 +143,7 @@ def run_classes(family: str, n: int, component: str | None, fmt: str) -> str:
     lines = ["class\trep\tlength\tsize"]
     suffix = "*d" if ctx.family == "2A" else ""
     for row in rows:
-        window = "[" + ",".join(str(v) for v in row["rep"]) + "]" + suffix
+        window = format_partition(row["rep"]) + suffix
         lines.append(f"{row['class']}\t{window}\t{row['length']}\t{row['size']}")
     return "\n".join(lines) + "\n"
 
@@ -275,7 +271,7 @@ def run_verify(
         if n >= wg.FAMILY_RULES[family].min_rank
     ]
     if not tasks:
-        raise UsageError("nothing to verify for that family/rank/char/component choice")
+        raise ValueError("nothing to verify for that family/rank/char/component choice")
     done = {t: verify_theorem(*t) for t in sorted(tasks, key=lambda t: t[1])}
     reports = [done[t] for t in tasks]
     bad = sum(1 for r in reports if r["failures"])
@@ -308,11 +304,11 @@ def run_bruhat(family: str, n: int, x_text: str, y_text: str, fmt: str) -> tuple
     for w, text in ((x, x_text), (y, y_text)):
         if len(w) != n:
             entries = "1 entry" if len(w) == 1 else f"{len(w)} entries"
-            raise UsageError(f"element {text!r} has {entries}; --rank {n} needs {n}")
+            raise ValueError(f"element {text!r} has {entries}; --rank {n} needs {n}")
         # length is the one check of each window: the walk and witness skip it
         lengths.append(wg.length(wg.context(family, n, wg.component_of(family, w)), w))
     if wg.component_of(family, y) != ctx.component:
-        raise UsageError(
+        raise ValueError(
             f"{format_partition(x)} and {format_partition(y)} "
             f"lie in different components of {family}({n})"
         )

@@ -190,14 +190,14 @@ class UnipotentLabel(_LabelFields):
     @cached_property
     def _record(self) -> tuple:
         """What the closure orders read of the label, as one tuple
-        (domain, guards, key, sums, parity, zeros).
+        (guards, key, sums, parity, zeros); _check_domains says which
+        labels may be compared.
 
-        domain is what two labels must share to be compared: kind, group,
-        rank and SO component.  The rest is packed by partitions.pack_bytes
-        into whole-byte fields, one byte each while the matrix size dim is
-        at most 127 (every label enumerate_unipotent or lusztig.phi
-        produces, PARTITION_BOUND capping their dim at 121) and otherwise
-        the fewest whole bytes that hold dim, little-endian on every host;
+        Each is packed by partitions.pack_bytes into whole-byte fields,
+        one byte each while the matrix size dim is at most 127 (every
+        label enumerate_unipotent or lusztig.phi produces, PARTITION_BOUND
+        capping their dim at 121) and otherwise the fewest whole bytes
+        that hold dim, little-endian on every host;
         the term of k = 1..dim goes in field k - 1 and each field's top
         bit is its guard.  key holds the prefix sums of the partition,
         which stay at dim past its last part.  A characteristic-2 label's
@@ -208,7 +208,6 @@ class UnipotentLabel(_LabelFields):
         eps(k) = 0.  A good label has 0 for sums, parity and zeros, which
         makes the parity test of unipotent_relation pass.  guards holds
         the guard bit of every field of key."""
-        domain = (self.kind, self.group, self.n, self.so_component)
         dim = _dim(self.group, self.n)
         if sum(self.partition) != dim:
             raise ValueError(f"{self.partition} is not a partition of {dim}")
@@ -216,7 +215,7 @@ class UnipotentLabel(_LabelFields):
         padded = self.partition + (0,) * (dim - len(self.partition))
         dominance = list(itertools.accumulate(padded))
         if self.kind == GOOD:
-            return domain, guard_bits(dim, width), pack_bytes(dominance, width), 0, 0, 0
+            return guard_bits(dim, width), pack_bytes(dominance, width), 0, 0, 0
         # the transpose has a column per size up to the largest part;
         # past it S_k stays at dim and the transpose entries are 0, so
         # parity needs no padding
@@ -238,7 +237,6 @@ class UnipotentLabel(_LabelFields):
             elif e == 0:
                 zeros[row - 1] = 1
         return (
-            domain,
             guard_bits(2 * dim, width),
             pack_bytes(dominance + room, width),
             pack_bytes(sums, width),
@@ -393,16 +391,16 @@ def unipotent_relation(labels) -> tuple[tuple[bool, ...], ...]:
         _check_domains(first, b)
         records[0] = first._record
         records.append(b._record)
-    guards = first._record[1]
-    tops = [key | guards for _, _, key, *_ in records]
+    guards = first._record[0]
+    tops = [key | guards for _, key, *_ in records]
     # the parity test can fail only where the upper label's epsilon is 0
     zeroed = [
         (j, sums | guards, parity, zeros)
-        for j, (_, _, _, sums, parity, zeros) in enumerate(records)
+        for j, (_, _, sums, parity, zeros) in enumerate(records)
         if zeros
     ]
     rows = []
-    for _, _, key_a, sums_a, parity_a, _ in records:
+    for _, key_a, sums_a, parity_a, _ in records:
         row = [(top - key_a) & guards == guards for top in tops]
         for j, top_b, parity_b, zeros_b in zeroed:
             clash = (parity_a ^ parity_b) & zeros_b
@@ -495,10 +493,9 @@ def label_to_json(label: UnipotentLabel) -> dict:
     doc: dict = {"partition": list(label.partition), "group": group_name}
     if label.kind == CHAR2:
         doc["epsilon"] = {str(i): v for i, v in label.epsilon}
-        # which row parity the group forces to omega: "minus_one" for odd
-        # rows (a row of 1s is never free), "plus_one" for even rows
-        odd_forced = _forced_value(label.group, 1, 2) == OMEGA
-        doc["family"] = "minus_one" if odd_forced else "plus_one"
+        # kappa's row parity, whose rows are forced to omega: "minus_one"
+        # for odd rows, "plus_one" for even rows
+        doc["family"] = "minus_one" if kappa(label.group, CHAR2) == -1 else "plus_one"
     if label.group == "O_even":
         doc["component"] = label.so_component
     if label.split:

@@ -745,21 +745,14 @@ def _class_table(
 
 
 def enumerate_class(ctx: GroupContext, alpha: Partition) -> tuple[SignedPermutation, ...]:
-    """All elements with class_label alpha, sorted by (length, window)."""
-    table = _class_table(ctx)
-    alpha = as_partition(alpha)
-    if alpha not in table:
-        raise ValueError(f"{alpha} is not an elliptic class of {ctx}")
-    return table[alpha][0]
+    """All elements with class_label alpha, sorted by (length, window).
+    The group sweep, and its CapExceeded, comes before alpha's check."""
+    return _class_table(ctx)[check_elliptic(ctx, alpha)][0]
 
 
 def class_lengths(ctx: GroupContext, alpha: Partition) -> tuple[int, ...]:
     """Lengths aligned with enumerate_class."""
-    table = _class_table(ctx)
-    alpha = as_partition(alpha)
-    if alpha not in table:
-        raise ValueError(f"{alpha} is not an elliptic class of {ctx}")
-    return table[alpha][1]
+    return _class_table(ctx)[check_elliptic(ctx, alpha)][1]
 
 
 def count_matrix(ctx: GroupContext, w: SignedPermutation) -> CountMatrix:

@@ -96,6 +96,10 @@ TARGETS = (
     ("weylgroup.py", "GroupContext.signed"),
     ("cli.py", "run_verify"),
     ("cli.py", "run_bruhat"),
+    ("classposet.py", "class_leq_W"),
+    ("weylgroup.py", "enumerate_class"),
+    ("weylgroup.py", "class_lengths"),
+    ("unipotent.py", "label_to_json"),
 )
 
 COMPARE_SWAPS = {

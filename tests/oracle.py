@@ -4,8 +4,10 @@ No verb and no library path reads these.  Each restates a rule the
 library computes another way: simple reflections as the windows their
 definitions name, stepped by composition, with descents decided by
 Bjorner-Brenti's length formulas; the descent walk that rescans from s_1
-after every strip; the literal count |{k <= i : w(k) >= j}|; the
-minimal-length elements of a class picked out of a whole-group sweep;
+after every strip; the literal count |{k <= i : w(k) >= j}|; an
+elliptic class as the closure of its representative under conjugation
+by the simple reflections; the minimal-length elements of a class
+picked out of a whole-group sweep;
 the four quantifications whose agreement defines the order on elliptic
 classes, decided along that walk, and its closed-form prediction;
 for each element of one minimal-length set, the first element of
@@ -182,6 +184,25 @@ def count_entry(w: SignedPermutation, i: int, j: int) -> int:
         if k <= i and w[k - 1] >= j:
             c += 1
     return c
+
+
+def conjugacy_class(ctx: GroupContext, alpha: Partition) -> set[SignedPermutation]:
+    """The class of class_rep(ctx, alpha) as the closure of that element
+    under conjugation by the simple reflections, by composition: u goes
+    to s_i·u·s_i, or on twisted A's stored part to s_i·u·s_{n-i}, as
+    delta·s_i·delta = s_{n-i}."""
+    ss = simples(ctx)
+    sides = [(s, ss[-1 - i] if ctx.family == "2A" else s) for i, s in enumerate(ss)]
+    rep = wg.class_rep(ctx, alpha)
+    seen, todo = {rep}, [rep]
+    while todo:
+        u = todo.pop()
+        for s, t in sides:
+            v = compose(compose(s, u), t)
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
 
 
 def min_length_elements(ctx: GroupContext, alpha: Partition) -> tuple[SignedPermutation, ...]:

@@ -84,6 +84,11 @@ def test_class_leq_requires_same_context():
     b = elliptic_label(wg.context("BC", 4), (4,))
     with pytest.raises(ValueError):
         class_leq_W(a, b)
+    # the refusal names the groups in argument order
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError) as info:
+            class_leq_W(x, y)
+        assert str(info.value) == f"class labels from different groups: {x.ctx} vs {y.ctx}"
 
 
 def test_class_leq_rejects_a_label_built_without_validation():

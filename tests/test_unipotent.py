@@ -391,8 +391,7 @@ def test_record_unpacks_to_the_literal_terms(group, char):
     for n in range(least_rank(group), 5):
         dim = _dim(group, n)
         for u in enumerate_unipotent(group, n, char):
-            domain, guards, key, sums, parity, zeros = u._record
-            assert domain == (u.kind, group, n, u.so_component)
+            guards, key, sums, parity, zeros = u._record
             width = record_width(guards)
             assert width == 8, u
             count = dim if u.kind == GOOD else 2 * dim
@@ -478,7 +477,7 @@ def test_wide_fields_match_the_literal_definitions(group, n, char, extremes):
             for v in (0, 1)
         ]
     # one byte per field up to a matrix size of 127, then two
-    guards = labels[0]._record[1]
+    guards = labels[0]._record[0]
     assert record_width(guards) == (8 if _dim(group, n) <= 127 else 16)
     held = 0
     for a in labels:
@@ -879,3 +878,14 @@ def test_label_to_json():
     assert payload["partition"] == [4]
     assert payload["group"] == "Sp"
     assert "epsilon" not in payload
+
+
+@pytest.mark.parametrize("group", ["Sp", "O_odd", "O_even", "GLd"])
+def test_label_to_json_names_the_forced_row_parity(group):
+    # "minus_one" exactly where odd rows are forced to omega (a row of 1s
+    # of multiplicity 2 is then not free)
+    for n in range(least_rank(group), 7):
+        for u in enumerate_unipotent(group, n, CHAR2):
+            odd_forced = unipotent._forced_value(u.group, 1, 2) == OMEGA
+            want = "minus_one" if odd_forced else "plus_one"
+            assert label_to_json(u)["family"] == want, u

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylunip import weylgroup as wg
-from weylunip.classposet import elliptic_label, weyl_relation
+from weylunip.classposet import EllipticClassLabel, class_leq_W, elliptic_label, weyl_relation
 from weylunip.partitions import family_members, fields_leq, partitions, unpack_bytes
 
 from oracle import (
     bb_length,
     compose,
+    conjugacy_class,
     count_entry,
     is_descent,
     leftmost_descent_leq,
@@ -89,6 +90,10 @@ def test_enumerate_group_cap(monkeypatch):
             list(wg.enumerate_group(wg.context("BC", 4)))
         with pytest.raises(wg.CapExceeded):
             wg.enumerate_class(wg.context("BC", 4), (4,))
+        # the sweep comes before the class check
+        for query in (wg.enumerate_class, wg.class_lengths):
+            with pytest.raises(wg.CapExceeded, match="exceeds 100$"):
+                query(wg.context("BC", 4), (9,))
         # a group of exactly MAX_HELD elements is enumerated
         monkeypatch.setattr(wg, "MAX_HELD", 384)
         assert len(list(wg.enumerate_group(wg.context("BC", 4)))) == 384
@@ -808,6 +813,59 @@ def test_validators_accept_exactly_the_listed_classes():
             for check in (elliptic_label, wg.class_rep, wg.class_size):
                 with pytest.raises(ValueError, match="is not an elliptic class of"):
                     check(ctx, a)
+
+
+SWEPT_CONTEXTS = [("A", range(1, 9)), ("BC", range(1, 7)), ("D", range(2, 7)),
+                  ("2A", range(2, 9))]
+
+
+def outcome(check, *args):
+    """What check returns on args, or the text of the ValueError it
+    raises."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return f"refused: {exc}"
+
+
+def test_class_queries_refuse_as_the_validators():
+    # class_leq_W, enumerate_class and class_lengths accept and refuse
+    # what elliptic_label does, and so class_rep and class_size, with the
+    # same text; the raw inputs include, at BC 4, (3, 1, 0), [4] and (1, 3)
+    for ctx in all_contexts(SWEPT_CONTEXTS):
+        n = ctx.n
+        listed = wg.elliptic_partitions(ctx)
+        top = EllipticClassLabel(ctx, listed[0])
+        raw = list(partitions(n)) + [(n + 1,), (0, n)]
+        raw += [a + (0,) for a in listed] + [list(a) for a in listed]
+        raw += [a[::-1] for a in partitions(n) if len(set(a)) > 1]
+        for a in raw:
+            want = outcome(elliptic_label, ctx, a)
+            refused = isinstance(want, str)
+            for check in (wg.class_rep, wg.class_size, wg.enumerate_class, wg.class_lengths):
+                expect = want if refused else check(ctx, want.partition)
+                assert outcome(check, ctx, a) == expect, (check, ctx, a)
+            label = EllipticClassLabel(ctx, a)
+            expect = want if refused else class_leq_W(want, top)
+            assert outcome(class_leq_W, label, top) == expect, (ctx, a)
+            expect = want if refused else class_leq_W(top, want)
+            assert outcome(class_leq_W, top, label) == expect, (ctx, a)
+
+
+@pytest.mark.parametrize("fam,n,comp", [("BC", 7, None), ("D", 7, "id"), ("D", 7, "twisted"),
+                                         ("2A", 9, None)])
+def test_conjugation_closure_is_the_class(fam, n, comp):
+    # one rank past the whole-group sweep: each class, closed under
+    # conjugation by simple reflections, has class_size elements, and
+    # its elements of least length are _min_length_set's
+    ctx = wg.context(fam, n, comp)
+    for a in wg.elliptic_partitions(ctx):
+        members = conjugacy_class(ctx, a)
+        assert len(members) == wg.class_size(ctx, a), a
+        lengths = {w: bb_length(ctx, w) for w in members}
+        least = min(lengths.values())
+        shortest = {w for w, l in lengths.items() if l == least}
+        assert shortest == set(wg._min_length_set(ctx, wg.class_rep(ctx, a))), a
 
 
 def cyclic_shifts(ctx, w):
