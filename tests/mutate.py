@@ -15,14 +15,16 @@ adjacent positional arguments of a call to each other.
 Only the target function's lines of the module change: its mutated
 syntax tree is unparsed in their place.
 
-Each mutant gets its own temporary copy of the repository, and the
-tier-1 tests run there with -x.  A mutant is killed when a test fails or
-the run exceeds TIMEOUT seconds, and survives when every test passes.
-The unmutated copy is run first and must pass.  JOBS test processes run
-at a time, each under a 1 GB address-space limit that the child sets on
-itself before it imports pytest.  Exit code 0 when no mutant survived, 1
-when one did, 2 when a NAME is not in TARGETS or the unmutated copy
-fails.
+Each mutant gets its own temporary copy of the package, alone on
+PYTHONPATH, and the repository's tier-1 tests run on it with -x from
+that directory, which keeps pytest's and hypothesis's files; tests that
+start the library in a subprocess find the copy through cli.__file__.
+A mutant is killed when a test fails or the run exceeds TIMEOUT
+seconds, and survives when every test passes.  The unmutated copy is
+run first and must pass.  JOBS test processes run at a time, each under
+a 1 GB address-space limit that the child sets on itself before it
+imports pytest.  Exit code 0 when no mutant survived, 1 when one did, 2
+when a NAME is not in TARGETS or the unmutated copy fails.
 """
 
 from __future__ import annotations
@@ -220,18 +222,16 @@ def mutated_source(m: Mutant | None, module: str) -> str:
 
 
 def run(m: Mutant | None) -> tuple[str, str]:
-    """(outcome, detail) of the tier-1 tests on a copy carrying m."""
+    """(outcome, detail) of the tier-1 tests on a package copy carrying m."""
     with tempfile.TemporaryDirectory(prefix="weylunip-mutant-") as tmp:
-        copy = Path(tmp) / "repo"
-        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".perfbench", ".pytest_cache", ".hypothesis"))
+        copy = Path(tmp) / "weylunip"
+        shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
         if m is not None:
-            path = copy / "src" / "weylunip" / m.module
-            path.write_text(mutated_source(m, m.module), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        cmd = [sys.executable, "-c", PYTEST, "-q", "-x", "-p", "no:cacheprovider", "tests"]
+            (copy / m.module).write_text(mutated_source(m, m.module), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-c", PYTEST, "-q", "-x", "-p", "no:cacheprovider", str(ROOT / "tests")]
         try:
-            done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True,
+            done = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True,
                                   timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             return "killed", f"timeout after {TIMEOUT:g} s"

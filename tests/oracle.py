@@ -4,9 +4,10 @@ No verb and no library path reads these.  Each restates a rule the
 library computes another way: simple reflections as the windows their
 definitions name, stepped by composition, with descents decided by
 Bjorner-Brenti's length formulas; the descent walk that rescans from s_1
-after every strip; the literal count |{k <= i : w(k) >= j}|; an
-elliptic class as the closure of its representative under conjugation
-by the simple reflections; the minimal-length elements of a class
+after every strip; the literal count |{k <= i : w(k) >= j}|, and the
+entries of it that refute a pair of classes; an elliptic class as the
+closure of its representative under conjugation by the simple
+reflections; the minimal-length elements of a class
 picked out of a whole-group sweep;
 the four quantifications whose agreement defines the order on elliptic
 classes, decided along that walk, and its closed-form prediction;
@@ -184,6 +185,27 @@ def count_entry(w: SignedPermutation, i: int, j: int) -> int:
         if k <= i and w[k - 1] >= j:
             c += 1
     return c
+
+
+def refuting_entry(ctx: GroupContext, i: int, j: int) -> tuple[tuple[int, int], ...]:
+    """The entries (p, q), p and q in -n..n, at which every minimal-length
+    element of ctx's i-th elliptic class a has a larger literal count than
+    the representative of the j-th class b: those where rep(a)'s
+    count_entry exceeds rep(b)'s, kept while each element of
+    weylgroup._min_length_set(ctx, rep(a)) exceeds it too.  In BC and D,
+    x <= y in Bruhat order forces count_entry(x, p, q) <= count_entry(y,
+    p, q) for all p, q (Bjorner-Brenti ch. 8), so any one entry proves
+    that no element of C_min(a) lies below rep(b)."""
+    alphas = wg.elliptic_partitions(ctx)
+    a, b = (wg.class_rep(ctx, alphas[k]) for k in (i, j))
+    span = range(-ctx.n, ctx.n + 1)
+    bound = {(p, q): count_entry(b, p, q) for p in span for q in span}
+    entries = [e for e in bound if count_entry(a, *e) > bound[e]]
+    for x in wg._min_length_set(ctx, a):
+        if not entries:
+            break
+        entries = [e for e in entries if count_entry(x, *e) > bound[e]]
+    return tuple(entries)
 
 
 def conjugacy_class(ctx: GroupContext, alpha: Partition) -> set[SignedPermutation]:

@@ -5,7 +5,8 @@ perfbench/tracer.py wraps every function its LAYERS table names, looked
 up with getattr on the weylunip module, and fails when one is missing;
 tests/mutate.py finds its target functions by name in the source; the
 package root promises every name in __all__.  The repository has no
-linter, so the scans at the end are its lint gate: no unused imports,
+linter, so the scans at the end are its lint gate: every source parses
+under the oldest Python pyproject.toml admits, no unused imports,
 no assert statements in the library, since `python -O` strips them, no
 library import from outside the standard library, no library call into
 the benchmark-bound block at the end of weylgroup.py, and no library
@@ -18,6 +19,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +93,30 @@ def test_mutation_run_takes_only_the_named_targets(monkeypatch, capsys):
     assert out[-1] == f"{len(ran) - 1} mutants, {len(ran) - 1} killed, 0 survived"
 
 
+def test_mutation_run_tests_a_copy_of_the_package(monkeypatch):
+    # subprocess.run is replaced by a look at the temporary tree, so no
+    # pytest process starts
+    mutate = load_mutate()
+    m = mutate.mutants([("weylgroup.py", "_inv_count")])[0]
+    seen = []
+
+    def fake_run(cmd, *, cwd, env, **kwargs):
+        files = sorted(path.relative_to(cwd) for path in Path(cwd).rglob("*") if path.is_file())
+        assert files == sorted(Path("weylunip", path.name) for path in mutate.PACKAGE.glob("*.py"))
+        for path in files:
+            # mutated_source changes only m's module
+            text = (Path(cwd) / path).read_text(encoding="utf-8")
+            assert text == mutate.mutated_source(m, path.name), path
+        assert env["PYTHONPATH"] == cwd
+        assert cmd[-1] == str(mutate.ROOT / "tests")
+        seen.append(cwd)
+        return subprocess.CompletedProcess(cmd, 1, "FAILED tests/test_x.py::test_y - no\n", "")
+
+    monkeypatch.setattr(mutate.subprocess, "run", fake_run)
+    assert mutate.run(m) == ("killed", "tests/test_x.py::test_y")
+    assert len(seen) == 1 and not Path(seen[0]).exists()
+
+
 def test_package_exports_resolve():
     missing = [name for name in weylunip.__all__ if not hasattr(weylunip, name)]
     assert missing == []
@@ -124,6 +150,15 @@ def test_every_imported_name_is_read():
              if p.name != "__init__.py"]
     paths += sorted((ROOT / "tests").glob("*.py"))
     assert [hit for p in paths for hit in unused_imports(p)] == []
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # tier-1 runs on a later Python, whose grammar accepts syntax the
+    # floor refuses, such as except*
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    paths = sorted((ROOT / "src" / "weylunip").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, int(floor[1])))
 
 
 BENCHMARK_BLOCK = "# bound by the benchmark:"

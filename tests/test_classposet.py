@@ -19,10 +19,12 @@ from weylunip.partitions import dominance_leq, partitions
 
 from oracle import (
     class_leq_W_all_variants,
+    count_entry,
     first_below,
     leftmost_descent_leq,
     min_length_elements,
     predicted_leq_W,
+    refuting_entry,
     related_min_pair,
 )
 
@@ -310,6 +312,46 @@ def test_no_minimal_element_lies_below_an_unrelated_longer_class(fam, n, comp, e
         assert (pair is not None) is want, (cls[i], cls[j], pair)
         if want:
             assert leftmost_descent_leq(ctx, *pair), pair
+
+
+@pytest.mark.parametrize("fam,n,comp", [("BC", 5, None), ("D", 5, "id"), ("D", 5, "twisted")])
+def test_refuting_entry_reads_the_whole_minimal_length_set(fam, n, comp):
+    # the entries kept are those every minimal-length element exceeds,
+    # here with the set picked out of the whole-group sweep; in each of
+    # these contexts rep(a) alone exceeds rep(b) at more entries
+    ctx = wg.context(fam, n, comp)
+    alphas = wg.elliptic_partitions(ctx)
+    reps = [wg.class_rep(ctx, a) for a in alphas]
+    cells = [(p, q) for p in range(-n, n + 1) for q in range(-n, n + 1)]
+    for i, alpha in enumerate(alphas):
+        lower = min_length_elements(ctx, alpha)
+        for j, b in enumerate(reps):
+            want = [e for e in cells if all(count_entry(x, *e) > count_entry(b, *e) for x in lower)]
+            assert list(refuting_entry(ctx, i, j)) == want, (alpha, alphas[j])
+
+
+@pytest.mark.parametrize("fam,n,comp,entries", [
+    ("BC", 8, None, 11),
+    ("BC", 9, None, 25),
+    ("D", 8, "id", 2),
+    ("D", 8, "twisted", 1),
+    ("D", 9, "id", 3),
+    ("D", 9, "twisted", 4),
+])
+def test_a_count_entry_refutes_exactly_the_unrelated_longer_classes(fam, n, comp, entries):
+    # past the ranks the oracle can sweep, each entry where weyl_relation
+    # says no although a is shorter than b is certified without the
+    # packed keys: some literal count entry is larger on every element
+    # of C_min(a) than on rep(b), which rules out x <= rep(b) in BC and
+    # D.  Where it says yes, some x <= rep(b) leaves no such entry
+    ctx = wg.context(fam, n, comp)
+    cls = elliptic_classes(ctx)
+    rel = weyl_relation(ctx)
+    lengths = [wg.length(ctx, wg.class_rep(ctx, c.partition)) for c in cls]
+    longer = [(i, j) for i in range(len(cls)) for j in range(len(cls)) if lengths[i] < lengths[j]]
+    assert sum(not rel[i][j] for i, j in longer) == entries
+    wrong = [(cls[i], cls[j]) for i, j in longer if bool(refuting_entry(ctx, i, j)) == rel[i][j]]
+    assert wrong == []
 
 
 @pytest.mark.parametrize("fam,n,entries,uppers", [("BC", 7, 101, 13530), ("2A", 10, 43, 13731)])

@@ -247,6 +247,11 @@ def test_verify_refuses_a_rank_range_past_its_bounds(capsys, text):
     assert "1..60" in line
 
 
+def test_verify_refuses_an_empty_rank_range(capsys):
+    line = assert_one_line_refusal(capsys, ["verify", "--family", "BC", "--rank", "5..3"])
+    assert line == "error: empty rank range '5..3'"
+
+
 @pytest.mark.parametrize("family, rank", [("A", 0), ("BC", 0), ("BC", -3), ("D", 0), ("2A", 1)])
 def test_verify_below_the_least_rank_has_one_message(capsys, family, rank):
     # every family skips the ranks below its least rank, so a single such
@@ -772,6 +777,22 @@ def test_classes_listing():
     )
     text = cli.run_classes("2A", 2, None, "text")
     assert text == "class\trep\tlength\tsize\n[1,1]*d\t[2,1]*d\t1\t1\n"
+
+
+@pytest.mark.parametrize("argv, header, rows", [
+    (["--family", "BC", "--rank", "3"], ("BC", 3, "id"),
+     [("[3]", [2, 3, -1], 3, 8), ("[2,1]", [-1, 3, -2], 5, 6), ("[1,1,1]", [-1, -2, -3], 9, 1)]),
+    (["--family", "D", "--rank", "4", "--component", "twisted"], ("D", 4, "twisted"),
+     [("[4]*d", [2, 3, 4, -1], 3, 48), ("[2,1,1]*d", [-1, -2, 4, -3], 7, 12)]),
+    (["--family", "2A", "--rank", "5"], ("2A", 5, "twisted"),
+     [("[5]*d", [1, 2, 4, 5, 3], 2, 24), ("[3,1,1]*d", [1, 4, 5, 2, 3], 4, 20),
+      ("[1,1,1,1,1]*d", [5, 4, 3, 2, 1], 10, 1)]),
+])
+def test_classes_json_listing(capsys, argv, header, rows):
+    assert cli.main(["classes", *argv, "--format", "json"]) == 0
+    payload = dict(zip(("family", "n", "component"), header))
+    payload["classes"] = [dict(zip(("class", "rep", "length", "size"), row)) for row in rows]
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_unipotent_listing():

@@ -48,6 +48,9 @@ def test_as_partition_rejects_bad_input():
 def test_partition_counts():
     for n, count in enumerate(PARTITION_COUNTS):
         assert len(list(partitions(n))) == count
+    with pytest.raises(ValueError) as exc:
+        partitions(-1)
+    assert str(exc.value) == "partitions of a negative integer requested"
 
 
 def test_partitions_reverse_lex_order():
@@ -119,6 +122,9 @@ def test_multiplicity():
     assert multiplicity(a, 4) == 1
     assert multiplicity(a, 3) == 0
     assert multiplicity(a, 0) == 0
+    with pytest.raises(ValueError) as exc:
+        multiplicity(a, -1)
+    assert str(exc.value) == "multiplicity index must be nonnegative"
 
 
 def test_scale_and_append_preserve_dominance_both_ways():
@@ -257,6 +263,9 @@ def test_add_psi():
     assert add_psi((4, 2)) == (5, 1)
     with pytest.raises(ValueError):
         add_psi((3, 2))
+    with pytest.raises(ValueError) as exc:
+        add_psi(())
+    assert str(exc.value) == "add_psi of the empty partition is undefined"
 
 
 def test_add_psi_totals():

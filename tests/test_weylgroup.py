@@ -69,6 +69,9 @@ def test_group_arithmetic():
     assert wg.multiply(x, wg.inverse(x)) == wg.identity(3)
     assert wg.apply(x, -2) == 1
     assert wg.inverse(wg.inverse(y)) == y
+    with pytest.raises(ValueError) as exc:
+        wg.multiply(x, (2, 1))
+    assert str(exc.value) == "rank mismatch: 3 vs 2"
 
 
 def test_group_orders():
@@ -111,6 +114,11 @@ def test_delta():
     assert wg.length(ctx, wg.identity(5)) == 0
     d = wg.context("D", 5, "twisted")
     assert wg.length(d, wg.delta(d)) == 0
+    # A and BC have no twisted coset
+    for family in ("A", "BC"):
+        with pytest.raises(ValueError) as exc:
+            wg.delta(wg.context(family, 4))
+        assert str(exc.value) == f"family {family} carries no diagram automorphism here"
 
 
 def test_longest_element_lengths():
