@@ -97,9 +97,12 @@ def map_table(
 def dominance_relation(ctx: GroupContext) -> tuple[tuple[bool, ...], ...]:
     """Dominance among ctx's elliptic partitions as a matrix, computed
     once per ctx: dom[i][j] says whether alphas[i] <= alphas[j], with
-    alphas = elliptic_partitions(ctx)."""
+    alphas = elliptic_partitions(ctx), lexicographically descending, so
+    row i asks only j <= i (dominance implies lex order, Macdonald I.1)."""
     alphas = wg.elliptic_partitions(ctx)
-    return tuple(tuple(dominance_leq(a, b) for b in alphas) for a in alphas)
+    false = (False,) * len(alphas)
+    return tuple(tuple(dominance_leq(a, b) for b in alphas[: i + 1]) + false[i + 1 :]
+                 for i, a in enumerate(alphas))
 
 
 def verify_theorem(

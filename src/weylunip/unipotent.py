@@ -25,8 +25,10 @@ record the closure orders read and its own text.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .partitions import (
@@ -373,13 +375,15 @@ def unipotent_relation(labels) -> tuple[tuple[bool, ...], ...]:
     A refusal is the one a pairwise scan in row-major order meets first:
     each label in turn is checked against the first, a domain that
     differs refused (_check_domains) before a fault in building either
-    label's _record.  Fewer than two labels ask nothing.  Every label
-    then shares the first's domain and guards, and every row runs the
-    packed test inline, the parity test only against labels with an
-    epsilon value 0.  partitions.fields_leq says why
-    ((y | guards) - x) & guards holds the guard bits of the fields where
-    x's entry is at most y's; a good label's zeros are 0, so its pairs
-    pass the parity test."""
+    label's _record.  Fewer than two labels ask nothing.  Both orders
+    refine dominance, where alpha < beta makes alpha lexicographically
+    smaller (Macdonald, Symmetric Functions, I.1): laid out by partition
+    descending (stably; other input is mapped back by one itemgetter), a
+    row runs the packed test, and the parity test against labels with an
+    epsilon value 0, only up to its partition's last label.
+    partitions.fields_leq says why ((y | guards) - x) & guards holds the
+    guard bits of the fields where x's entry is at most y's; a good
+    label's zeros are 0, so its pairs pass the parity test."""
     labels = list(labels)
     if len(labels) < 2:
         return ((True,),) * len(labels)
@@ -392,6 +396,9 @@ def unipotent_relation(labels) -> tuple[tuple[bool, ...], ...]:
         records[0] = first._record
         records.append(b._record)
     guards = first._record[0]
+    parts = [u.partition for u in labels]
+    order = sorted(range(len(parts)), key=parts.__getitem__, reverse=True)
+    records = [records[i] for i in order]
     tops = [key | guards for _, key, *_ in records]
     # the parity test can fail only where the upper label's epsilon is 0
     zeroed = [
@@ -399,17 +406,22 @@ def unipotent_relation(labels) -> tuple[tuple[bool, ...], ...]:
         for j, (_, _, sums, parity, zeros) in enumerate(records)
         if zeros
     ]
+    parts.sort(reverse=True)
+    ends = dict(zip(parts, itertools.count(1)))
     rows = []
-    for _, key_a, sums_a, parity_a, _ in records:
-        row = [(top - key_a) & guards == guards for top in tops]
-        for j, top_b, parity_b, zeros_b in zeroed:
+    for (_, key_a, sums_a, parity_a, _), end in zip(records, map(ends.__getitem__, parts)):
+        row = [(top - key_a) & guards == guards for top in tops[:end]]
+        for j, top_b, parity_b, zeros_b in zeroed[:bisect_left(zeroed, (end,))]:  # j < end
             clash = (parity_a ^ parity_b) & zeros_b
             # alpha <= beta in dominance gives S_k(beta) <= S_k(alpha)
             # for every k, so the fields where S_k(alpha) <= S_k(beta)
             # are where they agree
             if row[j] and clash and clash & (top_b - sums_a) & guards:
                 row[j] = False
-        rows.append(tuple(row))
+        rows.append(tuple(row) + (False,) * (len(tops) - end))
+    if order != sorted(order):
+        pick = itemgetter(*sorted(range(len(order)), key=order.__getitem__))
+        rows = map(pick, pick(rows))
     return tuple(rows)
 
 

@@ -90,7 +90,35 @@ def test_mutation_run_takes_only_the_named_targets(monkeypatch, capsys):
     assert ran[1:] == mutate.mutants([("weylgroup.py", "_count_columns")])
     assert len(ran) > 1
     out = capsys.readouterr().out.splitlines()
-    assert out[-1] == f"{len(ran) - 1} mutants, {len(ran) - 1} killed, 0 survived"
+    assert out[-1] == f"{len(ran) - 1} mutants, {len(ran) - 1} killed, 0 survived, 0 equivalent"
+
+
+def test_mutation_ledger_names_mutants_the_run_generates():
+    # a stale entry could hide a new survivor with the same change text
+    mutate = load_mutate()
+    targets = {q: t for t in mutate.TARGETS for q in t[1:]}
+    for (qualname, change), why in mutate.EQUIVALENT.items():
+        made = [m for m in mutate.mutants([targets[qualname]]) if m.change == change]
+        assert len(made) == 1 and why, (qualname, change)
+
+
+def test_mutation_run_reports_ledger_survivors_apart(monkeypatch, capsys):
+    # every test run is replaced, so no pytest process starts
+    mutate = load_mutate()
+    todo = mutate.mutants([("weylgroup.py", "_check_element")])
+    listed = [m for m in todo if (m.function, m.change) in mutate.EQUIVALENT]
+    assert len(listed) == 4
+    survive = set(listed)
+    monkeypatch.setattr(mutate, "run", lambda m: (
+        ("survived", "") if m is None or m in survive else ("killed", "fake")))
+    assert mutate.main(["_check_element"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("equivalent ") for line in out) == 4
+    assert out[-1] == f"{len(todo)} mutants, {len(todo) - 4} killed, 0 survived, 4 equivalent"
+    # one survivor outside the ledger fails the run
+    survive.add(next(m for m in todo if m not in listed))
+    assert mutate.main(["_check_element"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].endswith(", 1 survived, 4 equivalent")
 
 
 def test_mutation_run_tests_a_copy_of_the_package(monkeypatch):

@@ -10,7 +10,7 @@ from weylunip.lusztig import (
 )
 from weylunip.partitions import dominance_leq, family_members
 from weylunip.unipotent import GOOD, GROUP_FAMILY, check_group, format_unipotent
-from weylunip import weylgroup as wg
+from weylunip import lusztig, weylgroup as wg
 
 from oracle import centraliser_dim, phi_good_char_equals_theta2_of_phi_char2
 
@@ -288,10 +288,24 @@ DOMINANCE_CONTEXTS = (
 
 
 @pytest.mark.parametrize("fam,n,comp", DOMINANCE_CONTEXTS)
-def test_dominance_relation_is_pairwise_dominance(fam, n, comp):
+def test_dominance_relation_is_pairwise_dominance(fam, n, comp, monkeypatch):
     ctx = wg.context(fam, n, comp)
     alphas = [c.partition for c in elliptic_classes(ctx)]
     dom = dominance_relation(ctx)
     # tuples all the way down: the cached value cannot be changed by a caller
     assert type(dom) is tuple and all(type(row) is tuple for row in dom)
     assert dom == tuple(tuple(dominance_leq(a, b) for b in alphas) for a in alphas)
+    # the classes descend lexicographically, so only the pairs (i, j)
+    # with j <= i are asked, each once
+    assert alphas == sorted(alphas, reverse=True)
+    asked = []
+
+    def counted(a, b):
+        asked.append((a, b))
+        return dominance_leq(a, b)
+
+    monkeypatch.setattr(lusztig, "dominance_leq", counted)
+    m = len(alphas)
+    assert dominance_relation.__wrapped__(ctx) == dom
+    assert sorted(asked) == sorted((a, b) for i, a in enumerate(alphas) for b in alphas[: i + 1])
+    assert len(asked) == m * (m + 1) // 2

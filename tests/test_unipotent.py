@@ -542,13 +542,18 @@ def bench_labels(group, n, char, component):
     ]
 
 
-def test_unipotent_relation_is_the_pairwise_order():
-    # every entry against the literal definition, chosen by label kind:
-    # GL labels are good in characteristic 2 too
+def relation_blocks():
+    """The unipotent_blocks and the benchmark cases: 101 lists."""
     blocks = list(unipotent_blocks())
     blocks += [(*case[:3], bench_labels(*case)) for case in BENCH_CASES]
     assert len(blocks) == 101
-    for group, n, char, labels in blocks:
+    return blocks
+
+
+def test_unipotent_relation_is_the_pairwise_order():
+    # every entry against the literal definition, chosen by label kind:
+    # GL labels are good in characteristic 2 too
+    for group, n, char, labels in relation_blocks():
         rel = unipotent_relation(labels)
         for a, row in zip(labels, rel):
             for b, x in zip(labels, row):
@@ -558,6 +563,48 @@ def test_unipotent_relation_is_the_pairwise_order():
                     want = literal_bad_leq(a, b)
                 assert x == want, (group, n, char, a, b)
         assert all(type(x) is bool for row in rel for x in row)
+
+
+def test_unipotent_relation_does_not_depend_on_the_order():
+    # the relation lays its rows out by partition; any input order gives
+    # the enumeration order's relation, permuted
+    blocks = relation_blocks()
+    # among them both split twins, and O_odd characteristic-2 labels,
+    # which carry the appended 1
+    assert any({"I", "II"} <= {u.split for u in labels} for *_, labels in blocks)
+    assert any(group == "O_odd" and char == CHAR2 and len(labels) > 2
+               for group, n, char, labels in blocks)
+    for group, n, char, labels in blocks:
+        rel = unipotent_relation(labels)
+        m = len(labels)
+        orders = [list(range(m))[::-1]]
+        orders += [random.Random(seed).sample(range(m), m) for seed in (1, 2)]
+        for order in orders:
+            got = unipotent_relation([labels[i] for i in order])
+            assert got == tuple(tuple(rel[i][j] for j in order) for i in order), (group, n, char)
+
+
+def test_unipotent_relation_permutes_only_input_out_of_order(monkeypatch):
+    def refused(*items):
+        raise AssertionError("a permutation was built")
+
+    monkeypatch.setattr(unipotent, "itemgetter", refused)
+    blocks = relation_blocks()
+    for *_, labels in blocks:
+        unipotent_relation(labels)
+    monkeypatch.undo()
+    # input out of order builds one permutation, applied to every row
+    built = []
+
+    def counted(*items):
+        built.append(items)
+        return itemgetter(*items)
+
+    monkeypatch.setattr(unipotent, "itemgetter", counted)
+    for *_, labels in blocks:
+        built.clear()
+        unipotent_relation(labels[::-1])
+        assert len(built) == (len({u.partition for u in labels}) > 1), labels
 
 
 def test_unipotent_leq_reads_its_entry_of_the_relation(monkeypatch):
