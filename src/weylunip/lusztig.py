@@ -17,13 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import (
-    Partition,
-    add_psi,
-    append_one,
-    dominance_leq,
-    scale,
-)
+from .partitions import Partition, add_psi, dominance_leq
 from . import weylgroup as wg
 from .weylgroup import CONTEXT_CACHE, GroupContext, weyl_relation
 from .classposet import EllipticClassLabel, elliptic_classes
@@ -66,15 +60,15 @@ def _phi(group: str, char: str, n: int, alpha: Partition) -> UnipotentLabel:
         return good_label("GL", n, (n,))
     if group == "GLd":
         return bad_label("GLd", n, alpha)
-    doubled = scale(alpha, 2)
+    doubled = tuple(2 * p for p in alpha)
     if char == CHAR2:
-        return bad_label(group, n, append_one(doubled) if group == "O_odd" else doubled)
+        return bad_label(group, n, doubled + (1,) if group == "O_odd" else doubled)
     if group == "Sp":
         return good_label("Sp", n, doubled)
     # psi(2*alpha) == psi(alpha): doubling keeps the strict comparisons
     gamma = add_psi(doubled)
     if group == "O_odd" and len(alpha) % 2 == 0:
-        gamma = append_one(gamma)
+        gamma += (1,)
     return good_label(group, n, gamma)
 
 

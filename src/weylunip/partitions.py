@@ -170,14 +170,6 @@ def add_psi(a: Partition) -> Partition:
     return as_partition(p + d for p, d in zip(a, v))
 
 
-def scale(a: Partition, c: int) -> Partition:
-    return tuple(p * c for p in a)
-
-
-def append_one(a: Partition) -> Partition:
-    return a + (1,)
-
-
 def format_partition(a: Partition) -> str:
     return "[" + ",".join(str(p) for p in a) + "]"
 

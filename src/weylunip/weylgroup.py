@@ -261,10 +261,6 @@ class CountMatrix(NamedTuple):
             return [k for k in range(-self.n, self.n + 1) if k != 0]
         return list(range(1, self.n + 1))
 
-    def entry(self, i: int, j: int) -> int:
-        idx = self.indices()
-        return self.rows[idx.index(i)][idx.index(j)]
-
 
 def bruhat_leq_counts(ctx: GroupContext, x: SignedPermutation, y: SignedPermutation) -> bool:
     """Entrywise count-matrix comparison, refused where it is not exact
@@ -525,16 +521,11 @@ def check_elliptic(ctx: GroupContext, alpha) -> Partition:
     return alpha
 
 
-def elliptic_partitions(ctx: GroupContext) -> list[Partition]:
-    """The partitions is_elliptic accepts, reverse-lexicographically, as
-    a fresh list.  Every family, A included, refuses n above the
-    partition bound before anything of size n is built."""
-    return list(_elliptic_partitions(ctx))
-
-
 @lru_cache(maxsize=CONTEXT_CACHE)
-def _elliptic_partitions(ctx: GroupContext) -> tuple[Partition, ...]:
-    """elliptic_partitions, generated once per ctx."""
+def elliptic_partitions(ctx: GroupContext) -> tuple[Partition, ...]:
+    """The partitions is_elliptic accepts, reverse-lexicographically,
+    generated once per ctx.  Every family, A included, refuses n above
+    the partition bound before anything of size n is built."""
     if ctx.family == "A":
         check_bound(ctx.n)
         return ((ctx.n,),)

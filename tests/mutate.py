@@ -83,7 +83,6 @@ TARGETS = (
     ("weylgroup.py", "rep_2A"),
     ("partitions.py", "psi"),
     ("partitions.py", "add_psi"),
-    ("partitions.py", "append_one"),
     ("unipotent.py", "_forced_value"),
     ("partitions.py", "transpose"),
     ("partitions.py", "byte_width"),
@@ -95,7 +94,7 @@ TARGETS = (
     ("lusztig.py", "map_table"),
     ("lusztig.py", "verify_theorem"),
     ("weylgroup.py", "_shifts"),
-    ("weylgroup.py", "_elliptic_partitions"),
+    ("weylgroup.py", "elliptic_partitions"),
     ("weylgroup.py", "bruhat_leq_counts"),
     ("weylgroup.py", "GroupContext.counts_exact"),
     ("weylgroup.py", "GroupContext.signed"),

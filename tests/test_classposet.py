@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -18,6 +19,7 @@ from weylunip.classposet import (
 from weylunip.partitions import dominance_leq, partitions
 
 from oracle import (
+    bb_length,
     class_leq_W_all_variants,
     count_entry,
     first_below,
@@ -339,29 +341,51 @@ def test_refuting_entry_reads_the_whole_minimal_length_set(fam, n, comp):
     ("D", 9, "twisted", 4),
 ])
 def test_a_count_entry_refutes_exactly_the_unrelated_longer_classes(fam, n, comp, entries):
-    # past the ranks the oracle can sweep, each entry where weyl_relation
-    # says no although a is shorter than b is certified without the
-    # packed keys: some literal count entry is larger on every element
-    # of C_min(a) than on rep(b), which rules out x <= rep(b) in BC and
-    # D.  Where it says yes, some x <= rep(b) leaves no such entry
+    # past the ranks the oracle can sweep, every entry of weyl_relation
+    # is certified without the packed keys or weylgroup's length.  Where
+    # it says no although a is shorter than b, some literal count entry
+    # is larger on every element of C_min(a) than on rep(b), which rules
+    # out x <= rep(b) in BC and D; where it says yes, some x <= rep(b)
+    # leaves no such entry
     ctx = wg.context(fam, n, comp)
     cls = elliptic_classes(ctx)
     rel = weyl_relation(ctx)
-    lengths = [wg.length(ctx, wg.class_rep(ctx, c.partition)) for c in cls]
+    reps = [wg.class_rep(ctx, c.partition) for c in cls]
+    lengths = [bb_length(ctx, w) for w in reps]
     longer = [(i, j) for i in range(len(cls)) for j in range(len(cls)) if lengths[i] < lengths[j]]
     assert sum(not rel[i][j] for i, j in longer) == entries
     wrong = [(cls[i], cls[j]) for i, j in longer if bool(refuting_entry(ctx, i, j)) == rel[i][j]]
     assert wrong == []
+    # Bruhat order is graded by length, so of the classes no shorter than
+    # b only b lies below it
+    for i, j in itertools.product(range(len(cls)), repeat=2):
+        if lengths[i] >= lengths[j]:
+            assert rel[i][j] == (i == j), (cls[i], cls[j])
+    # a yes has a witness: an element of C_min(a), as long as rep(a),
+    # below rep(b) by the descent walk
+    for i, j in longer:
+        if rel[i][j]:
+            assert any(
+                bb_length(ctx, x) == lengths[i] and leftmost_descent_leq(ctx, x, reps[j])
+                for x in wg._min_length_set(ctx, reps[i])
+            ), (cls[i], cls[j])
 
 
-@pytest.mark.parametrize("fam,n,entries,uppers", [("BC", 7, 101, 13530), ("2A", 10, 43, 13731)])
-def test_every_minimal_element_of_a_related_longer_class_lies_above_one(fam, n, entries, uppers):
+@pytest.mark.parametrize("fam,n,entries,uppers,comp", [
+    ("BC", 7, 101, 13530, None),
+    ("2A", 10, 43, 13731, None),
+    ("D", 8, 64, 32899, "id"),
+    ("D", 8, 44, 22598, "twisted"),
+])
+def test_every_minimal_element_of_a_related_longer_class_lies_above_one(
+    fam, n, entries, uppers, comp
+):
     # weyl_relation asks whether some element of C_min(a) lies below
     # rep(b) alone.  Where it says yes and a is shorter than b, every
     # element of C_min(b) lies above some element of C_min(a): the
-    # "every" quantification agrees.  D 8's 108 such entries take
-    # several seconds through the oracle's walk, so they are not here
-    ctx = wg.context(fam, n)
+    # "every" quantification agrees.  D 8 is the least rank whose order
+    # is not the order of lengths
+    ctx = wg.context(fam, n, comp)
     cls = elliptic_classes(ctx)
     rel = weyl_relation(ctx)
     reps = [wg.class_rep(ctx, c.partition) for c in cls]

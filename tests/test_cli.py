@@ -476,7 +476,7 @@ def test_main_verify_range_builds_each_table_once(capsys, monkeypatch, family, r
         return real(ctx, rep)
 
     monkeypatch.setattr(wg, "_min_length_set", counted)
-    caches = (weyl_relation, wg._shifts, wg._elliptic_partitions, lusztig.dominance_relation)
+    caches = (weyl_relation, wg._shifts, wg.elliptic_partitions, lusztig.dominance_relation)
     for cache in caches:
         cache.cache_clear()
     try:

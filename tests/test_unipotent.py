@@ -9,7 +9,6 @@ from weylunip.partitions import (
     add_psi,
     dominance_leq,
     partitions,
-    scale,
     transpose,
 )
 from weylunip.unipotent import (
@@ -791,7 +790,7 @@ def test_theta2_rejects():
 def test_recipe_matches_add_psi():
     for m in range(1, 9):
         for a in partitions(m):
-            ev = scale(a, 2)
+            ev = tuple(2 * p for p in a)
             assert theta2_column_recipe(ev) == add_psi(ev)
 
 
